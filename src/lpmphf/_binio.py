@@ -11,12 +11,6 @@ class Writer:
     def __init__(self):
         self._parts = []
 
-    def u8(self, v):
-        self._parts.append(struct.pack("<B", v))
-
-    def u16(self, v):
-        self._parts.append(struct.pack("<H", v))
-
     def u32(self, v):
         self._parts.append(struct.pack("<I", v))
 
@@ -48,12 +42,6 @@ class Reader:
         out = self._buf[self._pos:self._pos + n]
         self._pos += n
         return out
-
-    def u8(self):
-        return struct.unpack("<B", self._take(1))[0]
-
-    def u16(self):
-        return struct.unpack("<H", self._take(2))[0]
 
     def u32(self):
         return struct.unpack("<I", self._take(4))[0]

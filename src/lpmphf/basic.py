@@ -1,43 +1,55 @@
-"""Un-partitioned locality-preserving MPHF.
+"""The locality-preserving MPHF engine, and its un-partitioned (basic) layout.
 
-Layout: an inner MPHF over all distinct minimizers, an Elias-Fano array L of
-length |M|+1 holding prefix sums of super-k-mer sizes in slot order (L[0]=0,
-ambiguous slots contribute 0), and a fixed-width array P of the minimizer
-position in each super-k-mer's first k-mer (sentinel 0 on ambiguous slots).
+Engine (`LpMphf`): an inner MPHF fm gives every distinct minimizer
+(ambiguous ones included) a slot. A layout resolves a slot to
+(base, p1, size): the first codomain value of the slot's super-k-mer, the
+minimizer position in its first k-mer, and its k-mer count. A k-mer with
+minimizer position p then hashes to base + p1 - p, so the k-mers of one
+super-k-mer get consecutive values in string order. K-mers whose minimizer
+is ambiguous (a slot the layout marks as fallback) hash to
+n_unambiguous + fallback(x) instead; non-member queries return an arbitrary
+in-range value unless checked lookup detects an impossible minimizer
+position. The engine owns construction, every lookup path, diagnostics and
+serialization; a layout subclass only encodes and decodes the slot data.
 
-A k-mer with minimizer slot i and minimizer position p hashes to
-L[i] + P[i] - p; the codomain is 0-based, so the k-mers of the slot-i
-super-k-mer occupy [L[i], L[i+1]) in string order and consecutive k-mers of
-one super-k-mer get consecutive values. K-mers whose minimizer is ambiguous
-(slot size 0) hash to n_unambiguous + fallback(x) instead; non-member
-queries return an arbitrary in-range value unless checked lookup detects an
-impossible minimizer position.
+Basic layout: an Elias-Fano array L of length |M|+1 holding prefix sums of
+super-k-mer sizes in slot order (L[0]=0, ambiguous slots contribute 0), and
+a fixed-width array P of the minimizer position in each super-k-mer's first
+k-mer (sentinel 0 on ambiguous slots). Slot i resolves to
+(L[i], P[i], L[i+1] - L[i]); the codomain is 0-based, so the slot-i
+super-k-mer occupies [L[i], L[i+1]).
 """
 
 import numpy as np
 
-from ._build import (assemble_slots, build_fallback, expand_ranges,
-                     finish_lookup)
+from ._build import (ambiguous_kmer_words, assemble_slots, build_fallback,
+                     expand_ranges, finish_lookup)
 from ._lookup import kmer_minimizers, resolve_kmer_input, stream_plan
 from .errors import DefiniteMiss
-from .kmers import kmer_words_at
 from .minimizers import scan_spss, warn_if_density_condition_violated
 from .succinct import EliasFanoSeq, IntVector
 
-__all__ = ["LpMphfBasic", "build_basic", "measure_epsilon"]
+__all__ = ["LpMphf", "LpMphfBasic", "build_basic", "measure_epsilon"]
 
 
-class LpMphfBasic:
-    variant = "basic"
+class LpMphf:
+    """Build, lookup and persistence shared by every slot layout.
 
-    def __init__(self, scheme, n, n_unambiguous, fm, L, P, fallback):
+    A layout subclass declares `variant`, `variant_code` (its code in the
+    file header), `SECTIONS` (its serialized components in file order, as
+    (attribute, type with to_bytes/from_bytes) pairs), `_layout(slots, w)`
+    building those components from a SlotAssembly, and `_slot_params(slot)`
+    returning (base, p1, size, fallback mask) per slot.
+    """
+
+    def __init__(self, scheme, n, n_unambiguous, fm, fallback, **sections):
         self.scheme = scheme
         self.n = n
         self.n_unambiguous = n_unambiguous
         self.fm = fm
-        self.L = L
-        self.P = P
         self.fallback = fallback
+        for name, _ in self.SECTIONS:
+            setattr(self, name, sections[name])
 
     @property
     def num_minimizers(self):
@@ -50,20 +62,12 @@ class LpMphfBasic:
         warn_if_density_condition_violated(scheme)
         scan = scan_spss(spss, scheme, threads=threads)
         slots = assemble_slots(scan, scheme.seed)
-        prefix = np.concatenate([[0], np.cumsum(slots.slot_sizes)])
-        L = EliasFanoSeq.from_values(prefix, universe=slots.n_unambiguous)
-        P = IntVector.from_values(slots.slot_p1, width=scheme.w.bit_length())
+        sections = cls._layout(slots, scheme.w)
         fallback = build_fallback(spss, scan, slots.skm_ambiguous, scheme.seed)
-        return cls(scheme, scan.n, slots.n_unambiguous, slots.fm, L, P, fallback)
+        return cls(scheme, scan.n, slots.n_unambiguous, slots.fm, fallback,
+                   **sections)
 
     # --- lookup ---
-
-    def _slot_params(self, slot):
-        lo = self.L.access_many(slot)
-        hi = self.L.access_many(slot + 1)
-        sizes = hi - lo
-        p1s = self.P.get_many(slot)
-        return lo, p1s, sizes, sizes == 0
 
     def lookup_words(self, hi, lo, checked=False):
         """Vector lookup over packed k-mer word arrays."""
@@ -100,7 +104,18 @@ class LpMphfBasic:
         Independent of the query path: derived from the super-k-mer scan and
         the stored arrays, it is the table lookups are checked against.
         """
-        return _assigned_values(self, spss, self._slot_params)
+        scan = scan_spss(spss, self.scheme)
+        base, _, sizes, _ = self._slot_params(
+            self.fm.evaluate_many(scan.minvals))
+        amb = sizes != scan.sizes  # ambiguous slots carry size 0
+        out = np.empty(scan.n, dtype=np.int64)
+        pos = expand_ranges(scan.kmer_base[~amb], scan.sizes[~amb])
+        out[pos] = expand_ranges(base[~amb], scan.sizes[~amb])
+        if np.any(amb):
+            hi, lo = ambiguous_kmer_words(spss, scan, amb)
+            pos = expand_ranges(scan.kmer_base[amb], scan.sizes[amb])
+            out[pos] = self.n_unambiguous + self.fallback.evaluate_many(lo, hi)
+        return out
 
     def size_in_bits(self):
         return 8 * len(self.to_bytes())
@@ -117,29 +132,30 @@ class LpMphfBasic:
         save_structure(self, path)
 
 
+class LpMphfBasic(LpMphf):
+    variant = "basic"
+    variant_code = 0
+    SECTIONS = (("L", EliasFanoSeq), ("P", IntVector))
+
+    @staticmethod
+    def _layout(slots, w):
+        prefix = np.concatenate([[0], np.cumsum(slots.slot_sizes)])
+        return {"L": EliasFanoSeq.from_values(prefix,
+                                              universe=slots.n_unambiguous),
+                "P": IntVector.from_values(slots.slot_p1,
+                                           width=w.bit_length())}
+
+    def _slot_params(self, slot):
+        lo = self.L.access_many(slot)
+        hi = self.L.access_many(slot + 1)
+        sizes = hi - lo
+        p1s = self.P.get_many(slot)
+        return lo, p1s, sizes, sizes == 0
+
+
 def build_basic(spss, scheme, threads=1):
     """Build the un-partitioned structure over an SPSS."""
     return LpMphfBasic.build(spss, scheme, threads=threads)
-
-
-def _assigned_values(struct, spss, slot_params):
-    scan = scan_spss(spss, struct.scheme)
-    slots_of_skm = struct.fm.evaluate_many(scan.minvals)
-    base, _, sizes, _ = slot_params(slots_of_skm)
-    amb = sizes != scan.sizes  # ambiguous slots carry size 0
-    out = np.empty(scan.n, dtype=np.int64)
-    pos = expand_ranges(scan.kmer_base[~amb], scan.sizes[~amb])
-    out[pos] = expand_ranges(base[~amb], scan.sizes[~amb])
-    if np.any(amb):
-        for sid, codes in enumerate(spss.codes):
-            sel = amb & (scan.string_id == sid)
-            if not np.any(sel):
-                continue
-            local = expand_ranges(scan.starts[sel], scan.sizes[sel])
-            hi, lo = kmer_words_at(codes, spss.k, local)
-            gpos = expand_ranges(scan.kmer_base[sel], scan.sizes[sel])
-            out[gpos] = struct.n_unambiguous + struct.fallback.evaluate_many(lo, hi)
-    return out
 
 
 def measure_epsilon(struct, spss):

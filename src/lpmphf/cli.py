@@ -59,7 +59,6 @@ def _build_parser():
     q.add_argument("--checked", action="store_true",
                    help="report definite misses as '-'")
     q.add_argument("--seed", type=int, default=0, help="shuffle seed for --random")
-    q.add_argument("--threads", type=int, default=1)
 
     s = sub.add_parser("stats", help="measured vs computed statistics")
     s.add_argument("-i", "--input", required=True, help="structure file")

@@ -61,10 +61,6 @@ class DuplicateKey(LpmphfError):
     """MPHF construction received duplicate keys."""
 
 
-class ConstructionFailure(LpmphfError):
-    """MPHF construction could not finish (pathological input)."""
-
-
 class EmptyFunction(LpmphfError):
     """Evaluation of an MPHF built over zero keys."""
 

@@ -1,4 +1,4 @@
-"""Partitioned locality-preserving MPHF.
+"""Partitioned slot layout for the locality-preserving MPHF engine.
 
 Super-k-mers are classified from the minimizer position in their first and
 last k-mers (first/last rule). Since the last position is p1 - size + 1,
@@ -9,25 +9,26 @@ knowing the type makes part of the data implicit:
   right-max       p1 = w and last > 1: p1 implicit, only the size is stored
   non-max         otherwise:           size and p1 both stored
 
-A 4-symbol type sequence R in minimizer-slot order routes lookups to
+A 4-symbol type sequence R in minimizer-slot order routes a slot to
 per-type size-prefix arrays (L_l, L_r, L_n, compressed with Elias-Fano) and
 the non-max position array P_n. The codomain is arranged as
 [left-right-max | left-max | right-max | non-max | fallback] with k-mer-count
-block prefixes; within a block, k-mers are ordered by per-type slot rank then
-position. Ambiguous minimizers are stored as right-max entries with a
-zero-size increment in L_r, so the right-max path checks the size before
-trusting the implicit p1 = w.
+block prefixes K_lr, K_l, K_r, K_n; within a block, k-mers are ordered by
+per-type slot rank then position. Ambiguous minimizers are stored as
+right-max entries with a zero-size increment in L_r, so the right-max path
+checks the size before trusting the implicit p1 = w.
 """
 
 from enum import IntEnum
 
 import numpy as np
 
-from ._build import assemble_slots, build_fallback, finish_lookup
-from ._lookup import kmer_minimizers, resolve_kmer_input, stream_plan
-from .basic import _assigned_values
-from .errors import DefiniteMiss
-from .minimizers import scan_spss, warn_if_density_condition_violated
+from ._binio import Reader, Writer
+# The six F401 names are unused here; bench/tracing.py wraps them here too.
+from ._build import assemble_slots, build_fallback, finish_lookup  # noqa: F401
+from ._lookup import kmer_minimizers, stream_plan  # noqa: F401
+from .basic import LpMphf
+from .minimizers import scan_spss  # noqa: F401
 from .succinct import EliasFanoSeq, IntVector, TypeSequence
 
 __all__ = ["FlType", "classify", "LpMphfPartitioned", "build_partitioned"]
@@ -52,65 +53,65 @@ def _classify_arrays(sizes, p1, w):
     return (((last > 1).astype(np.int64) << 1) | (p1 < w)).astype(np.uint8)
 
 
-class LpMphfPartitioned:
-    variant = "partitioned"
+class TypeCounts(tuple):
+    """(n_lr, n_l, n_r, n_n) unambiguous super-k-mers per type, serialized
+    as four u64."""
 
-    def __init__(self, scheme, n, n_unambiguous, fm, R, L_l, L_r, L_n, P_n,
-                 type_counts, fallback):
-        self.scheme = scheme
-        self.n = n
-        self.n_unambiguous = n_unambiguous
-        self.fm = fm
-        self.R = R
-        self.L_l = L_l
-        self.L_r = L_r
-        self.L_n = L_n
-        self.P_n = P_n
-        self.type_counts = type_counts  # (n_lr, n_l, n_r, n_n) unambiguous
-        self.fallback = fallback
-        self.K_lr = type_counts[0] * scheme.w
-        self.K_l = int(L_l.access(len(L_l) - 1)) if len(L_l) else 0
-        self.K_r = int(L_r.access(len(L_r) - 1)) if len(L_r) else 0
-        self.K_n = int(L_n.access(len(L_n) - 1)) if len(L_n) else 0
-
-    @property
-    def num_minimizers(self):
-        return self.fm.n_keys
-
-    # --- construction ---
+    def to_bytes(self):
+        w = Writer()
+        for c in self:
+            w.u64(c)
+        return w.getvalue()
 
     @classmethod
-    def build(cls, spss, scheme, threads=1):
-        warn_if_density_condition_violated(scheme)
-        scan = scan_spss(spss, scheme, threads=threads)
-        slots = assemble_slots(scan, scheme.seed)
-        w = scheme.w
-        m = slots.slot_sizes.size
+    def from_bytes(cls, buf):
+        r = Reader(buf)
+        out = cls(r.u64() for _ in range(4))
+        r.done()
+        return out
 
+
+class LpMphfPartitioned(LpMphf):
+    variant = "partitioned"
+    variant_code = 1
+    SECTIONS = (("R", TypeSequence), ("L_l", EliasFanoSeq),
+                ("L_r", EliasFanoSeq), ("L_n", EliasFanoSeq),
+                ("P_n", IntVector), ("type_counts", TypeCounts))
+
+    def __init__(self, *args, **sections):
+        super().__init__(*args, **sections)
+        self.K_lr = self.type_counts[0] * self.scheme.w
+        self.K_l, self.K_r, self.K_n = (
+            int(ef.access(len(ef) - 1)) if len(ef) else 0
+            for ef in (self.L_l, self.L_r, self.L_n))
+
+    @staticmethod
+    def _layout(slots, w):
+        m = slots.slot_sizes.size
         slot_types = np.full(m, FlType.RIGHT_MAX, dtype=np.uint8)
         unamb = ~slots.slot_ambiguous
         slot_types[unamb] = _classify_arrays(
             slots.slot_sizes[unamb], slots.slot_p1[unamb], w)
-        R = TypeSequence.from_symbols(slot_types)
 
         idx_l = np.flatnonzero(slot_types == FlType.LEFT_MAX)
         idx_r = np.flatnonzero(slot_types == FlType.RIGHT_MAX)
         idx_n = np.flatnonzero(slot_types == FlType.NON_MAX)
         n_lr = int(np.count_nonzero(slot_types == FlType.LEFT_RIGHT_MAX))
-        type_counts = (n_lr, idx_l.size,
-                       int(np.count_nonzero(unamb[idx_r])), idx_n.size)
 
         def prefix_ef(idx):
             pref = np.concatenate([[0], np.cumsum(slots.slot_sizes[idx])])
             return EliasFanoSeq.from_values(pref, universe=int(pref[-1]))
 
-        L_l, L_r, L_n = prefix_ef(idx_l), prefix_ef(idx_r), prefix_ef(idx_n)
-        P_n = IntVector.from_values(slots.slot_p1[idx_n], width=w.bit_length())
-        fallback = build_fallback(spss, scan, slots.skm_ambiguous, scheme.seed)
-        return cls(scheme, scan.n, slots.n_unambiguous, slots.fm, R,
-                   L_l, L_r, L_n, P_n, type_counts, fallback)
-
-    # --- lookup ---
+        return {
+            "R": TypeSequence.from_symbols(slot_types),
+            "L_l": prefix_ef(idx_l), "L_r": prefix_ef(idx_r),
+            "L_n": prefix_ef(idx_n),
+            "P_n": IntVector.from_values(slots.slot_p1[idx_n],
+                                         width=w.bit_length()),
+            "type_counts": TypeCounts((
+                n_lr, idx_l.size, int(np.count_nonzero(unamb[idx_r])),
+                idx_n.size)),
+        }
 
     def _slot_params(self, slot):
         w = self.scheme.w
@@ -149,49 +150,6 @@ class LpMphfPartitioned:
             sizes[sel] = sz
             p1s[sel] = self.P_n.get_many(j0[sel])
         return base, p1s, sizes, fb
-
-    def lookup_words(self, hi, lo, checked=False):
-        """Vector lookup over packed k-mer word arrays."""
-        mvals, p = kmer_minimizers(hi, lo, self.scheme)
-        slot = self.fm.evaluate_many(mvals)
-        base, p1s, sizes, fb = self._slot_params(slot)
-        return finish_lookup(base, p1s, sizes, p, fb,
-                             lambda: (hi[fb], lo[fb]), self, checked)
-
-    def lookup(self, x, checked=False):
-        """Hash one k-mer (Kmer, DNA string, or packed int)."""
-        hi, lo = resolve_kmer_input(x, self.scheme.k)
-        out = int(self.lookup_words(hi, lo, checked=checked)[0])
-        if checked and out < 0:
-            raise DefiniteMiss("k-mer cannot be in the indexed set")
-        return out
-
-    def stream_lookup(self, q, checked=False):
-        """One value per consecutive k-mer of a query string."""
-        plan = stream_plan(q, self.scheme)
-        slot = self.fm.evaluate_many(plan.run_minvals)
-        base, p1s, sizes, fb = self._slot_params(slot)
-        return plan.expand(base, p1s, sizes, fb, self, checked)
-
-    # --- diagnostics ---
-
-    def assigned_values(self, spss):
-        """Build-side value of every k-mer, in SPSS order."""
-        return _assigned_values(self, spss, self._slot_params)
-
-    def size_in_bits(self):
-        return 8 * len(self.to_bytes())
-
-    def bits_per_kmer(self):
-        return self.size_in_bits() / self.n
-
-    def to_bytes(self):
-        from .storage import structure_to_bytes
-        return structure_to_bytes(self)
-
-    def save(self, path):
-        from .storage import save_structure
-        save_structure(self, path)
 
 
 def build_partitioned(spss, scheme, threads=1):

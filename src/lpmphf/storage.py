@@ -2,20 +2,23 @@
 
 Little-endian container: magic "LPH1", format version, variant code, the
 scheme parameters (k, m, seed) and global counts, then one length-framed
-section per component. Loading rejects unknown magic or version.
+section per component: the inner MPHF, the layout's `SECTIONS` in order,
+and the fallback MPHF. Loading rejects unknown magic, version or variant.
 """
 
 import struct
 
 from ._binio import Reader, Writer
+from .basic import LpMphfBasic
 from .errors import CorruptFile
 from .minimizers import MinimizerScheme
 from .mphf import GeneralMphf
-from .succinct import EliasFanoSeq, IntVector, TypeSequence
+from .partitioned import LpMphfPartitioned
 
 MAGIC = b"LPH1"
 VERSION = 1
-_VARIANT_CODES = {"basic": 0, "partitioned": 1}
+_CLASS_BY_CODE = {cls.variant_code: cls
+                  for cls in (LpMphfBasic, LpMphfPartitioned)}
 _HEADER = struct.Struct("<4sHBBIIQQQQ")
 
 __all__ = ["MAGIC", "VERSION", "structure_to_bytes", "save_structure",
@@ -33,31 +36,17 @@ def _read_section(r):
 
 def structure_to_bytes(f):
     w = Writer()
-    w.raw(_HEADER.pack(MAGIC, VERSION, _VARIANT_CODES[f.variant], 0,
+    w.raw(_HEADER.pack(MAGIC, VERSION, f.variant_code, 0,
                        f.scheme.k, f.scheme.m, f.scheme.seed,
                        f.n, f.num_minimizers, f.n_unambiguous))
     _write_section(w, f.fm.to_bytes())
-    if f.variant == "basic":
-        _write_section(w, f.L.to_bytes())
-        _write_section(w, f.P.to_bytes())
-    else:
-        _write_section(w, f.R.to_bytes())
-        _write_section(w, f.L_l.to_bytes())
-        _write_section(w, f.L_r.to_bytes())
-        _write_section(w, f.L_n.to_bytes())
-        _write_section(w, f.P_n.to_bytes())
-        cw = Writer()
-        for c in f.type_counts:
-            cw.u64(c)
-        _write_section(w, cw.getvalue())
+    for name, _ in f.SECTIONS:
+        _write_section(w, getattr(f, name).to_bytes())
     _write_section(w, f.fallback.to_bytes())
     return w.getvalue()
 
 
 def structure_from_bytes(buf):
-    from .basic import LpMphfBasic
-    from .partitioned import LpMphfPartitioned
-
     if len(buf) < _HEADER.size:
         raise CorruptFile("file too short for header")
     magic, version, variant, _, k, m, seed, n, n_min, n_unamb = \
@@ -66,31 +55,20 @@ def structure_from_bytes(buf):
         raise CorruptFile(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise CorruptFile(f"unsupported format version {version}")
+    cls = _CLASS_BY_CODE.get(variant)
+    if cls is None:
+        raise CorruptFile(f"unknown variant code {variant}")
     r = Reader(buf)
     r.raw(_HEADER.size)
     fm = GeneralMphf.from_bytes(_read_section(r))
     if fm.n_keys != n_min:
         raise CorruptFile("minimizer count mismatch")
-    scheme = MinimizerScheme(k=k, m=m, seed=seed)
-    if variant == _VARIANT_CODES["basic"]:
-        L = EliasFanoSeq.from_bytes(_read_section(r))
-        P = IntVector.from_bytes(_read_section(r))
-        fallback = GeneralMphf.from_bytes(_read_section(r))
-        r.done()
-        return LpMphfBasic(scheme, n, n_unamb, fm, L, P, fallback)
-    if variant == _VARIANT_CODES["partitioned"]:
-        R = TypeSequence.from_bytes(_read_section(r))
-        L_l = EliasFanoSeq.from_bytes(_read_section(r))
-        L_r = EliasFanoSeq.from_bytes(_read_section(r))
-        L_n = EliasFanoSeq.from_bytes(_read_section(r))
-        P_n = IntVector.from_bytes(_read_section(r))
-        cr = Reader(_read_section(r))
-        type_counts = tuple(cr.u64() for _ in range(4))
-        fallback = GeneralMphf.from_bytes(_read_section(r))
-        r.done()
-        return LpMphfPartitioned(scheme, n, n_unamb, fm, R, L_l, L_r, L_n,
-                                 P_n, type_counts, fallback)
-    raise CorruptFile(f"unknown variant code {variant}")
+    sections = {name: kind.from_bytes(_read_section(r))
+                for name, kind in cls.SECTIONS}
+    fallback = GeneralMphf.from_bytes(_read_section(r))
+    r.done()
+    return cls(MinimizerScheme(k=k, m=m, seed=seed), n, n_unamb, fm,
+               fallback, **sections)
 
 
 def save_structure(f, path):

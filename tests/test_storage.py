@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from lpmphf import (MinimizerScheme, build_basic, build_partitioned,
-                    load_structure, save_structure)
+from lpmphf import (MinimizerScheme, SpssInput, build_basic,
+                    build_partitioned, generate_spss, load_structure,
+                    save_structure)
 from lpmphf.errors import CorruptFile
 from lpmphf.kmers import kmer_words
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
@@ -78,3 +81,51 @@ def test_trailing_garbage_rejected(built):
     blob = structure_to_bytes(built) + b"\x00"
     with pytest.raises(CorruptFile):
         structure_from_bytes(blob)
+
+
+def test_unknown_variant_code_rejected(built):
+    blob = bytearray(structure_to_bytes(built))
+    blob[6] = 7  # variant code byte follows the 4-byte magic and u16 version
+    with pytest.raises(CorruptFile, match="unknown variant"):
+        structure_from_bytes(bytes(blob))
+
+
+def _golden_long():
+    spss = generate_spss(3000 + 30, 31, seed=11)
+    return spss, MinimizerScheme(k=31, m=15, seed=5)
+
+
+def _golden_unitigs():
+    # one string cut into unitig-like pieces overlapping by k-1 bases; at
+    # m=5 about two thirds of the k-mers go to the fallback MPHF
+    whole = generate_spss(2000 + 30, 31, seed=12).codes[0]
+    cuts = [0, 170, 260, 700, 745, 1200, 1610, whole.size]
+    pieces = [whole[a:b + 30] for a, b in zip(cuts, cuts[1:])]
+    return SpssInput(k=31, codes=pieces), MinimizerScheme(k=31, m=5, seed=5)
+
+
+# sha256 of to_bytes(); any change means the file format changed
+GOLDEN = {
+    ("long", "basic"):
+        "1ee70891f98b984927ddbd0f10f5de58192427d44f12cf9eb20348ade5ff86ff",
+    ("long", "partitioned"):
+        "64e360df4bd8ec1c147a40b32ee97c1d1349251caffab9c0ddd7787602a5182a",
+    ("unitigs", "basic"):
+        "3c1c92514a2dd0359a12be866238a1dc8047764594e58920aae6541b68629dac",
+    ("unitigs", "partitioned"):
+        "8519ea5754c288384167a1b48845bca58dbccc17cc3b2b32cb952b49bb6d4b1d",
+}
+
+
+@pytest.mark.filterwarnings(
+    "ignore::lpmphf.minimizers.MinimizerDensityWarning")
+@pytest.mark.parametrize("case", ["long", "unitigs"])
+@pytest.mark.parametrize("variant", ["basic", "partitioned"])
+def test_golden_bytes(case, variant):
+    spss, scheme = {"long": _golden_long, "unitigs": _golden_unitigs}[case]()
+    builder = build_basic if variant == "basic" else build_partitioned
+    f = builder(spss, scheme)
+    if case == "unitigs":
+        assert spss.num_strings == 7 and 0 < f.n_unambiguous < f.n
+    digest = hashlib.sha256(structure_to_bytes(f)).hexdigest()
+    assert digest == GOLDEN[case, variant]

@@ -41,19 +41,17 @@ def kmer_minimizers(hi, lo, scheme):
 
 
 def resolve_kmer_input(x, k):
-    """Normalize a Kmer, DNA string, or packed int into singleton word arrays."""
+    """Normalize a Kmer, DNA string, or packed int into one packed int."""
     if isinstance(x, str):
         x = Kmer.from_string(x)
     if isinstance(x, Kmer):
         if x.k != k:
             raise KMismatch(f"k-mer length {x.k} != structure k={k}")
-        hi, lo = x.hi, x.lo
-    else:
-        value = int(x)
-        if not 0 <= value < (1 << (2 * k)):
-            raise KMismatch(f"packed value out of range for k={k}")
-        hi, lo = value >> 64, value & 0xFFFFFFFFFFFFFFFF
-    return (np.array([hi], dtype=_U64), np.array([lo], dtype=_U64))
+        return x.value
+    value = int(x)
+    if not 0 <= value < (1 << (2 * k)):
+        raise KMismatch(f"packed value out of range for k={k}")
+    return value
 
 
 @dataclass

@@ -26,7 +26,9 @@ from ._build import (ambiguous_kmer_words, assemble_slots, build_fallback,
                      expand_ranges, finish_lookup)
 from ._lookup import kmer_minimizers, resolve_kmer_input, stream_plan
 from .errors import DefiniteMiss
-from .minimizers import scan_spss, warn_if_density_condition_violated
+from .kmers import Kmer
+from .minimizers import (minimizer, scan_spss,
+                         warn_if_density_condition_violated)
 from .succinct import EliasFanoSeq, IntVector
 
 __all__ = ["LpMphf", "LpMphfBasic", "build_basic", "measure_epsilon"]
@@ -38,8 +40,10 @@ class LpMphf:
     A layout subclass declares `variant`, `variant_code` (its code in the
     file header), `SECTIONS` (its serialized components in file order, as
     (attribute, type with to_bytes/from_bytes) pairs), `_layout(slots, w)`
-    building those components from a SlotAssembly, and `_slot_params(slot)`
-    returning (base, p1, size, fallback mask) per slot.
+    building those components from a SlotAssembly, `_slot_params(slot)`
+    returning (base, p1, size, fallback mask) per slot of a slot array, and
+    `_slot_param(slot)` returning the same four for one slot as Python
+    values.
     """
 
     def __init__(self, scheme, n, n_unambiguous, fm, fallback, **sections):
@@ -78,12 +82,23 @@ class LpMphf:
                              lambda: (hi[fb], lo[fb]), self, checked)
 
     def lookup(self, x, checked=False):
-        """Hash one k-mer (Kmer, DNA string, or packed int)."""
-        hi, lo = resolve_kmer_input(x, self.scheme.k)
-        out = int(self.lookup_words(hi, lo, checked=checked)[0])
-        if checked and out < 0:
+        """Hash one k-mer (Kmer, DNA string, or packed int).
+
+        The scalar form of `lookup_words`, on Python ints: one minimizer
+        scan, one inner-MPHF evaluation and one slot decode.
+        """
+        k = self.scheme.k
+        value = resolve_kmer_input(x, k)
+        hit = minimizer(Kmer(k, value), self.scheme)
+        base, p1, size, fb = self._slot_param(self.fm.evaluate(hit.mmer))
+        if fb:
+            return self.n_unambiguous + self.fallback.evaluate(value)
+        r = p1 - hit.pos + 1
+        if 1 <= r <= size:
+            return base + r - 1
+        if checked:
             raise DefiniteMiss("k-mer cannot be in the indexed set")
-        return out
+        return min(max(base + r - 1, 0), self.n - 1)
 
     def stream_lookup(self, q, checked=False):
         """One value per consecutive k-mer of a query string.
@@ -151,6 +166,11 @@ class LpMphfBasic(LpMphf):
         sizes = hi - lo
         p1s = self.P.get_many(slot)
         return lo, p1s, sizes, sizes == 0
+
+    def _slot_param(self, slot):
+        lo = self.L.access(slot)
+        size = self.L.access(slot + 1) - lo
+        return lo, self.P.get(slot), size, size == 0
 
 
 def build_basic(spss, scheme, threads=1):

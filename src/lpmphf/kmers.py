@@ -17,7 +17,8 @@ from .errors import InvalidBase, LengthOutOfRange
 __all__ = [
     "MAX_K", "MAX_M", "BASES",
     "encode_bases", "decode_bases", "Kmer", "encode_kmer",
-    "mix64", "mix64_array", "hash_mmer", "hash_mmer_array", "hash_words_array",
+    "mix64", "mix64_array", "seed_key", "hash_mmer", "hash_mmer_array",
+    "hash_words_array",
     "window_values", "kmer_words", "kmer_words_at",
 ]
 
@@ -27,6 +28,7 @@ BASES = "ACGT"
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_SEED_SALT = 0x9E3779B97F4A7C15
 
 # uppercase and lowercase accepted, everything else is a hard error
 _CODE_LUT = np.full(256, 255, dtype=np.uint8)
@@ -135,26 +137,29 @@ def mix64_array(x):
     return x
 
 
+def seed_key(seed):
+    """Pre-mixed seed: hash_mmer(x, seed) == mix64(x ^ seed_key(seed))."""
+    return mix64(seed ^ _SEED_SALT)
+
+
 def hash_mmer(mmer, seed):
     """Deterministic 64-bit hash of a packed m-mer (m <= 32) under a seed."""
-    return mix64(mmer ^ mix64(seed ^ 0x9E3779B97F4A7C15))
+    return mix64(mmer ^ seed_key(seed))
 
 
 def hash_mmer_array(mmers, seed):
     """Vector version of hash_mmer; equal to the scalar elementwise."""
-    s = _U64(mix64(seed ^ 0x9E3779B97F4A7C15))
-    return mix64_array(mmers ^ s)
+    return mix64_array(mmers ^ _U64(seed_key(seed)))
 
 
 def hash_words_array(hi, lo, seed):
     """64-bit hash of two-word packed keys (used for k-mers, k > 32 allowed)."""
-    s = _U64(mix64(seed ^ 0x9E3779B97F4A7C15))
+    s = _U64(seed_key(seed))
     return mix64_array(mix64_array(lo ^ s) ^ hi)
 
 
 def hash_words(hi, lo, seed):
-    s = mix64(seed ^ 0x9E3779B97F4A7C15)
-    return mix64(mix64(lo ^ s) ^ hi)
+    return mix64(mix64(lo ^ seed_key(seed)) ^ hi)
 
 
 # --- bulk packing over code arrays -------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthOutOfRange, StringShorterThanK
-from .kmers import (MAX_K, MAX_M, Kmer, encode_bases, hash_mmer,
-                    hash_mmer_array, window_values)
+from .kmers import (MAX_K, MAX_M, Kmer, encode_bases, hash_mmer_array, mix64,
+                    seed_key, window_values)
 
 __all__ = [
     "MinimizerScheme", "MinimizerHit", "SuperKmerRecord", "MinimizerCensus",
@@ -99,12 +99,16 @@ def minimizer(x, scheme):
         x = Kmer.from_string(x)
     if x.k != scheme.k:
         raise LengthOutOfRange(f"k-mer length {x.k} != scheme k={scheme.k}")
+    key = seed_key(scheme.seed)
+    mask = (1 << (2 * scheme.m)) - 1
+    value, shift = x.value, 2 * (scheme.k - scheme.m)
     best = None
     for p in range(1, scheme.w + 1):
-        mm = x.mmer_at(p, scheme.m)
-        h = hash_mmer(mm, scheme.seed)
+        mm = (value >> shift) & mask
+        h = mix64(mm ^ key)
         if best is None or h < best[0]:
             best = (h, mm, p)
+        shift -= 2
     return MinimizerHit(mmer=best[1], pos=best[2])
 
 

@@ -13,7 +13,7 @@ Keys are (hi, lo) uint64 pairs; plain 64-bit keys pass hi=0.
 import numpy as np
 
 from ._binio import Reader, Writer
-from .errors import DuplicateKey, EmptyFunction
+from .errors import CorruptFile, DuplicateKey, EmptyFunction
 from .kmers import hash_words, hash_words_array, mix64
 from .succinct import RankBitvector
 
@@ -23,6 +23,7 @@ _U64 = np.uint64
 DEFAULT_GAMMA = 2.0
 MAX_LEVELS = 12
 _LEVEL_SALT = 0x9E3779B97F4A7C15
+_KEY_PAIR = np.dtype([("hi", "<u8"), ("lo", "<u8")])
 
 
 def _level_seed(seed, level):
@@ -40,6 +41,13 @@ def _as_key_arrays(lo, hi):
     return hi, lo
 
 
+def _key_pairs(hi, lo):
+    """Keys as one structured array, ordered and searched by (hi, lo)."""
+    pairs = np.empty(hi.size, dtype=_KEY_PAIR)
+    pairs["hi"], pairs["lo"] = hi, lo
+    return pairs
+
+
 class GeneralMphf:
     """Minimal perfect hash over a static key set."""
 
@@ -52,8 +60,7 @@ class GeneralMphf:
         self._offsets = np.zeros(len(levels) + 1, dtype=np.int64)
         for i, bv in enumerate(levels):
             self._offsets[i + 1] = self._offsets[i] + bv.num_ones
-        self._res_hi = residual_hi
-        self._res_lo = residual_lo
+        self._residual = _key_pairs(residual_hi, residual_lo)   # sorted
         self._res_idx = residual_idx
 
     # --- construction ---
@@ -87,9 +94,7 @@ class GeneralMphf:
 
     @staticmethod
     def _check_distinct(hi, lo):
-        pairs = np.empty(hi.size, dtype=[("hi", "<u8"), ("lo", "<u8")])
-        pairs["hi"], pairs["lo"] = hi, lo
-        if np.unique(pairs).size != hi.size:
+        if np.unique(_key_pairs(hi, lo)).size != hi.size:
             raise DuplicateKey("duplicate keys in MPHF input")
 
     # --- evaluation ---
@@ -107,10 +112,11 @@ class GeneralMphf:
             pos = hash_words(hi, lo, _level_seed(self.seed, level)) % bv.nbits
             if bv.get(pos):
                 return int(self._offsets[level]) + bv.rank1(pos)
-        base = int(self._offsets[-1])
-        for j in range(self._res_lo.size):
-            if int(self._res_hi[j]) == hi and int(self._res_lo[j]) == lo:
-                return base + int(self._res_idx[j])
+        if self._residual.size:
+            pos, found = self._find_residual(np.array([hi], dtype=_U64),
+                                             np.array([lo], dtype=_U64))
+            if found[0]:
+                return int(self._offsets[-1]) + int(self._res_idx[pos[0]])
         return hash_words(hi, lo, self.seed) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):
@@ -132,17 +138,21 @@ class GeneralMphf:
             pending = pending[~hit]
             cur_hi, cur_lo = cur_hi[~hit], cur_lo[~hit]
         if pending.size:
-            base = int(self._offsets[-1])
-            fallback = (hash_words_array(cur_hi, cur_lo, self.seed)
-                        % _U64(self.n_keys)).astype(np.int64)
-            vals = fallback
-            if self._res_lo.size:
-                match = ((cur_hi[:, None] == self._res_hi[None, :])
-                         & (cur_lo[:, None] == self._res_lo[None, :]))
-                row, col = np.nonzero(match)
-                vals[row] = base + self._res_idx[col]
+            vals = (hash_words_array(cur_hi, cur_lo, self.seed)
+                    % _U64(self.n_keys)).astype(np.int64)
+            if self._residual.size:
+                pos, found = self._find_residual(cur_hi, cur_lo)
+                vals[found] = self._offsets[-1] + self._res_idx[pos[found]]
             out[pending] = vals
         return out
+
+    def _find_residual(self, hi, lo):
+        """Binary search of (hi, lo) keys in the sorted residual: each key's
+        index there, and whether it is present (index clipped when not)."""
+        keys = _key_pairs(hi, lo)
+        pos = np.minimum(np.searchsorted(self._residual, keys),
+                         self._residual.size - 1)
+        return pos, self._residual[pos] == keys
 
     # --- introspection / persistence ---
 
@@ -152,7 +162,7 @@ class GeneralMphf:
 
     @property
     def num_residual(self):
-        return int(self._res_lo.size)
+        return int(self._residual.size)
 
     @property
     def bits_per_key(self):
@@ -170,11 +180,11 @@ class GeneralMphf:
         w.u64(self.seed)
         w.f64(self.gamma)
         w.u32(len(self._levels))
-        w.u32(self._res_lo.size)
+        w.u32(self._residual.size)
         for bv in self._levels:
             w.raw(bv.to_bytes())
-        w.array(self._res_hi)
-        w.array(self._res_lo)
+        w.array(self._residual["hi"])
+        w.array(self._residual["lo"])
         w.array(self._res_idx.astype(np.int64))
         return w.getvalue()
 
@@ -189,6 +199,10 @@ class GeneralMphf:
         res_hi = r.array(_U64, n_res)
         res_lo = r.array(_U64, n_res)
         res_idx = r.array(np.int64, n_res)
+        # evaluation binary-searches the residual, so it must stay sorted
+        if n_res > 1 and np.any(
+                np.lexsort((res_lo, res_hi)) != np.arange(n_res)):
+            raise CorruptFile("MPHF residual keys out of order")
         return cls(n_keys, seed, gamma, levels, res_hi, res_lo, res_idx)
 
     @classmethod

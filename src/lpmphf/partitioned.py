@@ -151,6 +151,25 @@ class LpMphfPartitioned(LpMphf):
             p1s[sel] = self.P_n.get_many(j0[sel])
         return base, p1s, sizes, fb
 
+    def _slot_param(self, slot):
+        w = self.scheme.w
+        t = self.R.access(slot)
+        j0 = self.R.rank(t, slot + 1) - 1
+        if t == FlType.LEFT_RIGHT_MAX:
+            return j0 * w, w, w, False
+        if t == FlType.LEFT_MAX:
+            lo = self.L_l.access(j0)
+            size = self.L_l.access(j0 + 1) - lo
+            return self.K_lr + lo, size, size, False
+        if t == FlType.RIGHT_MAX:
+            lo = self.L_r.access(j0)
+            size = self.L_r.access(j0 + 1) - lo
+            return self.K_lr + self.K_l + lo, w, size, size == 0
+        lo = self.L_n.access(j0)
+        size = self.L_n.access(j0 + 1) - lo
+        return (self.K_lr + self.K_l + self.K_r + lo, self.P_n.get(j0), size,
+                False)
+
 
 def build_partitioned(spss, scheme, threads=1):
     """Build the partitioned structure over an SPSS."""

@@ -3,18 +3,19 @@ the 4-symbol type sequence.
 
 RankBitvector keeps a Rank9-style directory (one absolute count plus seven
 packed 9-bit relative counts per 512-bit block, ~25% of the payload) so
-rank is O(1). Select over the Elias-Fano high bits uses positions sampled
-every 1024 ones plus an in-block scan; the batch path instead binary-searches
-the block directory and resolves inside the block with byte tables.
+rank is O(1). Select binary-searches the absolute counts for its block, then
+resolves inside the block: the scalar path scans at most 8 words, the batch
+path uses byte tables.
 
 Serialization is little-endian: parameters, payload words, and the rank
-directory words. Select samples are rebuilt on load.
+directory words; nothing is rebuilt on load.
 """
 
 import numpy as np
 
 from ._binio import Reader, Writer
-from .errors import IndexOutOfRange, NotMonotone, UniverseTooSmall
+from .errors import (CorruptFile, IndexOutOfRange, NotMonotone,
+                     UniverseTooSmall)
 
 __all__ = ["RankBitvector", "IntVector", "EliasFanoSeq", "TypeSequence"]
 
@@ -32,15 +33,13 @@ for _b in range(256):
             _SELECT_IN_BYTE[_b, _r] = _i
             _r += 1
 
-_SELECT_SAMPLE_RATE = 1024
-
 
 def _width_mask(width):
     return _FULL64 if width >= 64 else _U64((1 << width) - 1)
 
 
 class RankBitvector:
-    """Static bitvector with O(1) rank1 and sampled select1."""
+    """Static bitvector with O(1) rank1 and directory-searched select1."""
 
     def __init__(self, nbits, words=None):
         self.nbits = int(nbits)
@@ -56,7 +55,6 @@ class RankBitvector:
         self._nblocks = nblocks
         self._abs = None
         self._rel = None
-        self._samples = None
         self.num_ones = 0
 
     @classmethod
@@ -86,14 +84,8 @@ class RankBitvector:
         self._rel = np.concatenate([rel, np.zeros(1, dtype=_U64)])
         self.num_ones = int(self._abs[nb])
 
-    def _build_samples(self):
-        bits = np.unpackbits(
-            self._words[:self._nblocks * 8].view(np.uint8), bitorder="little")
-        ones = np.flatnonzero(bits)
-        self._samples = ones[::_SELECT_SAMPLE_RATE].astype(np.int64)
-
     def get(self, i):
-        return int((self._words[i >> 6] >> _U64(i & 63)) & _U64(1))
+        return (int(self._words[i >> 6]) >> (i & 63)) & 1
 
     def get_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -106,9 +98,9 @@ class RankBitvector:
         block, sub = i >> 9, (i >> 6) & 7
         r = int(self._abs[block])
         if sub:
-            r += int((self._rel[block] >> _U64(9 * (sub - 1))) & _U64(511))
+            r += (int(self._rel[block]) >> (9 * (sub - 1))) & 511
         mask = (1 << (i & 63)) - 1
-        return r + int(popcount(self._words[i >> 6] & _U64(mask)))
+        return r + (int(self._words[i >> 6]) & mask).bit_count()
 
     def rank1_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -126,21 +118,17 @@ class RankBitvector:
         """Position of the (j+1)-th set bit, 0-based; 0 <= j < num_ones."""
         if not 0 <= j < self.num_ones:
             raise IndexOutOfRange(f"select rank {j} outside [0, {self.num_ones})")
-        if self._samples is None:
-            self._build_samples()
-        anchor = int(self._samples[j >> 10])
-        rem = j - ((j >> 10) << 10)
-        wi = anchor >> 6
-        word = int(self._words[wi]) & ~((1 << (anchor & 63)) - 1)
-        while True:
+        block = int(np.searchsorted(self._abs[:self._nblocks + 1], j,
+                                    side="right")) - 1
+        rem = j - int(self._abs[block])
+        for wi, word in enumerate(self._words[block * 8:block * 8 + 8].tolist()):
             c = word.bit_count()
             if c > rem:
                 for _ in range(rem):
                     word &= word - 1
-                return (wi << 6) + ((word & -word).bit_length() - 1)
+                return (block << 9) + (wi << 6) + (word & -word).bit_length() - 1
             rem -= c
-            wi += 1
-            word = int(self._words[wi])
+        raise CorruptFile("rank directory disagrees with the bitvector words")
 
     def select1_many(self, js):
         js = np.asarray(js, dtype=np.int64)

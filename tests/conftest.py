@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lpmphf import MinimizerScheme, generate_spss, split_superkmers
+from lpmphf import (MinimizerScheme, SpssInput, build_basic, build_partitioned,
+                    generate_spss, split_superkmers)
 
 from oracles import random_dna
 
@@ -40,3 +41,29 @@ def find_single_superkmer(k, m, size, seed=0, tries=5000):
         if len(recs) == 1 and recs[0].size == size:
             return s, scheme
     raise AssertionError(f"no single super-k-mer of size {size} found")
+
+
+BUILDERS = [build_basic, build_partitioned]
+
+
+# Inputs on which one-key lookup is checked against the vector path: one
+# long string, a cut-up input with most k-mers in the fallback MPHF, and
+# two-word (k > 32) keys.
+def one_string_k31():
+    return generate_spss(2000 + 30, 31, seed=61), MinimizerScheme(k=31, m=15, seed=3)
+
+
+def pieces_k31_m5():
+    """One string cut into pieces overlapping by k-1 bases; at m=5 most
+    k-mers go to the fallback MPHF."""
+    whole = generate_spss(2000 + 30, 31, seed=62).codes[0]
+    cuts = [0, 150, 400, 430, 900, 1300, whole.size]
+    pieces = [whole[a:b + 30] for a, b in zip(cuts, cuts[1:])]
+    return SpssInput(k=31, codes=pieces), MinimizerScheme(k=31, m=5, seed=3)
+
+
+def one_string_k63():
+    return generate_spss(2000 + 62, 63, seed=63), MinimizerScheme(k=63, m=21, seed=3)
+
+
+SCALAR_SHAPES = [one_string_k31, pieces_k31_m5, one_string_k63]

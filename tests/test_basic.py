@@ -1,13 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
-from lpmphf import (MinimizerScheme, build_basic, generate_spss,
+from lpmphf import (Kmer, MinimizerScheme, build_basic, generate_spss,
                     measure_epsilon, spss_from_strings)
-from lpmphf.errors import DefiniteMiss
+from lpmphf.errors import DefiniteMiss, KMismatch
 from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import MinimizerDensityWarning, scan_spss
 
-from conftest import find_single_superkmer
+from conftest import BUILDERS, SCALAR_SHAPES, find_single_superkmer
 from oracles import all_kmers, random_dna
 
 AMBIG = pytest.mark.filterwarnings("ignore::lpmphf.minimizers.MinimizerDensityWarning")
@@ -171,6 +173,38 @@ def test_unchecked_lookup_always_in_range(built, rng):
     for _ in range(500):
         v = built.lookup(random_dna(rng, 31), checked=False)
         assert 0 <= v < built.n
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("shape", SCALAR_SHAPES)
+def test_scalar_lookup_equals_vector(shape, build):
+    spss, scheme = shape()
+    f = build(spss, scheme)
+    k = scheme.k
+    keys = [(int(h) << 64) | int(x) for c in spss.codes
+            for h, x in zip(*kmer_words(c, k))]
+    members, rnd = set(keys), random.Random(k)
+    while len(keys) < f.n + 2000:
+        x = rnd.getrandbits(2 * k)
+        if x not in members:
+            keys.append(x)
+    qhi = np.array([x >> 64 for x in keys], dtype=np.uint64)
+    qlo = np.array([x & (2 ** 64 - 1) for x in keys], dtype=np.uint64)
+    unchecked = f.lookup_words(qhi, qlo).tolist()
+    checked = f.lookup_words(qhi, qlo, checked=True).tolist()
+    assert -1 in checked
+    for x, u, c in zip(keys, unchecked, checked):
+        km = Kmer(k, x)
+        assert f.lookup(x) == f.lookup(km) == f.lookup(str(km)) == u
+        if c < 0:
+            with pytest.raises(DefiniteMiss):
+                f.lookup(x, checked=True)
+        else:
+            assert f.lookup(x, checked=True) == c
+    for bad in ("A" * (k - 1), Kmer(k - 1, 0), 4 ** k, -1):
+        with pytest.raises(KMismatch):
+            f.lookup(bad)
 
 
 def test_member_checked_equals_unchecked(built, small_spss):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpmphf import GeneralMphf
-from lpmphf.errors import DuplicateKey, EmptyFunction
+from lpmphf.errors import CorruptFile, DuplicateKey, EmptyFunction
 
 
 def distinct_keys(rng, n, bits=62):
@@ -43,6 +43,28 @@ def test_scalar_matches_vector(rng):
     vals = f.evaluate_many(keys)
     for i in range(0, 500, 23):
         assert f.evaluate(int(keys[i])) == int(vals[i])
+
+
+def test_residual_lookup(rng):
+    # gamma < 1 leaves thousands of keys colliding after the last level
+    keys = distinct_keys(rng, 20_000)
+    f = GeneralMphf.build(keys, seed=5, gamma=0.5)
+    assert f.num_residual > 1000
+    vals = f.evaluate_many(keys)
+    assert np.array_equal(np.sort(vals), np.arange(keys.size))
+    others = rng.integers(2 ** 62, 2 ** 63, size=2000, dtype=np.uint64)
+    queries = np.concatenate([keys, others])
+    for key, v in zip(queries.tolist(), f.evaluate_many(queries).tolist()):
+        assert f.evaluate(key) == v
+    blob = f.to_bytes()
+    assert GeneralMphf.from_bytes(blob).to_bytes() == blob
+    # the residual closes the blob as hi, lo and index arrays; reversing
+    # the keys' order must be caught on load
+    r = 8 * f.num_residual
+    hi, lo = blob[-3 * r:-2 * r], blob[-2 * r:-r]
+    flip = b"".join(x[i:i + 8] for x in (hi, lo) for i in range(r - 8, -1, -8))
+    with pytest.raises(CorruptFile, match="out of order"):
+        GeneralMphf.from_bytes(blob[:-3 * r] + flip + blob[-r:])
 
 
 def test_member_evaluation_stable(rng):

@@ -8,6 +8,7 @@ from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import scan_spss, split_superkmers
 from lpmphf.partitioned import _classify_arrays
 
+from conftest import BUILDERS, SCALAR_SHAPES
 from oracles import random_dna
 
 AMBIG = pytest.mark.filterwarnings("ignore::lpmphf.minimizers.MinimizerDensityWarning")
@@ -82,6 +83,18 @@ def test_single_nonmax_superkmer_matches_basic():
     g = build_basic(spss, scheme)
     for km in [s[i:i + 13] for i in range(len(s) - 12)]:
         assert f.lookup(km) == g.lookup(km)
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("shape", SCALAR_SHAPES)
+def test_slot_param_equals_slot_params(shape, build):
+    # every slot of every FL type, ambiguous slots included
+    f = build(*shape())
+    slots = np.arange(f.num_minimizers, dtype=np.int64)
+    vector = [a.tolist() for a in f._slot_params(slots)]
+    for i in slots.tolist():
+        assert f._slot_param(i) == tuple(col[i] for col in vector)
 
 
 def test_bijectivity(built, small_spss):

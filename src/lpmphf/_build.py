@@ -4,13 +4,19 @@ Both variants hash every distinct minimizer (ambiguous ones included) with
 the same inner MPHF and lay their per-super-k-mer data out in that slot
 order; ambiguous slots carry a size-0 sentinel and their k-mers live in a
 fallback MPHF placed after all positionally-ranked k-mers.
+
+A k-mer that occurs twice has the same minimizer at the same in-k-mer
+position both times, so its two copies lie in two super-k-mers sharing one
+minimizer value: that minimizer is ambiguous and both copies reach the
+fallback MPHF, whose distinctness check makes the build reject the input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kmers import kmer_words, kmer_words_at, mix64
+from .errors import DuplicateKey, DuplicateKmer
+from .kmers import Kmer, kmer_words, kmer_words_at, mix64
 from .minimizers import census_from_scan
 from .mphf import GeneralMphf
 
@@ -93,7 +99,11 @@ def ambiguous_kmer_words(spss, scan, skm_ambiguous):
 
 def build_fallback(spss, scan, skm_ambiguous, seed):
     hi, lo = ambiguous_kmer_words(spss, scan, skm_ambiguous)
-    return GeneralMphf.build(lo, hi, seed=mix64(seed ^ _FB_SALT))
+    try:
+        return GeneralMphf.build(lo, hi, seed=mix64(seed ^ _FB_SALT))
+    except DuplicateKey as e:
+        raise DuplicateKmer(f"k-mer {Kmer(spss.k, e.key)} occurs more than "
+                            "once in the input") from e
 
 
 def finish_lookup(base, p1s, sizes, p, fb_mask, fb_words, struct, checked):

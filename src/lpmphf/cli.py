@@ -41,8 +41,6 @@ def _build_parser():
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--variant", choices=("basic", "partitioned"),
                    default="partitioned")
-    b.add_argument("--validate", action="store_true",
-                   help="reject inputs with duplicate k-mers")
     b.add_argument("--threads", type=int, default=1)
     b.add_argument("--input-format", choices=("fasta", "lines"), default="fasta")
 
@@ -89,8 +87,7 @@ def _build_parser():
 
 def _cmd_build(args):
     t0 = time.perf_counter()
-    spss = load_spss(args.input, args.k, validate=args.validate,
-                     fmt=args.input_format)
+    spss = load_spss(args.input, args.k, fmt=args.input_format)
     m = args.m if args.m is not None else default_minimizer_length(
         args.k, spss.total_length)
     from .minimizers import MinimizerScheme

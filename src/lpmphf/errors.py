@@ -30,7 +30,7 @@ class StringShorterThanK(LpmphfError):
 
 
 class DuplicateKmer(LpmphfError):
-    """Validation found a k-mer occurring more than once in the input."""
+    """The build found a k-mer occurring more than once in its input."""
 
 
 class QueryShorterThanK(LpmphfError):
@@ -58,7 +58,11 @@ class IndexOutOfRange(LpmphfError, IndexError):
 # --- minimal perfect hashing ---
 
 class DuplicateKey(LpmphfError):
-    """MPHF construction received duplicate keys."""
+    """MPHF construction received duplicate keys; `key` is one of them."""
+
+    def __init__(self, key):
+        super().__init__(f"key {key:#x} occurs more than once in MPHF input")
+        self.key = key
 
 
 class EmptyFunction(LpmphfError):

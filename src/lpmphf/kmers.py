@@ -19,7 +19,7 @@ __all__ = [
     "encode_bases", "decode_bases", "Kmer", "encode_kmer",
     "mix64", "mix64_array", "seed_key", "hash_mmer", "hash_mmer_array",
     "hash_words_array",
-    "window_values", "kmer_words", "kmer_words_at",
+    "window_values", "kmer_words", "kmer_words_at", "first_duplicate",
 ]
 
 MAX_K = 63
@@ -209,3 +209,14 @@ def kmer_words_at(codes, k, positions):
         lo <<= _U64(2)
         lo |= c64[positions + j]
     return hi, lo
+
+
+def first_duplicate(hi, lo):
+    """One two-word key that occurs more than once in (hi, lo), packed as
+    (hi << 64) | lo, or None when all keys are distinct."""
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    same = np.flatnonzero((hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1]))
+    if not same.size:
+        return None
+    return (int(hi[same[0]]) << 64) | int(lo[same[0]])

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from .errors import CorruptFile, DuplicateKey, EmptyFunction
-from .kmers import hash_words, hash_words_array, mix64
+from .kmers import first_duplicate, hash_words, hash_words_array, mix64
 from .succinct import RankBitvector
 
 __all__ = ["GeneralMphf", "DEFAULT_GAMMA", "MAX_LEVELS"]
@@ -51,8 +51,7 @@ def _key_pairs(hi, lo):
 class GeneralMphf:
     """Minimal perfect hash over a static key set."""
 
-    def __init__(self, n_keys, seed, gamma, levels, residual_hi, residual_lo,
-                 residual_idx):
+    def __init__(self, n_keys, seed, gamma, levels, residual_hi, residual_lo):
         self.n_keys = n_keys
         self.seed = seed
         self.gamma = gamma
@@ -61,7 +60,6 @@ class GeneralMphf:
         for i, bv in enumerate(levels):
             self._offsets[i + 1] = self._offsets[i] + bv.num_ones
         self._residual = _key_pairs(residual_hi, residual_lo)   # sorted
-        self._res_idx = residual_idx
 
     # --- construction ---
 
@@ -70,7 +68,9 @@ class GeneralMphf:
         """Build over distinct keys given as uint64 arrays (hi optional)."""
         hi, lo = _as_key_arrays(lo, hi)
         n = lo.size
-        cls._check_distinct(hi, lo)
+        dup = first_duplicate(hi, lo)
+        if dup is not None:
+            raise DuplicateKey(dup)
         levels = []
         cur_hi, cur_lo = hi, lo
         for level in range(MAX_LEVELS):
@@ -89,13 +89,7 @@ class GeneralMphf:
             res_hi, res_lo = cur_hi[perm], cur_lo[perm]
         else:
             res_hi = res_lo = np.empty(0, dtype=_U64)
-        res_idx = np.arange(cur_lo.size, dtype=np.int64)
-        return cls(n, seed, gamma, levels, res_hi, res_lo, res_idx)
-
-    @staticmethod
-    def _check_distinct(hi, lo):
-        if np.unique(_key_pairs(hi, lo)).size != hi.size:
-            raise DuplicateKey("duplicate keys in MPHF input")
+        return cls(n, seed, gamma, levels, res_hi, res_lo)
 
     # --- evaluation ---
 
@@ -116,7 +110,7 @@ class GeneralMphf:
             pos, found = self._find_residual(np.array([hi], dtype=_U64),
                                              np.array([lo], dtype=_U64))
             if found[0]:
-                return int(self._offsets[-1]) + int(self._res_idx[pos[0]])
+                return int(self._offsets[-1]) + int(pos[0])
         return hash_words(hi, lo, self.seed) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):
@@ -142,7 +136,7 @@ class GeneralMphf:
                     % _U64(self.n_keys)).astype(np.int64)
             if self._residual.size:
                 pos, found = self._find_residual(cur_hi, cur_lo)
-                vals[found] = self._offsets[-1] + self._res_idx[pos[found]]
+                vals[found] = self._offsets[-1] + pos[found]
             out[pending] = vals
         return out
 
@@ -185,7 +179,7 @@ class GeneralMphf:
             w.raw(bv.to_bytes())
         w.array(self._residual["hi"])
         w.array(self._residual["lo"])
-        w.array(self._res_idx.astype(np.int64))
+        w.array(np.arange(self._residual.size, dtype=np.int64))
         return w.getvalue()
 
     @classmethod
@@ -198,12 +192,16 @@ class GeneralMphf:
         levels = [RankBitvector.read_from(r) for _ in range(n_levels)]
         res_hi = r.array(_U64, n_res)
         res_lo = r.array(_U64, n_res)
+        # a residual key's value is its rank in the sorted residual, so the
+        # stored index words are always 0..n_res-1
         res_idx = r.array(np.int64, n_res)
+        if n_res and np.any(res_idx != np.arange(n_res)):
+            raise CorruptFile("MPHF residual index is not 0..n-1")
         # evaluation binary-searches the residual, so it must stay sorted
         if n_res > 1 and np.any(
                 np.lexsort((res_lo, res_hi)) != np.arange(n_res)):
             raise CorruptFile("MPHF residual keys out of order")
-        return cls(n_keys, seed, gamma, levels, res_hi, res_lo, res_idx)
+        return cls(n_keys, seed, gamma, levels, res_hi, res_lo)
 
     @classmethod
     def from_bytes(cls, buf):

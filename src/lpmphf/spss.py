@@ -1,18 +1,19 @@
-"""Spectrum-preserving string set ingestion, validation, and test-data generation.
+"""Spectrum-preserving string set ingestion and test-data generation.
 
 The input model: an ordered list of DNA strings, each of length >= k, whose
-k-mers are all distinct across the whole set. Distinctness is only checked
-when validation is requested (it costs an extra sort over all k-mers); the
-hashing structures assume it holds.
+k-mers are all distinct across the whole set. Loading checks the alphabet,
+the FASTA syntax and the string lengths, not distinctness: building a
+structure over the set raises DuplicateKmer on a repeated k-mer.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DuplicateKmer, GenerationFailure, LengthOutOfRange,
-                     MalformedFasta, StringShorterThanK)
-from .kmers import MAX_K, decode_bases, encode_bases, kmer_words
+from .errors import (GenerationFailure, LengthOutOfRange, MalformedFasta,
+                     StringShorterThanK)
+from .kmers import (MAX_K, decode_bases, encode_bases, first_duplicate,
+                    kmer_words)
 
 __all__ = ["SpssInput", "load_spss", "spss_from_strings", "generate_spss", "write_fasta"]
 
@@ -22,7 +23,8 @@ class SpssInput:
     """Ordered SPSS strings in encoded form, plus global counts.
 
     n is the total k-mer count (= distinct count under the SPSS assumption)
-    and total_length the cumulative base count N.
+    and total_length the cumulative base count N. Distinctness is not
+    checked here; the build checks it.
     """
 
     k: int
@@ -63,26 +65,10 @@ class SpssInput:
             los.append(lo)
         return np.concatenate(his), np.concatenate(los)
 
-    def validate_distinct(self):
-        """Raise DuplicateKmer unless every k-mer occurs exactly once."""
-        hi, lo = self.kmer_word_arrays()
-        pairs = np.empty(hi.size, dtype=[("hi", "<u8"), ("lo", "<u8")])
-        pairs["hi"], pairs["lo"] = hi, lo
-        uniq, counts = np.unique(pairs, return_counts=True)
-        dup = np.flatnonzero(counts > 1)
-        if dup.size:
-            val = (int(uniq["hi"][dup[0]]) << 64) | int(uniq["lo"][dup[0]])
-            from .kmers import Kmer
-            raise DuplicateKmer(
-                f"k-mer {Kmer(self.k, val)} occurs {int(counts[dup[0]])} times")
 
-
-def spss_from_strings(strings, k, validate=False):
+def spss_from_strings(strings, k):
     """Build an SpssInput from in-memory DNA strings."""
-    spss = SpssInput(k=k, codes=[encode_bases(s) for s in strings])
-    if validate:
-        spss.validate_distinct()
-    return spss
+    return SpssInput(k=k, codes=[encode_bases(s) for s in strings])
 
 
 def _read_fasta(stream):
@@ -120,7 +106,7 @@ def _read_lines(stream):
     return records
 
 
-def load_spss(path, k, validate=False, fmt="fasta"):
+def load_spss(path, k, fmt="fasta"):
     """Load an SPSS from a FASTA file (or one-sequence-per-line with fmt='lines')."""
     with open(path, "r", encoding="ascii") as fh:
         if fmt == "fasta":
@@ -129,7 +115,7 @@ def load_spss(path, k, validate=False, fmt="fasta"):
             strings = _read_lines(fh)
         else:
             raise ValueError(f"unknown input format {fmt!r}")
-    return spss_from_strings(strings, k, validate=validate)
+    return spss_from_strings(strings, k)
 
 
 def write_fasta(spss, path, width=80):
@@ -148,7 +134,8 @@ def write_fasta(spss, path, width=80):
 def generate_spss(length, k, seed=0):
     """Generate a random SPSS of the given total length with all-distinct k-mers.
 
-    Greedy per-position re-draw on duplicates; when a position cannot be
+    A single uniform draw is kept when its k-mers are distinct; otherwise
+    greedy per-position re-draw on duplicates, and when a position cannot be
     fixed the sequence is split into a new record (consuming k-1 bases for a
     fresh prefix). Deterministic for a fixed seed.
     """
@@ -161,7 +148,7 @@ def generate_spss(length, k, seed=0):
     codes = rng.integers(0, 4, size=length, dtype=np.uint8)
 
     # fast path: one draw of the whole sequence is usually already duplicate-free
-    if _all_distinct(codes, k):
+    if first_duplicate(*kmer_words(codes, k)) is None:
         return SpssInput(k=k, codes=[codes])
 
     records = []
@@ -209,13 +196,4 @@ def generate_spss(length, k, seed=0):
         records.append(cur)
     if not records:
         raise GenerationFailure("generation produced no record of length >= k")
-    spss = SpssInput(k=k, codes=[np.array(r, dtype=np.uint8) for r in records])
-    spss.validate_distinct()
-    return spss
-
-
-def _all_distinct(codes, k):
-    hi, lo = kmer_words(codes, k)
-    pairs = np.empty(hi.size, dtype=[("hi", "<u8"), ("lo", "<u8")])
-    pairs["hi"], pairs["lo"] = hi, lo
-    return np.unique(pairs).size == pairs.size
+    return SpssInput(k=k, codes=[np.array(r, dtype=np.uint8) for r in records])

@@ -38,7 +38,7 @@ def test_singleton_spss():
 
 def test_single_superkmer_maps_to_consecutive_block():
     s, scheme = find_single_superkmer(k=13, m=7, size=4)
-    spss = spss_from_strings([s], k=13, validate=True)
+    spss = spss_from_strings([s], k=13)
     f = build_basic(spss, scheme)
     vals = [f.lookup(km) for km in all_kmers(s, 13)]
     assert vals == [vals[0] + i for i in range(4)]
@@ -91,7 +91,7 @@ def test_first_kmer_of_superkmer_gets_block_base(built, small_spss, scheme):
 
 def test_epsilon_single_superkmer_is_1_over_n():
     s, scheme = find_single_superkmer(k=13, m=7, size=5)
-    spss = spss_from_strings([s], k=13, validate=True)
+    spss = spss_from_strings([s], k=13)
     f = build_basic(spss, scheme)
     assert measure_epsilon(f, spss) == pytest.approx(1 / spss.n)
 
@@ -103,7 +103,7 @@ def test_epsilon_max_fragmentation_is_one(rng):
         if s not in seen:
             seen.add(s)
             strings.append(s)
-    spss = spss_from_strings(strings, k=31, validate=True)
+    spss = spss_from_strings(strings, k=31)
     f = build_basic(spss, MinimizerScheme(k=31, m=15, seed=1))
     assert measure_epsilon(f, spss) == 1.0
 

@@ -19,7 +19,7 @@ def workdir(tmp_path_factory):
                  "-k", "31", "--seed", "3"]) == 0
     assert main(["build", "-i", str(d / "in.fa"), "-o", str(d / "f.lph"),
                  "-k", "31", "-m", "15", "--seed", "5",
-                 "--variant", "partitioned", "--validate"]) == 0
+                 "--variant", "partitioned"]) == 0
     return d
 
 
@@ -158,6 +158,17 @@ def test_missing_file_exit_2(tmp_path, capsys):
                        "-o", str(tmp_path / "o.lph"), "-k", "31")
     assert code == 2
     assert "error" in err
+
+
+def test_build_repeated_kmer_exit_2(tmp_path, capsys):
+    seq = "".join(np.random.default_rng(8).choice(list("ACGT"), size=200))
+    repeat = seq[50:81]
+    fa = tmp_path / "dup.fa"
+    fa.write_text(f">a\n{seq}\n>b\n{repeat}\n")
+    code, _, err = run(capsys, "build", "-i", str(fa),
+                       "-o", str(tmp_path / "o.lph"), "-k", "31")
+    assert code == 2
+    assert f"k-mer {repeat} " in err
 
 
 def test_corrupt_structure_exit_2(workdir, tmp_path, capsys):

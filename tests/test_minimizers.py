@@ -154,7 +154,7 @@ def test_census_repeated_block_is_ambiguous(rng):
     scheme = MinimizerScheme(k=13, m=7, seed=3)
     block = random_dna(rng, 26)
     s = block + block
-    spss = spss_from_strings([s], k=13)   # duplicate k-mers are fine unvalidated
+    spss = spss_from_strings([s], k=13)   # loading does not check distinctness
     cen = census(spss, scheme)
     dup_vals = [v for v, c, p, st_ in brute_split(s, 13, 7, scheme.seed)]
     repeated = {v for v in dup_vals if dup_vals.count(v) > 1}

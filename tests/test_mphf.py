@@ -65,6 +65,11 @@ def test_residual_lookup(rng):
     flip = b"".join(x[i:i + 8] for x in (hi, lo) for i in range(r - 8, -1, -8))
     with pytest.raises(CorruptFile, match="out of order"):
         GeneralMphf.from_bytes(blob[:-3 * r] + flip + blob[-r:])
+    # a residual key's value is its rank there, so the stored index words
+    # must be 0..n-1; swapping two of them must be caught on load
+    swapped = blob[-r:][8:16] + blob[-r:][:8] + blob[-r:][16:]
+    with pytest.raises(CorruptFile, match="index"):
+        GeneralMphf.from_bytes(blob[:-r] + swapped)
 
 
 def test_member_evaluation_stable(rng):
@@ -95,8 +100,15 @@ def test_two_word_keys_bijective(rng):
 
 
 def test_duplicate_keys_rejected():
-    with pytest.raises(DuplicateKey):
+    with pytest.raises(DuplicateKey) as e:
         GeneralMphf.build(np.array([5, 5], dtype=np.uint64))
+    assert e.value.key == 5
+    # two-word keys: equal lo with different hi are distinct keys
+    lo = np.array([7, 7], dtype=np.uint64)
+    assert GeneralMphf.build(lo, np.array([1, 2], dtype=np.uint64)).n_keys == 2
+    with pytest.raises(DuplicateKey) as e:
+        GeneralMphf.build(lo, np.array([2, 2], dtype=np.uint64))
+    assert e.value.key == (2 << 64) | 7
 
 
 def test_deterministic_and_seed_sensitive(rng):

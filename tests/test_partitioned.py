@@ -76,7 +76,7 @@ def find_single_nonmax(k=13, m=7, seed=0):
 
 def test_single_nonmax_superkmer_matches_basic():
     s, scheme = find_single_nonmax()
-    spss = spss_from_strings([s], k=13, validate=True)
+    spss = spss_from_strings([s], k=13)
     f = build_partitioned(spss, scheme)
     assert f.type_counts == (0, 0, 0, 1)
     assert f.K_lr == f.K_l == f.K_r == 0

@@ -1,10 +1,16 @@
+import re
+
 import pytest
 
-from lpmphf import generate_spss, load_spss, spss_from_strings, write_fasta
+from lpmphf import (MinimizerScheme, generate_spss, load_spss,
+                    spss_from_strings, write_fasta)
 from lpmphf.errors import (DuplicateKmer, GenerationFailure, InvalidBase,
                            MalformedFasta, StringShorterThanK)
 
+from conftest import BUILDERS
 from oracles import all_kmers, random_dna
+
+AMBIG = pytest.mark.filterwarnings("ignore::lpmphf.minimizers.MinimizerDensityWarning")
 
 
 def write(tmp_path, text, name="in.fa"):
@@ -23,7 +29,7 @@ def test_single_record_single_kmer(tmp_path):
 def test_kmer_count_is_length_minus_k_plus_one(tmp_path):
     seq = "ACGTTGACCAGTAGCTTG"
     p = write(tmp_path, f">r\n{seq}\n")
-    spss = load_spss(p, k=9, validate=True)
+    spss = load_spss(p, k=9)
     assert spss.n == len(seq) - 9 + 1
 
 
@@ -58,24 +64,45 @@ def test_invalid_base_is_hard_error(tmp_path):
         load_spss(write(tmp_path, ">a\nACGTNACGT\n"), k=4)
 
 
+# the build is the SPSS validator: loading accepts repeated k-mers, building
+# over them raises DuplicateKmer
+
+@AMBIG
 def test_validation_rejects_duplicates():
-    with pytest.raises(DuplicateKmer):
-        spss_from_strings(["ACGTACGT"], k=4, validate=True)   # ACGT twice
-    spss_from_strings(["ACGTACGT"], k=5, validate=True)       # fine at k=5
+    for build in BUILDERS:
+        spss = spss_from_strings(["ACGTACGT"], k=4)        # ACGT twice
+        with pytest.raises(DuplicateKmer, match="k-mer ACGT "):
+            build(spss, MinimizerScheme(k=4, m=2, seed=0))
+        spss = spss_from_strings(["ACGTACGT"], k=5)        # fine at k=5
+        assert build(spss, MinimizerScheme(k=5, m=2, seed=0)).n == 4
 
 
+@AMBIG
 def test_validation_against_set_oracle(rng):
-    for trial in range(20):
-        s = random_dna(rng, 60)
-        k = int(rng.integers(3, 9))
-        kmers = all_kmers(s, k)
+    outcomes = set()
+    for trial in range(80):
+        build = BUILDERS[trial % 2]
+        k = int(rng.integers(2, 41))
+        m = int(rng.integers(1, min(k, 32) + 1))
+        strings = [random_dna(rng, k + int(rng.integers(0, 30)))
+                   for _ in range(int(rng.integers(1, 5)))]
+        if rng.random() < 0.5:      # plant a repeat of one k-mer
+            src = strings[int(rng.integers(len(strings)))]
+            i = int(rng.integers(len(src) - k + 1))
+            strings[int(rng.integers(len(strings)))] += src[i:i + k]
+        kmers = [km for s in strings for km in all_kmers(s, k)]
         has_dup = len(set(kmers)) != len(kmers)
+        outcomes.add(has_dup)
+        spss = spss_from_strings(strings, k)
+        scheme = MinimizerScheme(k=k, m=m, seed=int(rng.integers(2 ** 32)))
         if has_dup:
-            with pytest.raises(DuplicateKmer):
-                spss_from_strings([s], k, validate=True)
+            with pytest.raises(DuplicateKmer) as e:
+                build(spss, scheme)
+            named = re.search(r"k-mer ([ACGT]+) ", str(e.value)).group(1)
+            assert kmers.count(named) >= 2
         else:
-            spss = spss_from_strings([s], k, validate=True)
-            assert spss.n == len(set(kmers))
+            assert build(spss, scheme).n == len(kmers)
+    assert outcomes == {False, True}
 
 
 def test_generated_n_matches_brute_force_set():
@@ -102,7 +129,8 @@ def test_generate_deterministic(tmp_path):
 
 def test_generate_small_k_splits_and_validates():
     spss = generate_spss(400, 5, seed=4)     # 4^5=1024, saturation forces care
-    spss.validate_distinct()
+    kmers = [km for s in spss.strings for km in all_kmers(s, 5)]
+    assert len(set(kmers)) == len(kmers) == spss.n
     assert all(len(s) >= 5 for s in spss.strings)
 
 
@@ -117,7 +145,7 @@ def test_fasta_round_trip(tmp_path):
     spss = generate_spss(3000, 17, seed=5)
     p = tmp_path / "rt.fa"
     write_fasta(spss, p)
-    back = load_spss(p, k=17, validate=True)
+    back = load_spss(p, k=17)
     assert back.strings == spss.strings
 
 

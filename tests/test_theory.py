@@ -106,7 +106,7 @@ def test_theory_params_validation():
 
 def test_stats_single_superkmer():
     s, scheme = find_single_superkmer(k=13, m=7, size=5)
-    spss = spss_from_strings([s], k=13, validate=True)
+    spss = spss_from_strings([s], k=13)
     f = build_basic(spss, scheme)
     rep = stats(spss, f)
     assert rep.alpha == 0.0

@@ -9,6 +9,11 @@ A k-mer that occurs twice has the same minimizer at the same in-k-mer
 position both times, so its two copies lie in two super-k-mers sharing one
 minimizer value: that minimizer is ambiguous and both copies reach the
 fallback MPHF, whose distinctness check makes the build reject the input.
+
+The super-k-mers come from one scan over the concatenated strings
+(`minimizers.scan_spss`) and name their k-mers by index in input order;
+`SpssInput.kmer_positions` maps those indices into the joined codes, so
+the fallback's k-mer words are one gather over all strings.
 """
 
 from dataclasses import dataclass
@@ -16,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateKey, DuplicateKmer
-from .kmers import Kmer, kmer_words, kmer_words_at, mix64
+from .kmers import Kmer, kmer_words_at, mix64
 from .minimizers import census_from_scan
 from .mphf import GeneralMphf
 
-_U64 = np.uint64
 _FM_SALT = 0x5B1D5EEDDEADBEEF
 _FB_SALT = 0xFA11BACC0FFEE123
 
@@ -76,25 +80,10 @@ def expand_ranges(starts, lengths):
 
 def ambiguous_kmer_words(spss, scan, skm_ambiguous):
     """(hi, lo) packed words of every k-mer inside an ambiguous super-k-mer,
-    in SPSS order."""
-    his, los = [], []
-    for sid, codes in enumerate(spss.codes):
-        sel = skm_ambiguous & (scan.string_id == sid)
-        if not np.any(sel):
-            continue
-        positions = expand_ranges(scan.starts[sel], scan.sizes[sel])
-        if positions.size > codes.size // 8:
-            hi, lo = kmer_words(codes, spss.k)
-            his.append(hi[positions])
-            los.append(lo[positions])
-        else:
-            hi, lo = kmer_words_at(codes, spss.k, positions)
-            his.append(hi)
-            los.append(lo)
-    if not his:
-        e = np.empty(0, dtype=_U64)
-        return e, e
-    return np.concatenate(his), np.concatenate(los)
+    in SPSS order: one gather from the joined codes."""
+    kmers = expand_ranges(scan.kmer_base[skm_ambiguous],
+                          scan.sizes[skm_ambiguous])
+    return kmer_words_at(spss.joined_codes, spss.k, spss.kmer_positions(kmers))
 
 
 def build_fallback(spss, scan, skm_ambiguous, seed):

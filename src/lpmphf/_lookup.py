@@ -63,17 +63,11 @@ class StreamPlan:
     k: int
     scan: object
 
-    @property
-    def run_minvals(self):
-        return self.scan.minvals
-
     def expand(self, base, p1s, sizes, fb, struct, checked):
         runs = self.scan
-        n = runs.n_kmers
         rl = runs.sizes  # run lengths on the query side
-        pos_in_run = np.arange(n, dtype=np.int64) - np.repeat(
-            np.cumsum(rl) - rl, rl)
-        p = np.repeat(runs.p1, rl) - pos_in_run
+        # minimizer position of each k-mer: p1 - (index - first index of run)
+        p = np.repeat(runs.p1 + runs.kmer_base, rl) - np.arange(runs.n)
         base_e = np.repeat(base, rl)
         p1_e = np.repeat(p1s, rl)
         size_e = np.repeat(sizes, rl)

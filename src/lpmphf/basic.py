@@ -63,8 +63,10 @@ class LpMphf:
 
     @classmethod
     def build(cls, spss, scheme, threads=1):
+        """Build over an SPSS. `threads` has no effect; it stays only
+        because the benchmark's `bench/run.py` still passes it."""
         warn_if_density_condition_violated(scheme)
-        scan = scan_spss(spss, scheme, threads=threads)
+        scan = scan_spss(spss, scheme)
         slots = assemble_slots(scan, scheme.seed)
         sections = cls._layout(slots, scheme.w)
         fallback = build_fallback(spss, scan, slots.skm_ambiguous, scheme.seed)
@@ -107,7 +109,7 @@ class LpMphf:
         resolved once per run of k-mers sharing a minimizer occurrence.
         """
         plan = stream_plan(q, self.scheme)
-        slot = self.fm.evaluate_many(plan.run_minvals)
+        slot = self.fm.evaluate_many(plan.scan.minvals)
         base, p1s, sizes, fb = self._slot_params(slot)
         return plan.expand(base, p1s, sizes, fb, self, checked)
 
@@ -123,13 +125,11 @@ class LpMphf:
         base, _, sizes, _ = self._slot_params(
             self.fm.evaluate_many(scan.minvals))
         amb = sizes != scan.sizes  # ambiguous slots carry size 0
-        out = np.empty(scan.n, dtype=np.int64)
-        pos = expand_ranges(scan.kmer_base[~amb], scan.sizes[~amb])
-        out[pos] = expand_ranges(base[~amb], scan.sizes[~amb])
+        out = expand_ranges(base, scan.sizes)  # super-k-mers tile the k-mers
         if np.any(amb):
             hi, lo = ambiguous_kmer_words(spss, scan, amb)
-            pos = expand_ranges(scan.kmer_base[amb], scan.sizes[amb])
-            out[pos] = self.n_unambiguous + self.fallback.evaluate_many(lo, hi)
+            out[np.repeat(amb, scan.sizes)] = (
+                self.n_unambiguous + self.fallback.evaluate_many(lo, hi))
         return out
 
     def size_in_bits(self):
@@ -174,15 +174,14 @@ class LpMphfBasic(LpMphf):
 
 
 def build_basic(spss, scheme, threads=1):
-    """Build the un-partitioned structure over an SPSS."""
-    return LpMphfBasic.build(spss, scheme, threads=threads)
+    """Build the un-partitioned structure over an SPSS (`threads`: see
+    `LpMphf.build`)."""
+    return LpMphfBasic.build(spss, scheme)
 
 
 def measure_epsilon(struct, spss):
     """Fraction of adjacent in-string k-mer pairs NOT mapped to consecutive
-    values: epsilon = 1 - |A|/n."""
-    hits = 0
-    for codes in spss.codes:
-        vals = struct.stream_lookup(codes)
-        hits += int(np.count_nonzero(np.diff(vals) == 1))
-    return 1.0 - hits / spss.n
+    values: epsilon = 1 - |A|/n, from the build-side value table."""
+    consecutive = np.diff(struct.assigned_values(spss)) == 1
+    consecutive[spss.kmer_starts[1:] - 1] = False   # pairs across strings
+    return 1.0 - int(np.count_nonzero(consecutive)) / spss.n

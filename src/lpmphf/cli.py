@@ -27,6 +27,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(cast, lo, hi=float("inf")):
+    """argparse type: the argument as `cast`, required to lie in [lo, hi]."""
+    def parse(s):
+        v = cast(s)
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"{v} outside [{lo}, {hi}]")
+        return v
+    parse.__name__ = cast.__name__   # names the type in argparse's errors
+    return parse
+
+
 def _build_parser():
     p = _Parser(prog="lpmphf",
                 description="locality-preserving minimal perfect hashing of k-mers")
@@ -41,7 +52,6 @@ def _build_parser():
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--variant", choices=("basic", "partitioned"),
                    default="partitioned")
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--input-format", choices=("fasta", "lines"), default="fasta")
 
     q = sub.add_parser("query", help="query all k-mers of a FASTA file")
@@ -69,8 +79,10 @@ def _build_parser():
     t.add_argument("-m", type=int, required=True)
     t.add_argument("-b", type=float, default=2.5, help="inner MPHF bits/key")
     t.add_argument("--little-oh", type=float, default=0.5)
-    t.add_argument("--xi", type=float, default=0.0)
-    t.add_argument("-n", type=int, default=1, help="k-mer count to scale to")
+    t.add_argument("--xi", type=_number(float, 0, 1), default=0.0,
+                   help="fraction of k-mers with ambiguous minimizers, in [0, 1]")
+    t.add_argument("-n", type=_number(int, 1), default=1,
+                   help="k-mer count to scale to (>= 1)")
 
     g = sub.add_parser("gen-spss", help="generate a random SPSS FASTA file")
     g.add_argument("-o", "--output", required=True)
@@ -93,7 +105,7 @@ def _cmd_build(args):
     from .minimizers import MinimizerScheme
     scheme = MinimizerScheme(k=args.k, m=m, seed=args.seed)
     builder = build_basic if args.variant == "basic" else build_partitioned
-    f = builder(spss, scheme, threads=args.threads)
+    f = builder(spss, scheme)
     save_structure(f, args.output)
     elapsed = time.perf_counter() - t0
 

@@ -6,14 +6,15 @@ minimizer *occurrence* (same m-mer at the same absolute offset), which is
 what makes the in-run position arithmetic sound even when one m-mer value
 appears twice inside a window.
 
-The production scan is vectorized: per-window leftmost argmin over the
-m-mer hash array. The per-k-mer recomputation used by the test suite lives
-in the tests as an independent oracle.
+The production scan is vectorized and makes one pass over the concatenated
+strings: hash every m-mer, take the leftmost argmin of every window of w
+m-mers, and keep the windows that are k-mers (none straddles two strings);
+runs restart at each string. The per-k-mer recomputation used by the test
+suite lives in the tests as an independent oracle.
 """
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ class MinimizerHit:
 
 @dataclass(frozen=True)
 class SuperKmerRecord:
-    """One super-k-mer: minimizer value, k-mer count, and provenance.
+    """One super-k-mer: minimizer value, k-mer count, and position.
 
     `p1` is the minimizer's 1-based start position in the record's first
     k-mer; `start_offset` the index of that first k-mer within its string.
@@ -89,7 +90,6 @@ class SuperKmerRecord:
     minimizer: int
     size: int
     p1: int
-    string_id: int = 0
     start_offset: int = 0
 
 
@@ -115,96 +115,74 @@ def minimizer(x, scheme):
 # --- vectorized scan ------------------------------------------------------------
 
 @dataclass
-class StringScan:
-    """Super-k-mer arrays for one string (k-mer indices are 0-based)."""
+class SuperKmerScan:
+    """Super-k-mer arrays of scanned strings, in input order.
 
-    starts: np.ndarray      # first k-mer index per super-k-mer
+    `kmer_base` holds, per super-k-mer, the index of its first k-mer among
+    the k-mers of all scanned strings, concatenated in input order.
+    """
+
+    kmer_base: np.ndarray   # first k-mer index per super-k-mer
     sizes: np.ndarray       # k-mer count per super-k-mer
     p1: np.ndarray          # 1-based minimizer position in first k-mer
     minvals: np.ndarray     # packed minimizer values (uint64)
-    n_kmers: int
-
-
-def scan_string(codes, scheme):
-    """Decompose one encoded string into super-k-mer arrays."""
-    k, m, w = scheme.k, scheme.m, scheme.w
-    if codes.size < k:
-        raise StringShorterThanK(f"string length {codes.size} < k={k}")
-    n_kmers = codes.size - k + 1
-    mvals = window_values(codes, m)
-    hashes = hash_mmer_array(mvals, scheme.seed)
-    if w == 1:
-        occ = np.arange(n_kmers, dtype=np.int64)
-    else:
-        occ = sliding_window_view(hashes, w).argmin(axis=1).astype(np.int64)
-        occ += np.arange(n_kmers, dtype=np.int64)
-    change = np.empty(n_kmers, dtype=bool)
-    change[0] = True
-    np.not_equal(occ[1:], occ[:-1], out=change[1:])
-    starts = np.flatnonzero(change).astype(np.int64)
-    sizes = np.diff(np.append(starts, n_kmers)).astype(np.int64)
-    p1 = occ[starts] - starts + 1
-    return StringScan(starts=starts, sizes=sizes, p1=p1,
-                      minvals=mvals[occ[starts]], n_kmers=n_kmers)
-
-
-@dataclass
-class SpssScan:
-    """Concatenated per-string scans over a whole SPSS.
-
-    `kmer_base` holds, per super-k-mer, the global index of its first k-mer
-    (strings concatenated in input order); `string_id` its source string.
-    """
-
-    starts: np.ndarray
-    sizes: np.ndarray
-    p1: np.ndarray
-    minvals: np.ndarray
-    string_id: np.ndarray
-    kmer_base: np.ndarray
-    string_kmers: np.ndarray   # k-mer count per string
-    n: int
+    n: int                  # k-mer count
 
     @property
     def num_superkmers(self):
         return self.sizes.size
 
 
-def scan_spss(spss, scheme, threads=1):
-    """Scan every string of the SPSS; deterministic merge in string order."""
+def _scan(codes, scheme, kmers=slice(None)):
+    """The scan kernel: super-k-mers of the k-length windows of `codes`
+    selected by `kmers` (an index into the windows; all of them by default).
+
+    A selected window of one string never reaches into the next, and the
+    first k-mer of a string starts k positions past the last k-mer of the
+    one before, so their minimizer occurrences differ: the run restarts at
+    every string start without further masking.
+    """
+    mvals = window_values(codes, scheme.m)
+    n_windows = codes.size - scheme.k + 1
+    if scheme.w == 1:
+        offset = np.zeros(n_windows, dtype=np.int64)
+    else:
+        offset = sliding_window_view(hash_mmer_array(mvals, scheme.seed),
+                                     scheme.w).argmin(axis=1)
+    occ = (offset + np.arange(n_windows))[kmers]  # minimizer occurrence
+    offset = offset[kmers]                        # its position in the k-mer
+    n = occ.size
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    np.not_equal(occ[1:], occ[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    return SuperKmerScan(kmer_base=starts, sizes=np.diff(starts, append=n),
+                         p1=offset[starts] + 1, minvals=mvals[occ[starts]],
+                         n=n)
+
+
+def scan_string(codes, scheme):
+    """Decompose one encoded string into super-k-mer arrays."""
+    if codes.size < scheme.k:
+        raise StringShorterThanK(f"string length {codes.size} < k={scheme.k}")
+    return _scan(codes, scheme)
+
+
+def scan_spss(spss, scheme):
+    """Decompose every string of the SPSS in one pass over its joined codes."""
     if scheme.k != spss.k:
         raise LengthOutOfRange(f"scheme k={scheme.k} != SPSS k={spss.k}")
-    if threads > 1 and len(spss.codes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scans = list(pool.map(lambda c: scan_string(c, scheme), spss.codes))
-    else:
-        scans = [scan_string(c, scheme) for c in spss.codes]
-    string_kmers = np.array([s.n_kmers for s in scans], dtype=np.int64)
-    bases = np.concatenate([[0], np.cumsum(string_kmers)[:-1]])
-    string_id = np.concatenate(
-        [np.full(s.starts.size, i, dtype=np.int64) for i, s in enumerate(scans)])
-    kmer_base = np.concatenate(
-        [s.starts + bases[i] for i, s in enumerate(scans)])
-    return SpssScan(
-        starts=np.concatenate([s.starts for s in scans]),
-        sizes=np.concatenate([s.sizes for s in scans]),
-        p1=np.concatenate([s.p1 for s in scans]),
-        minvals=np.concatenate([s.minvals for s in scans]),
-        string_id=string_id,
-        kmer_base=kmer_base,
-        string_kmers=string_kmers,
-        n=int(string_kmers.sum()),
-    )
+    return _scan(spss.joined_codes, scheme, spss.kmer_positions())
 
 
-def split_superkmers(s, scheme, string_id=0):
+def split_superkmers(s, scheme):
     """Super-k-mer records of one DNA string, tiling its k-mers in order."""
     codes = encode_bases(s) if isinstance(s, str) else s
     scan = scan_string(codes, scheme)
     return [
         SuperKmerRecord(minimizer=int(scan.minvals[i]), size=int(scan.sizes[i]),
-                        p1=int(scan.p1[i]), string_id=string_id,
-                        start_offset=int(scan.starts[i]))
+                        p1=int(scan.p1[i]),
+                        start_offset=int(scan.kmer_base[i]))
         for i in range(scan.sizes.size)
     ]
 
@@ -255,9 +233,9 @@ def census_from_scan(scan):
     return MinimizerCensus(distinct=distinct, counts=counts, xi=xi, n=scan.n)
 
 
-def census(spss, scheme, threads=1):
+def census(spss, scheme):
     """Count super-k-mers per minimizer value and measure xi."""
-    return census_from_scan(scan_spss(spss, scheme, threads=threads))
+    return census_from_scan(scan_spss(spss, scheme))
 
 
 def warn_if_density_condition_violated(scheme):

@@ -172,5 +172,6 @@ class LpMphfPartitioned(LpMphf):
 
 
 def build_partitioned(spss, scheme, threads=1):
-    """Build the partitioned structure over an SPSS."""
-    return LpMphfPartitioned.build(spss, scheme, threads=threads)
+    """Build the partitioned structure over an SPSS (`threads`: see
+    `LpMphf.build`)."""
+    return LpMphfPartitioned.build(spss, scheme)

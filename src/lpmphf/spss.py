@@ -7,6 +7,7 @@ structure over the set raises DuplicateKmer on a repeated k-mer.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,12 @@ class SpssInput:
     n is the total k-mer count (= distinct count under the SPSS assumption)
     and total_length the cumulative base count N. Distinctness is not
     checked here; the build checks it.
+
+    The strings form one sequence of k-mers, numbered in input order.
+    `joined_codes` concatenates the strings, and k-mer g starts at position
+    g + (k-1)*s of it, s being the string of k-mer g (`kmer_positions`);
+    this class is the only code that knows that mapping. `kmer_starts`
+    holds the index of each string's first k-mer.
     """
 
     k: int
@@ -35,11 +42,16 @@ class SpssInput:
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
             raise LengthOutOfRange(f"k={self.k} outside [1, {MAX_K}]")
+        if not self.codes:
+            raise MalformedFasta("an SPSS needs at least one string")
         for i, c in enumerate(self.codes):
             if c.size < self.k:
                 raise StringShorterThanK(
                     f"string {i} has length {c.size} < k={self.k}")
-        self.n = sum(c.size - self.k + 1 for c in self.codes)
+        kmers = np.array([c.size - self.k + 1 for c in self.codes],
+                         dtype=np.int64)
+        self.kmer_starts = np.cumsum(kmers) - kmers
+        self.n = int(kmers.sum())
         self.total_length = sum(c.size for c in self.codes)
 
     @property
@@ -56,14 +68,26 @@ class SpssInput:
         """alpha = (|S| - 1) / n."""
         return (len(self.codes) - 1) / self.n
 
+    @cached_property
+    def joined_codes(self):
+        """The codes of every string, concatenated in input order."""
+        return self.codes[0] if len(self.codes) == 1 else np.concatenate(self.codes)
+
+    def kmer_positions(self, g=None):
+        """Start positions in `joined_codes` of the k-mers with indices g
+        (default: all, in order; an index, not an array, for one string)."""
+        if len(self.codes) == 1:
+            return slice(None) if g is None else g
+        if g is None:
+            g = np.arange(self.n, dtype=np.int64)
+        string = np.searchsorted(self.kmer_starts, g, side="right") - 1
+        return g + (self.k - 1) * string
+
     def kmer_word_arrays(self):
         """(hi, lo) packed words of every k-mer, concatenated in input order."""
-        his, los = [], []
-        for c in self.codes:
-            hi, lo = kmer_words(c, self.k)
-            his.append(hi)
-            los.append(lo)
-        return np.concatenate(his), np.concatenate(los)
+        hi, lo = kmer_words(self.joined_codes, self.k)
+        pos = self.kmer_positions()
+        return hi[pos], lo[pos]
 
 
 def spss_from_strings(strings, k):

@@ -73,8 +73,7 @@ def test_consecutive_kmers_get_consecutive_values(built, small_spss, scheme):
     diffs = np.diff(vals)
     # positions whose predecessor is in the same super-k-mer must be +1
     same = inside[1:]
-    boundary_at_string = np.cumsum(scan.string_kmers)[:-1]
-    same[boundary_at_string - 1] = False
+    same[small_spss.kmer_starts[1:] - 1] = False   # pairs across strings
     assert np.all(diffs[same] == 1)
 
 
@@ -106,6 +105,21 @@ def test_epsilon_max_fragmentation_is_one(rng):
     spss = spss_from_strings(strings, k=31)
     f = build_basic(spss, MinimizerScheme(k=31, m=15, seed=1))
     assert measure_epsilon(f, spss) == 1.0
+
+
+def test_epsilon_ignores_pairs_across_strings():
+    # one k-mer per string, the strings put in the order of their values:
+    # every adjacent pair gets consecutive values, yet none lies inside a
+    # string, so epsilon is 1
+    rng = np.random.default_rng(7)
+    strings = sorted({random_dna(rng, 31) for _ in range(300)})
+    spss, scheme = spss_from_strings(strings, k=31), MinimizerScheme(k=31, m=15, seed=1)
+    for build in BUILDERS:
+        vals = build(spss, scheme).assigned_values(spss)
+        ordered = spss_from_strings([strings[i] for i in np.argsort(vals)], k=31)
+        f = build(ordered, scheme)
+        assert np.array_equal(f.assigned_values(ordered), np.arange(f.n))
+        assert measure_epsilon(f, ordered) == 1.0
 
 
 def test_epsilon_tracks_density(medium_spss):

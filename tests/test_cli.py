@@ -153,6 +153,23 @@ def test_usage_error_exit_1(capsys):
     assert e.value.code == 1
 
 
+@pytest.mark.parametrize("bad", [["-n", "0"], ["-n", "-5"], ["--xi", "1.5"],
+                                 ["--xi", "-1"], ["--xi", "nan"]])
+def test_theory_rejects_n_below_1_and_xi_outside_unit_interval(bad, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["theory", "-k", "31", "-m", "15", *bad])
+    assert e.value.code == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and "error" in cap.err
+
+
+def test_build_has_no_threads_option(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["build", "-i", str(workdir / "in.fa"), "-o", str(tmp_path / "t.lph"),
+              "-k", "31", "--threads", "2"])
+    assert e.value.code == 1
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "build", "-i", str(tmp_path / "nope.fa"),
                        "-o", str(tmp_path / "o.lph"), "-k", "31")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from lpmphf import (MinimizerScheme, census, default_minimizer_length,
                     encode_kmer, minimizer, split_superkmers,
                     spss_from_strings)
 from lpmphf.errors import LengthOutOfRange, StringShorterThanK
+from lpmphf.kmers import BASES, hash_mmer
 from lpmphf.minimizers import scan_spss, scan_string
 
 from conftest import find_single_superkmer
-from oracles import brute_minimizer, brute_split, random_dna
+from oracles import brute_minimizer, brute_split, pack_mmer, random_dna
 
 
 def test_m_equals_k_trivial():
@@ -100,7 +103,7 @@ def test_split_matches_isolated_window_oracle_at_1e5(medium_spss):
                         for i in range(nk)], dtype=np.int64)
         starts = np.flatnonzero(np.concatenate([[True], occ[1:] != occ[:-1]]))
         scan = scan_string(codes, scheme)
-        assert np.array_equal(scan.starts, starts)
+        assert np.array_equal(scan.kmer_base, starts)
         assert np.array_equal(scan.p1, occ[starts] - starts + 1)
 
 
@@ -122,12 +125,73 @@ def test_scan_spss_sums_to_n(medium_spss):
     assert int(scan.sizes.sum()) == medium_spss.n == scan.n
 
 
-def test_scan_threads_deterministic(small_spss):
-    scheme = MinimizerScheme(k=31, m=15, seed=1)
-    a = scan_spss(small_spss, scheme, threads=1)
-    b = scan_spss(small_spss, scheme, threads=4)
-    assert np.array_equal(a.minvals, b.minvals)
-    assert np.array_equal(a.sizes, b.sizes)
+def _boundary_pair(rng, k=13, m=5, seed=4):
+    """Two strings where every window straddling their boundary holds the
+    m-mer of smallest hash, which starts the second string."""
+    best = min((hash_mmer(v, seed), v) for v in range(4 ** m))[1]
+    x = "".join(BASES[(best >> 2 * (m - 1 - i)) & 3] for i in range(m))
+    a = random_dna(rng, k + 9)
+    while x in a:
+        a = random_dna(rng, k + 9)
+    b = x + random_dna(rng, k + 4)
+    joined, w = a + b, k - m + 1
+    assert w > 1
+    for q in range(len(a) - w + 1, len(a)):   # the straddling windows
+        assert brute_minimizer(joined[q:q + k], m, seed)[0] == best
+    return [a, b], k, m, seed
+
+
+def _multi_string_inputs(rng):
+    """(strings, k, m, seed) inputs of several strings each."""
+    lengths = lambda lo, hi, count: rng.integers(lo, hi, size=count)
+    yield [random_dna(rng, 13) for _ in range(6)], 13, 7, 1   # exactly k
+    yield [random_dna(rng, 13) for _ in range(12)], 13, 3, 1
+    yield [random_dna(rng, int(n)) for n in lengths(21, 60, 5)], 21, 21, 2
+    yield [random_dna(rng, int(n)) for n in lengths(11, 40, 5)], 11, 1, 3
+    yield [random_dna(rng, int(n)) for n in lengths(21, 50, 6)], 21, 3, 5
+    yield [random_dna(rng, int(n)) for n in lengths(63, 110, 4)], 63, 21, 6
+    yield [random_dna(rng, int(n)) for n in lengths(63, 90, 5)], 63, 3, 7
+    yield _boundary_pair(rng)
+
+
+def _brute_records(strings, k, m, seed):
+    """brute_split of every string, its start shifted to the k-mer index
+    among all k-mers of the strings in order."""
+    out, base = [], 0
+    for s in strings:
+        out += [(v, size, p1, base + start)
+                for v, size, p1, start in brute_split(s, k, m, seed)]
+        base += len(s) - k + 1
+    return out
+
+
+def test_scan_spss_equals_per_string_oracle(rng):
+    for strings, k, m, seed in _multi_string_inputs(rng):
+        scan = scan_spss(spss_from_strings(strings, k), MinimizerScheme(k, m, seed))
+        got = list(zip(scan.minvals.tolist(), scan.sizes.tolist(),
+                       scan.p1.tolist(), scan.kmer_base.tolist()))
+        assert got == _brute_records(strings, k, m, seed), (k, m)
+        assert scan.n == sum(len(s) - k + 1 for s in strings)
+
+
+def test_ambiguous_kmer_words_equal_set_oracle(rng):
+    from lpmphf._build import ambiguous_kmer_words
+    from lpmphf.minimizers import census_from_scan
+    for strings, k, m, seed in _multi_string_inputs(rng):
+        spss = spss_from_strings(strings, k)
+        scan = scan_spss(spss, MinimizerScheme(k, m, seed))
+        cen = census_from_scan(scan)
+        amb = cen.counts[np.searchsorted(cen.distinct, scan.minvals)] > 1
+        hi, lo = ambiguous_kmer_words(spss, scan, amb)
+        got = [(int(h) << 64) | int(x) for h, x in zip(hi, lo)]
+        # per k-mer: is its minimizer value shared by two super-k-mers?
+        per_string = [brute_split(s, k, m, seed) for s in strings]
+        owners = Counter(v for recs in per_string for v, *_ in recs)
+        want = [pack_mmer(s[i:i + k])
+                for s, recs in zip(strings, per_string)
+                for v, size, _, start in recs if owners[v] > 1
+                for i in range(start, start + size)]
+        assert got == want, (k, m)
 
 
 def test_empirical_density_near_2_over_w_plus_1(medium_spss):

@@ -1,11 +1,13 @@
 import re
 
+import numpy as np
 import pytest
 
-from lpmphf import (MinimizerScheme, generate_spss, load_spss,
-                    spss_from_strings, write_fasta)
+from lpmphf import (Kmer, MinimizerScheme, SpssInput, generate_spss,
+                    load_spss, spss_from_strings, write_fasta)
 from lpmphf.errors import (DuplicateKmer, GenerationFailure, InvalidBase,
                            MalformedFasta, StringShorterThanK)
+from lpmphf.kmers import decode_bases
 
 from conftest import BUILDERS
 from oracles import all_kmers, random_dna
@@ -147,6 +149,28 @@ def test_fasta_round_trip(tmp_path):
     write_fasta(spss, p)
     back = load_spss(p, k=17)
     assert back.strings == spss.strings
+
+
+def test_empty_spss_is_malformed():
+    with pytest.raises(MalformedFasta):
+        spss_from_strings([], 31)
+    with pytest.raises(MalformedFasta):
+        SpssInput(k=31, codes=[])
+
+
+def test_kmer_positions_index_the_joined_codes(rng):
+    strings = [random_dna(rng, int(n)) for n in rng.integers(21, 60, size=7)]
+    spss = spss_from_strings(strings, k=21)
+    kmers = [s for x in strings for s in all_kmers(x, 21)]
+    joined = decode_bases(spss.joined_codes)
+    assert joined == "".join(strings)
+    pos = spss.kmer_positions()
+    assert [joined[p:p + 21] for p in pos] == kmers
+    some = np.array([0, 5, 39, len(kmers) - 1])
+    assert np.array_equal(spss.kmer_positions(some), pos[some])
+    hi, lo = spss.kmer_word_arrays()
+    assert [Kmer(21, int(v)) for v in lo] == [Kmer.from_string(x) for x in kmers]
+    assert not hi.any()
 
 
 def test_fragmentation():

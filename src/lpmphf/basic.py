@@ -121,7 +121,9 @@ class LpMphf:
         Independent of the query path: derived from the super-k-mer scan and
         the stored arrays, it is the table lookups are checked against.
         """
-        scan = scan_spss(spss, self.scheme)
+        return self._values_of_scan(spss, scan_spss(spss, self.scheme))
+
+    def _values_of_scan(self, spss, scan):
         base, _, sizes, _ = self._slot_params(
             self.fm.evaluate_many(scan.minvals))
         amb = sizes != scan.sizes  # ambiguous slots carry size 0
@@ -161,16 +163,13 @@ class LpMphfBasic(LpMphf):
                                            width=w.bit_length())}
 
     def _slot_params(self, slot):
-        lo = self.L.access_many(slot)
-        hi = self.L.access_many(slot + 1)
+        lo, hi = self.L.bounds_many(slot)
         sizes = hi - lo
-        p1s = self.P.get_many(slot)
-        return lo, p1s, sizes, sizes == 0
+        return lo, self.P.get_many(slot), sizes, sizes == 0
 
     def _slot_param(self, slot):
-        lo = self.L.access(slot)
-        size = self.L.access(slot + 1) - lo
-        return lo, self.P.get(slot), size, size == 0
+        lo, hi = self.L.bounds(slot)
+        return lo, self.P.get(slot), hi - lo, hi == lo
 
 
 def build_basic(spss, scheme, threads=1):
@@ -182,6 +181,11 @@ def build_basic(spss, scheme, threads=1):
 def measure_epsilon(struct, spss):
     """Fraction of adjacent in-string k-mer pairs NOT mapped to consecutive
     values: epsilon = 1 - |A|/n, from the build-side value table."""
-    consecutive = np.diff(struct.assigned_values(spss)) == 1
+    return epsilon_of_values(struct.assigned_values(spss), spss)
+
+
+def epsilon_of_values(values, spss):
+    """`measure_epsilon` from the value table `assigned_values` returned."""
+    consecutive = np.diff(values) == 1
     consecutive[spss.kmer_starts[1:] - 1] = False   # pairs across strings
     return 1.0 - int(np.count_nonzero(consecutive)) / spss.n

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from .basic import build_basic, measure_epsilon
+from .basic import build_basic, epsilon_of_values
 from .errors import KMismatch, LpmphfError, QueryShorterThanK
 from .kmers import kmer_words
 from .minimizers import default_minimizer_length
@@ -226,7 +226,7 @@ def _cmd_verify(args):
         ok = False
     else:
         print("PASS lookup matches build-side table")
-    eps = measure_epsilon(f, spss)
+    eps = epsilon_of_values(table, spss)
     lower = spss.fragmentation + 1.0 / spss.n
     if eps + 1e-12 < lower:
         print(f"FAIL epsilon {eps:.6f} below alpha + 1/n = {lower:.6f}")

@@ -8,9 +8,9 @@ appears twice inside a window.
 
 The production scan is vectorized and makes one pass over the concatenated
 strings: hash every m-mer, take the leftmost argmin of every window of w
-m-mers, and keep the windows that are k-mers (none straddles two strings);
-runs restart at each string. The per-k-mer recomputation used by the test
-suite lives in the tests as an independent oracle.
+m-mers in linear time, and keep the windows that are k-mers (none straddles
+two strings); runs restart at each string. The per-k-mer recomputation used
+by the test suite lives in the tests as an independent oracle.
 """
 
 import math
@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthOutOfRange, StringShorterThanK
 from .kmers import (MAX_K, MAX_M, Kmer, encode_bases, hash_mmer_array, mix64,
@@ -133,6 +132,31 @@ class SuperKmerScan:
         return self.sizes.size
 
 
+def _window_argmin(h, w):
+    """Leftmost argmin offset of every length-w window of h in O(len(h))
+    (van Herk 1992; Gil & Werman 1993): window [i, i+w) is a suffix of i's
+    block of w plus a prefix of the next, so its minimum is the smaller of a
+    block-suffix and a block-prefix minimum, each carrying its leftmost
+    position, the suffix winning ties."""
+    n, nb = h.size, -(-h.size // w)
+    padded = np.full(nb * w, np.iinfo(h.dtype).max, dtype=h.dtype)
+    padded[:n] = h
+    blocks = padded.reshape(nb, w).T  # one row per offset in the block
+    pre = np.minimum.accumulate(blocks, axis=0).T.ravel()
+    suf = np.minimum.accumulate(blocks[::-1], axis=0)[::-1].T.ravel()
+    idx = np.arange(nb * w)
+    first = np.empty(nb * w, dtype=bool)
+    first[0] = True
+    np.less(pre[1:], pre[:-1], out=first[1:])
+    first[::w] = True
+    pre_arg = np.maximum.accumulate(idx * first)
+    suf_arg = np.minimum.accumulate(
+        np.where(padded == suf, idx, nb * w)[::-1])[::-1]
+    nwin = n - w + 1
+    return np.where(suf[:nwin] <= pre[w - 1:n], suf_arg[:nwin],
+                    pre_arg[w - 1:n]) - idx[:nwin]
+
+
 def _scan(codes, scheme, kmers=slice(None)):
     """The scan kernel: super-k-mers of the k-length windows of `codes`
     selected by `kmers` (an index into the windows; all of them by default).
@@ -147,8 +171,7 @@ def _scan(codes, scheme, kmers=slice(None)):
     if scheme.w == 1:
         offset = np.zeros(n_windows, dtype=np.int64)
     else:
-        offset = sliding_window_view(hash_mmer_array(mvals, scheme.seed),
-                                     scheme.w).argmin(axis=1)
+        offset = _window_argmin(hash_mmer_array(mvals, scheme.seed), scheme.w)
     occ = (offset + np.arange(n_windows))[kmers]  # minimizer occurrence
     offset = offset[kmers]                        # its position in the k-mer
     n = occ.size

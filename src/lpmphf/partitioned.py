@@ -84,6 +84,11 @@ class LpMphfPartitioned(LpMphf):
         self.K_l, self.K_r, self.K_n = (
             int(ef.access(len(ef) - 1)) if len(ef) else 0
             for ef in (self.L_l, self.L_r, self.L_n))
+        # (type, size prefixes, first codomain value), at index type - 1
+        self._blocks = (
+            (FlType.LEFT_MAX, self.L_l, self.K_lr),
+            (FlType.RIGHT_MAX, self.L_r, self.K_lr + self.K_l),
+            (FlType.NON_MAX, self.L_n, self.K_lr + self.K_l + self.K_r))
 
     @staticmethod
     def _layout(slots, w):
@@ -117,39 +122,19 @@ class LpMphfPartitioned(LpMphf):
         w = self.scheme.w
         t = self.R.access_many(slot).astype(np.int64)
         j0 = self.R.rank_many(t, slot + 1) - 1
-        base = np.empty(slot.size, dtype=np.int64)
-        p1s = np.empty(slot.size, dtype=np.int64)
-        sizes = np.empty(slot.size, dtype=np.int64)
-        fb = np.zeros(slot.size, dtype=bool)
-
-        sel = t == FlType.LEFT_RIGHT_MAX
-        base[sel] = j0[sel] * w
-        p1s[sel] = w
-        sizes[sel] = w
-
+        base = j0 * w  # left-right-max: size and p1 both w
+        sizes, p1s = np.full(slot.size, w), np.full(slot.size, w)
+        for typ, ef, offset in self._blocks:
+            sel = t == typ
+            if np.any(sel):
+                lo, hi = ef.bounds_many(j0[sel])
+                base[sel] = offset + lo
+                sizes[sel] = hi - lo
         sel = t == FlType.LEFT_MAX
-        if np.any(sel):
-            lo = self.L_l.access_many(j0[sel])
-            sz = self.L_l.access_many(j0[sel] + 1) - lo
-            base[sel] = self.K_lr + lo
-            sizes[sel] = sz
-            p1s[sel] = sz
-        sel = t == FlType.RIGHT_MAX
-        if np.any(sel):
-            lo = self.L_r.access_many(j0[sel])
-            sz = self.L_r.access_many(j0[sel] + 1) - lo
-            base[sel] = self.K_lr + self.K_l + lo
-            sizes[sel] = sz
-            p1s[sel] = w
-            fb[sel] = sz == 0
+        p1s[sel] = sizes[sel]
         sel = t == FlType.NON_MAX
-        if np.any(sel):
-            lo = self.L_n.access_many(j0[sel])
-            sz = self.L_n.access_many(j0[sel] + 1) - lo
-            base[sel] = self.K_lr + self.K_l + self.K_r + lo
-            sizes[sel] = sz
-            p1s[sel] = self.P_n.get_many(j0[sel])
-        return base, p1s, sizes, fb
+        p1s[sel] = self.P_n.get_many(j0[sel])
+        return base, p1s, sizes, (t == FlType.RIGHT_MAX) & (sizes == 0)
 
     def _slot_param(self, slot):
         w = self.scheme.w
@@ -157,18 +142,13 @@ class LpMphfPartitioned(LpMphf):
         j0 = self.R.rank(t, slot + 1) - 1
         if t == FlType.LEFT_RIGHT_MAX:
             return j0 * w, w, w, False
+        _, ef, offset = self._blocks[t - 1]
+        lo, hi = ef.bounds(j0)
         if t == FlType.LEFT_MAX:
-            lo = self.L_l.access(j0)
-            size = self.L_l.access(j0 + 1) - lo
-            return self.K_lr + lo, size, size, False
+            return offset + lo, hi - lo, hi - lo, False
         if t == FlType.RIGHT_MAX:
-            lo = self.L_r.access(j0)
-            size = self.L_r.access(j0 + 1) - lo
-            return self.K_lr + self.K_l + lo, w, size, size == 0
-        lo = self.L_n.access(j0)
-        size = self.L_n.access(j0 + 1) - lo
-        return (self.K_lr + self.K_l + self.K_r + lo, self.P_n.get(j0), size,
-                False)
+            return offset + lo, w, hi - lo, hi == lo
+        return offset + lo, self.P_n.get(j0), hi - lo, False
 
 
 def build_partitioned(spss, scheme, threads=1):

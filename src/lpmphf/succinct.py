@@ -4,8 +4,12 @@ the 4-symbol type sequence.
 RankBitvector keeps a Rank9-style directory (one absolute count plus seven
 packed 9-bit relative counts per 512-bit block, ~25% of the payload) so
 rank is O(1). Select binary-searches the absolute counts for its block, then
-resolves inside the block: the scalar path scans at most 8 words, the batch
-path uses byte tables.
+resolves inside the block: the scalar path scans at most 8 words; the batch
+path finds the word by a 3-step search over the relative counts and the bit
+by a 32/16/8-bit popcount search and a byte table, O(1) passes over its
+input, and raises CorruptFile where the directory disagrees with the words.
+An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is the next set
+bit after L[i]'s, found in the same word or by a second select.
 
 Serialization is little-endian: parameters, payload words, and the rank
 directory words; nothing is rebuilt on load.
@@ -24,21 +28,35 @@ _FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 popcount = np.bitwise_count
 
-# position of the (r+1)-th set bit of a byte, 255 when absent
-_SELECT_IN_BYTE = np.full((256, 8), 255, dtype=np.uint8)
-for _b in range(256):
-    _r = 0
-    for _i in range(8):
-        if (_b >> _i) & 1:
-            _SELECT_IN_BYTE[_b, _r] = _i
-            _r += 1
+# position of the (r+1)-th set bit of byte b at index 8 * b + r, 255 when absent
+_SELECT_IN_BYTE = np.array([([i for i in range(8) if b >> i & 1] + [255] * 8)[:8]
+                            for b in range(256)], dtype=np.int64).ravel()
+
+
+def _low_width(length, universe):
+    """Elias-Fano low-part width: floor(log2(universe / length)), 0 if < 1."""
+    return max(int(universe // length).bit_length() - 1, 0) if length else 0
 
 
 def _width_mask(width):
     return _FULL64 if width >= 64 else _U64((1 << width) - 1)
 
 
-class RankBitvector:
+class _Serialized:
+    """`from_bytes` and `size_in_bits` from a class's `read_from`/`to_bytes`."""
+
+    @classmethod
+    def from_bytes(cls, buf):
+        r = Reader(buf)
+        out = cls.read_from(r)
+        r.done()
+        return out
+
+    def size_in_bits(self):
+        return 8 * len(self.to_bytes())
+
+
+class RankBitvector(_Serialized):
     """Static bitvector with O(1) rank1 and directory-searched select1."""
 
     def __init__(self, nbits, words=None):
@@ -47,10 +65,8 @@ class RankBitvector:
         nblocks = (ndata + 7) // 8
         # one zero pad block so rank/select gathers never index out of range
         total = (nblocks + 1) * 8
-        if words is None:
-            self._words = np.zeros(total, dtype=_U64)
-        else:
-            self._words = np.zeros(total, dtype=_U64)
+        self._words = np.zeros(total, dtype=_U64)
+        if words is not None:
             self._words[:words.size] = words
         self._nblocks = nblocks
         self._abs = None
@@ -131,35 +147,57 @@ class RankBitvector:
         raise CorruptFile("rank directory disagrees with the bitvector words")
 
     def select1_many(self, js):
+        """Vector `select1` (see the module docstring)."""
         js = np.asarray(js, dtype=np.int64)
-        if js.size == 0:
-            return js.copy()
-        block = np.searchsorted(self._abs[:self._nblocks + 1], js, side="right") - 1
-        rem = (js - self._abs[block].astype(np.int64)).astype(np.int64)
-        rows = self._words[:(self._nblocks + 1) * 8].reshape(-1, 8)[block]
-        pc = popcount(rows).astype(np.int64)
-        cum = np.cumsum(pc, axis=1)
-        t = (cum <= rem[:, None]).sum(axis=1)
-        prev = np.take_along_axis(
-            np.concatenate([np.zeros((cum.shape[0], 1), dtype=np.int64), cum], axis=1),
-            t[:, None], axis=1)[:, 0]
-        rem2 = rem - prev
-        wv = np.take_along_axis(rows, t[:, None], axis=1)[:, 0]
-        byte_shifts = (np.arange(8, dtype=_U64) * _U64(8))
-        bys = (wv[:, None] >> byte_shifts[None, :]) & _U64(0xFF)
-        bpc = popcount(bys).astype(np.int64)
-        bcum = np.cumsum(bpc, axis=1)
-        tb = (bcum <= rem2[:, None]).sum(axis=1)
-        prevb = np.take_along_axis(
-            np.concatenate([np.zeros((bcum.shape[0], 1), dtype=np.int64), bcum], axis=1),
-            tb[:, None], axis=1)[:, 0]
-        rem3 = rem2 - prevb
-        byte = np.take_along_axis(bys, tb[:, None], axis=1)[:, 0].astype(np.int64)
-        bit = _SELECT_IN_BYTE[byte, rem3].astype(np.int64)
-        return (block << 9) + (t << 6) + (tb << 3) + bit
+        if js.size and not (0 <= js.min() and js.max() < self.num_ones):
+            raise IndexOutOfRange(f"select rank outside [0, {self.num_ones})")
+        block = np.searchsorted(self._abs[:self._nblocks + 1].view(np.int64), js,
+                                side="right") - 1
+        if np.any((block < 0) | (block >= self._nblocks)):
+            raise CorruptFile("rank directory disagrees with the bitvector words")
+        start = self._abs[block].view(np.int64)
+        rem = js - start
+        rel = self._rel[block].view(np.int64)  # seven 9-bit counts, bit 63 clear
+        sh = np.zeros(js.size, dtype=np.int64)  # 9 * t
+        for step in (36, 18, 9):  # largest t with (ones before word t) <= rem
+            sh += step * (((rel >> (sh + (step - 9))) & 511) <= rem)
+        before = np.where(sh > 0, (rel >> ((sh - 9) & 63)) & 511, 0)
+        after = np.where(sh < 63, (rel >> sh) & 511,
+                         self._abs[block + 1].view(np.int64) - start)
+        pos = (block << 9) + (sh // 9 << 6)
+        word = self._words[pos >> 6]
+        pc = popcount(word).astype(np.int64)
+        rem -= before
+        if np.any((rem < 0) | (rem >= pc) | (after - before != pc)):
+            raise CorruptFile("rank directory disagrees with the bitvector words")
+        word = word.view(np.int64)  # sign fill is masked off below
+        for width in (32, 16, 8):
+            c = popcount(word & ((1 << width) - 1)).astype(np.int64)
+            skip = c <= rem
+            rem -= c * skip
+            skip = skip * width
+            pos += skip
+            word >>= skip
+        return pos + _SELECT_IN_BYTE[((word & 0xFF) << 3) | rem]
 
-    def size_in_bits(self):
-        return 8 * len(self.to_bytes())
+    def next1(self, p, j):
+        """Position of the first set bit after p, the position of the
+        (j+1)-th set bit; `select1(j + 1)` when it is not in p's word."""
+        rest = int(self._words[p >> 6]) >> (p & 63) >> 1
+        if rest:
+            return p + (rest ^ (rest - 1)).bit_count()
+        return self.select1(j + 1)
+
+    def next1_many(self, ps, js):
+        """Vector `next1` over position/rank pairs."""
+        ps = np.asarray(ps, dtype=np.int64)
+        js = np.asarray(js, dtype=np.int64)
+        rest = self._words[ps >> 6] >> (ps & 63).astype(_U64) >> _U64(1)
+        out = ps + popcount(rest ^ (rest - _U64(1))).astype(np.int64)
+        miss = rest == 0
+        if np.any(miss):
+            out[miss] = self.select1_many(js[miss] + 1)
+        return out
 
     def to_bytes(self):
         ndata = (self.nbits + 63) // 64
@@ -185,15 +223,8 @@ class RankBitvector:
         bv.num_ones = num_ones
         return bv
 
-    @classmethod
-    def from_bytes(cls, buf):
-        r = Reader(buf)
-        bv = cls.read_from(r)
-        r.done()
-        return bv
 
-
-class IntVector:
+class IntVector(_Serialized):
     """Fixed-width packed integer array (width 0..64)."""
 
     def __init__(self, length, width, words=None):
@@ -249,9 +280,6 @@ class IntVector:
     def __len__(self):
         return self.length
 
-    def size_in_bits(self):
-        return 8 * len(self.to_bytes())
-
     def to_bytes(self):
         ndata = (self.length * self.width + 63) // 64
         w = Writer()
@@ -267,15 +295,8 @@ class IntVector:
         ndata = (length * width + 63) // 64
         return cls(length, width, words=r.array(_U64, ndata))
 
-    @classmethod
-    def from_bytes(cls, buf):
-        r = Reader(buf)
-        iv = cls.read_from(r)
-        r.done()
-        return iv
 
-
-class EliasFanoSeq:
+class EliasFanoSeq(_Serialized):
     """Non-decreasing integer sequence with O(1) access.
 
     Values split into low bits (fixed width floor(log2(u/l))) and unary-coded
@@ -299,9 +320,7 @@ class EliasFanoSeq:
             if int(values[-1]) > universe:
                 raise UniverseTooSmall(
                     f"largest value {int(values[-1])} > universe {universe}")
-        lw = 0
-        if length and universe // length >= 1:
-            lw = int(universe // length).bit_length() - 1
+        lw = _low_width(length, universe)
         low = IntVector.from_values(values, lw)
         hpos = (values >> lw) + np.arange(length, dtype=np.int64)
         nbits_high = (universe >> lw) + length + 1
@@ -319,6 +338,19 @@ class EliasFanoSeq:
         hval = self._high.select1_many(idx) - idx
         return (hval << self.low_width) | self._low.get_many(idx)
 
+    def bounds(self, i):
+        """(L[i], L[i+1]) from one select and a next-one scan."""
+        lo = self.access(i)
+        pos = self._high.next1((lo >> self.low_width) + i, i)
+        return lo, ((pos - i - 1) << self.low_width) | self._low.get(i + 1)
+
+    def bounds_many(self, idx):
+        """Vector `bounds`: (L[idx], L[idx + 1]), 0 <= idx < length - 1."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lo = self.access_many(idx)
+        pos = self._high.next1_many((lo >> self.low_width) + idx, idx)
+        return lo, ((pos - idx - 1) << self.low_width) | self._low.get_many(idx + 1)
+
     def __len__(self):
         return self.length
 
@@ -327,9 +359,6 @@ class EliasFanoSeq:
 
     def payload_bits(self):
         return self.length * self.low_width + self._high.nbits
-
-    def size_in_bits(self):
-        return 8 * len(self.to_bytes())
 
     def to_bytes(self):
         w = Writer()
@@ -345,19 +374,18 @@ class EliasFanoSeq:
         length = r.u64()
         universe = r.u64()
         lw = r.u64()
+        if lw != _low_width(length, universe):
+            raise CorruptFile("Elias-Fano low width disagrees with its length")
         low = IntVector.read_from(r)
+        if (low.length, low.width) != (length, lw):
+            raise CorruptFile("Elias-Fano low part disagrees with its header")
         high = RankBitvector.read_from(r)
+        if (high.nbits, high.num_ones) != ((universe >> lw) + length + 1, length):
+            raise CorruptFile("Elias-Fano high part disagrees with its header")
         return cls(length, universe, lw, low, high)
 
-    @classmethod
-    def from_bytes(cls, buf):
-        r = Reader(buf)
-        ef = cls.read_from(r)
-        r.done()
-        return ef
 
-
-class TypeSequence:
+class TypeSequence(_Serialized):
     """Length-|M| sequence over 4 symbols with O(1) access and per-symbol rank.
 
     Depth-2 wavelet decomposition: one bitvector for the symbol high bit, a
@@ -427,9 +455,6 @@ class TypeSequence:
     def __len__(self):
         return self.length
 
-    def size_in_bits(self):
-        return 8 * len(self.to_bytes())
-
     def to_bytes(self):
         w = Writer()
         w.u64(self.length)
@@ -445,10 +470,3 @@ class TypeSequence:
         b1 = RankBitvector.read_from(r)
         b2 = RankBitvector.read_from(r)
         return cls(length, b1, b2, count0)
-
-    @classmethod
-    def from_bytes(cls, buf):
-        r = Reader(buf)
-        ts = cls.read_from(r)
-        r.done()
-        return ts

@@ -142,7 +142,7 @@ class StatsReport:
 def stats(spss, f):
     """Measure epsilon, xi, alpha, and type proportions of a built structure
     and put them next to the closed-form predictions."""
-    from .basic import measure_epsilon
+    from .basic import epsilon_of_values
     from .partitioned import _classify_arrays
 
     scan = scan_spss(spss, f.scheme)
@@ -153,7 +153,7 @@ def stats(spss, f):
     measured = tuple(
         float(np.count_nonzero(types == t)) / n_unamb_skm if n_unamb_skm else 0.0
         for t in range(4))
-    eps = measure_epsilon(f, spss)
+    eps = epsilon_of_values(f._values_of_scan(spss, scan), spss)
     params = TheoryParams(k=f.scheme.k, m=f.scheme.m,
                           b=max(f.fm.bits_per_key, LOG2_E + 1e-9))
     return StatsReport(

@@ -67,3 +67,28 @@ def one_string_k63():
 
 
 SCALAR_SHAPES = [one_string_k31, pieces_k31_m5, one_string_k63]
+
+
+def ef_header_patches(blob, ef):
+    """Copies of `blob` with one header field of the Elias-Fano sequence `ef`
+    (serialized somewhere inside it) altered, as (field name, bytes) pairs.
+
+    Fields in file order: length, universe and low width; the low part's
+    length and width; after the low words, the high bitvector's nbits and
+    num_ones.
+    """
+    at = blob.find(ef.to_bytes())
+    assert at >= 0
+    low_words = (ef.length * ef.low_width + 63) // 64
+    offsets = dict(zip(("length", "universe", "low_width", "low.length",
+                        "low.width"), range(at, at + 40, 8)))
+    offsets["high.nbits"] = at + 40 + 8 * low_words
+    offsets["high.num_ones"] = offsets["high.nbits"] + 8
+    for name, off in offsets.items():
+        value = int.from_bytes(blob[off:off + 8], "little")
+        # universe + 1 may round to the same low width and high length
+        deltas = (1 << 40,) if name == "universe" else (1 << 40, 1)
+        for delta in deltas:
+            out = bytearray(blob)
+            out[off:off + 8] = ((value + delta) % (1 << 64)).to_bytes(8, "little")
+            yield name, bytes(out)

@@ -55,6 +55,21 @@ def brute_split(s, k, m, seed):
     return out
 
 
+def brute_window_argmin(values, w):
+    """Leftmost argmin offset of every length-w window, window by window."""
+    values = [int(v) for v in values]
+    out = []
+    for i in range(len(values) - w + 1):
+        window = values[i:i + w]
+        out.append(window.index(min(window)))
+    return out
+
+
+def brute_select(bits, j):
+    """Position of the (j+1)-th set bit."""
+    return int(np.flatnonzero(bits)[j])
+
+
 def all_kmers(s, k):
     return [s[i:i + k] for i in range(len(s) - k + 1)]
 

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from lpmphf import load_structure
 from lpmphf.cli import main
+
+from conftest import ef_header_patches
 
 
 def run(capsys, *argv):
@@ -197,3 +200,14 @@ def test_corrupt_structure_exit_2(workdir, tmp_path, capsys):
                        "-q", str(workdir / "in.fa"))
     assert code == 2
     assert "magic" in err
+
+
+def test_query_on_patched_ef_header_exit_2(workdir, tmp_path, capsys):
+    blob = (workdir / "f.lph").read_bytes()
+    ef = load_structure(workdir / "f.lph").L_n
+    bad = tmp_path / "bad.lph"
+    for field, patched in ef_header_patches(blob, ef):
+        bad.write_bytes(patched)
+        code, _, err = run(capsys, "query", "-i", str(bad),
+                           "-q", str(workdir / "in.fa"))
+        assert code == 2, (field, err)

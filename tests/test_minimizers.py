@@ -10,16 +10,34 @@ from lpmphf import (MinimizerScheme, census, default_minimizer_length,
                     spss_from_strings)
 from lpmphf.errors import LengthOutOfRange, StringShorterThanK
 from lpmphf.kmers import BASES, hash_mmer
-from lpmphf.minimizers import scan_spss, scan_string
+from lpmphf.minimizers import _window_argmin, scan_spss, scan_string
 
 from conftest import find_single_superkmer
-from oracles import brute_minimizer, brute_split, pack_mmer, random_dna
+from oracles import (brute_minimizer, brute_split, brute_window_argmin,
+                     pack_mmer, random_dna)
 
 
 def test_m_equals_k_trivial():
     km = encode_kmer("ACGTTGACCAGTA")
     hit = minimizer(km, MinimizerScheme(k=13, m=13, seed=1))
     assert hit.mmer == km.value and hit.pos == 1
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=300),
+       st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_window_argmin_tie_heavy(values, w):
+    w = min(w, len(values))
+    h = np.array(values, dtype=np.uint64)
+    assert _window_argmin(h, w).tolist() == brute_window_argmin(h, w)
+
+
+@pytest.mark.parametrize("n,w", [(1, 1), (17, 17), (18, 17), (34, 17),
+                                 (35, 17), (1000, 17), (1000, 49), (999, 2)])
+def test_window_argmin_matches_oracle(n, w, rng):
+    for top in (2, 2 ** 64 - 1):  # all-tie pairs, then (nearly) distinct values
+        h = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)
+        assert _window_argmin(h, w).tolist() == brute_window_argmin(h, w)
 
 
 def test_pos_in_window_range(rng):

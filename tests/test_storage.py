@@ -10,6 +10,7 @@ from lpmphf.errors import CorruptFile
 from lpmphf.kmers import kmer_words
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
+from conftest import ef_header_patches
 from oracles import random_dna
 
 
@@ -60,6 +61,15 @@ def test_bad_magic_rejected(built):
     blob[:4] = b"NOPE"
     with pytest.raises(CorruptFile):
         structure_from_bytes(bytes(blob))
+
+
+def test_ef_header_fields_checked_on_load(built):
+    blob = structure_to_bytes(built)
+    ef = built.L if built.variant == "basic" else built.L_n
+    for field, bad in ef_header_patches(blob, ef):
+        with pytest.raises(CorruptFile):
+            structure_from_bytes(bad)
+            pytest.fail(f"patched {field} loaded")
 
 
 def test_bad_version_rejected(built):

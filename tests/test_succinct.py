@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpmphf import EliasFanoSeq, IntVector, RankBitvector, TypeSequence
-from lpmphf.errors import IndexOutOfRange, NotMonotone, UniverseTooSmall
+from lpmphf.errors import (CorruptFile, IndexOutOfRange, NotMonotone,
+                           UniverseTooSmall)
 
-from oracles import naive_rank, naive_symbol_rank
+from oracles import brute_select, naive_rank, naive_symbol_rank
 
 
 # --- RankBitvector ---------------------------------------------------------------
@@ -52,6 +53,85 @@ def test_select_matches_one_positions(rng):
         assert bv.select1(int(j)) == int(ones[j])
     with pytest.raises(IndexOutOfRange):
         bv.select1(ones.size)
+
+
+def _select_cases(rng):
+    """Bit arrays at densities 0.001 to 1, lengths off the 64- and 512-bit
+    grid, and ones separated by whole all-zero words and blocks."""
+    for density in (0.001, 0.01, 0.1, 0.5, 0.9, 1.0):
+        for nbits in (1, 63, 65, 511, 513, 5_037):
+            bits = rng.random(nbits) < density
+            if bits.any():
+                yield bits
+    gaps = np.zeros(4_000, dtype=bool)
+    gaps[[3, 70, 700, 701, 2_500, 3_999]] = True
+    yield gaps
+
+
+def test_select_matches_flatnonzero(rng):
+    for bits in _select_cases(rng):
+        bv = RankBitvector.from_bools(bits)
+        ones = np.flatnonzero(bits)
+        assert np.array_equal(bv.select1_many(np.arange(ones.size)), ones)
+        for j in (0, ones.size // 2, ones.size - 1):
+            assert bv.select1(j) == brute_select(bits, j)
+        for bad in ([-1], [ones.size]):
+            with pytest.raises(IndexOutOfRange):
+                bv.select1_many(bad)
+
+
+def test_next1_matches_flatnonzero(rng):
+    for bits in _select_cases(rng):
+        bv = RankBitvector.from_bools(bits)
+        ones = np.flatnonzero(bits)
+        js = np.arange(ones.size - 1)
+        # the gaps case has next ones 2+ words away, and every case a last one
+        assert np.array_equal(bv.next1_many(ones[:-1], js), ones[1:])
+        for j in js[::max(1, js.size // 50)]:
+            assert bv.next1(int(ones[j]), int(j)) == brute_select(bits, j + 1)
+        with pytest.raises(IndexOutOfRange):
+            bv.next1(int(ones[-1]), ones.size - 1)
+
+
+@pytest.mark.parametrize("where", ["abs", "rel"])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_damaged_directory_raises_corrupt_file(where, delta, rng):
+    bits = rng.random(4 * 512 + 100) < 0.5
+    blob = bytearray(RankBitvector.from_bools(bits).to_bytes())
+    nwords, nblocks = (bits.size + 63) // 64, 5
+    block = 2
+    off = 16 + 8 * nwords + 8 * block + (8 * nblocks if where == "rel" else 0)
+    value = int.from_bytes(blob[off:off + 8], "little")
+    # rel: the 9-bit count of ones before word 4 of the block
+    value += delta << (27 if where == "rel" else 0)
+    blob[off:off + 8] = value.to_bytes(8, "little")
+    bv = RankBitvector.from_bytes(bytes(blob))
+    js = np.arange(int(bits.sum()))
+    with pytest.raises(CorruptFile):
+        bv.select1_many(js)
+    if where == "abs":  # the scalar select reads no relative count
+        with pytest.raises(CorruptFile):
+            for j in js:
+                bv.select1(int(j))
+    ones = np.flatnonzero(bits)
+    for j in js:  # one at a time: a typed error, or a set bit
+        try:
+            pos = int(bv.select1_many([j])[0])
+        except CorruptFile:
+            continue
+        assert bits[pos]
+        if where == "rel":  # a word's two bounds check each other
+            assert pos == ones[j]
+
+
+def test_select_first_block_damaged_raises_corrupt_file(rng):
+    bits = rng.random(1_000) < 0.5
+    blob = bytearray(RankBitvector.from_bools(bits).to_bytes())
+    off = 16 + 8 * 16   # the first absolute count, stored as 0
+    blob[off] = 1
+    bv = RankBitvector.from_bytes(bytes(blob))
+    with pytest.raises(CorruptFile):
+        bv.select1_many([0])
 
 
 def test_directory_overhead_near_25_percent():
@@ -129,6 +209,30 @@ def test_ef_matches_plain_array_oracle(rng):
     assert np.array_equal(ef.access_many(probes), vals[probes])
     for i in probes[:200]:
         assert ef.access(int(i)) == int(vals[i])
+
+
+@pytest.mark.parametrize("values,universe", [
+    ([7], 7), ([0, 0], 0), ([3, 9], 20), ([0, 0, 0, 5, 5, 9, 9, 9], 9),
+    ([2] * 300, 1_000), (list(range(0, 3_000, 3)), 3_000)])
+def test_ef_bounds_match_plain_array(values, universe):
+    vals = np.array(values, dtype=np.int64)
+    ef = EliasFanoSeq.from_values(vals, universe=universe)
+    idx = np.arange(vals.size - 1)
+    lo, hi = ef.bounds_many(idx)
+    assert np.array_equal(lo, vals[:-1]) and np.array_equal(hi, vals[1:])
+    for i in idx:
+        assert ef.bounds(int(i)) == (int(vals[i]), int(vals[i + 1]))
+    with pytest.raises(IndexOutOfRange):
+        ef.bounds(vals.size - 1)
+
+
+def test_ef_bounds_random_with_zero_size_slots(rng):
+    sizes = rng.integers(0, 4, size=20_000) * (rng.random(20_000) < 0.7)
+    vals = np.concatenate([[0], np.cumsum(sizes)])
+    ef = EliasFanoSeq.from_values(vals, universe=int(vals[-1]))
+    idx = rng.integers(0, vals.size - 1, size=5_000)
+    lo, hi = ef.bounds_many(idx)
+    assert np.array_equal(lo, vals[idx]) and np.array_equal(hi, vals[idx + 1])
 
 
 def test_ef_errors():

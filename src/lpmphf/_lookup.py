@@ -6,38 +6,40 @@ import numpy as np
 
 from ._build import finish_lookup
 from .errors import KMismatch, QueryShorterThanK
-from .kmers import Kmer, encode_bases, hash_mmer_array, kmer_words_at
+from .kmers import Kmer, encode_bases, kmer_words_at, mix64_inplace, seed_key
 from .minimizers import scan_string
 
 _U64 = np.uint64
-_FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_BLOCK_ROWS = 1 << 10
 
 
 def kmer_minimizers(hi, lo, scheme):
     """Minimizer value and 1-based position for each packed k-mer.
 
-    Scans the w m-mers of every k-mer; ties break to the leftmost, matching
+    Works in blocks of _BLOCK_ROWS k-mers, small enough to stay in cache:
+    the w m-mers of a block form one (rows x w) matrix, hashed in place, and
+    each row's argmin is its first minimum, the leftmost on ties, matching
     the build-time scan.
     """
     k, m, w = scheme.k, scheme.m, scheme.w
-    mask = _FULL64 if 2 * m == 64 else _U64((1 << (2 * m)) - 1)
-    best_h = np.full(hi.size, _FULL64, dtype=_U64)
-    best_v = np.zeros(hi.size, dtype=_U64)
-    best_p = np.zeros(hi.size, dtype=np.int64)
-    for j in range(w):
-        shift = 2 * (k - m - j)
-        if shift >= 64:
-            v = (hi >> _U64(shift - 64)) & mask
-        elif shift == 0:
-            v = lo & mask
-        else:
-            v = ((lo >> _U64(shift)) | (hi << _U64(64 - shift))) & mask
-        h = hash_mmer_array(v, scheme.seed)
-        better = h < best_h
-        best_h[better] = h[better]
-        best_v[better] = v[better]
-        best_p[better] = j + 1
-    return best_v, best_p
+    shifts = (2 * (k - m - np.arange(w))).astype(_U64)  # of m-mer j, from bit 0
+    n_hi = max(0, k - m - 31)  # leading columns that lie wholly in hi
+    hi_shifts, lo_shifts = shifts[:n_hi] - _U64(64), shifts[n_hi:]
+    mask, key = _U64((1 << (2 * m)) - 1), _U64(seed_key(scheme.seed))
+    vals, pos = np.empty(hi.size, dtype=_U64), np.empty(hi.size, dtype=np.int64)
+    for a in range(0, hi.size, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        v = np.empty((lo[rows].size, w), dtype=_U64)
+        v[:, n_hi:] = lo[rows, None] >> lo_shifts
+        if k > 32:
+            v[:, :n_hi] = hi[rows, None] >> hi_shifts
+            # (hi << 1) << (63 - s) is hi << (64 - s) for s > 0, and 0 for s = 0
+            v[:, n_hi:] |= (hi[rows, None] << _U64(1)) << (_U64(63) - lo_shifts)
+        v &= mask
+        arg = mix64_inplace(v ^ key).argmin(axis=1)
+        vals[rows] = np.take_along_axis(v, arg[:, None], 1)[:, 0]
+        pos[rows] = arg + 1
+    return vals, pos
 
 
 def resolve_kmer_input(x, k):

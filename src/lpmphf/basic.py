@@ -62,11 +62,11 @@ class LpMphf:
     # --- construction ---
 
     @classmethod
-    def build(cls, spss, scheme, threads=1):
-        """Build over an SPSS. `threads` has no effect; it stays only
-        because the benchmark's `bench/run.py` still passes it."""
+    def build(cls, spss, scheme, threads=1, scan=None):
+        """Build over an SPSS, reusing `scan` (its `scan_spss`) if given.
+        `threads` has no effect; `bench/run.py` still passes it."""
         warn_if_density_condition_violated(scheme)
-        scan = scan_spss(spss, scheme)
+        scan = scan_spss(spss, scheme) if scan is None else scan
         slots = assemble_slots(scan, scheme.seed)
         sections = cls._layout(slots, scheme.w)
         fallback = build_fallback(spss, scan, slots.skm_ambiguous, scheme.seed)

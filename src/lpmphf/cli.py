@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from .basic import build_basic, epsilon_of_values
+from .basic import LpMphfBasic, epsilon_of_values
 from .errors import KMismatch, LpmphfError, QueryShorterThanK
 from .kmers import kmer_words
-from .minimizers import default_minimizer_length
-from .partitioned import build_partitioned
+from .minimizers import MinimizerScheme, default_minimizer_length, scan_spss
+from .partitioned import LpMphfPartitioned
 from .spss import generate_spss, load_spss, write_fasta
 from .storage import load_structure, save_structure
 from .theory import (TheoryParams, density, space_bound_basic,
@@ -102,14 +102,14 @@ def _cmd_build(args):
     spss = load_spss(args.input, args.k, fmt=args.input_format)
     m = args.m if args.m is not None else default_minimizer_length(
         args.k, spss.total_length)
-    from .minimizers import MinimizerScheme
     scheme = MinimizerScheme(k=args.k, m=m, seed=args.seed)
-    builder = build_basic if args.variant == "basic" else build_partitioned
-    f = builder(spss, scheme)
+    cls = LpMphfBasic if args.variant == "basic" else LpMphfPartitioned
+    scan = scan_spss(spss, scheme)
+    f = cls.build(spss, scheme, scan=scan)
     save_structure(f, args.output)
     elapsed = time.perf_counter() - t0
 
-    rep = stats(spss, f)
+    rep = stats(spss, f, scan=scan)
     predicted = (rep.predicted_bits_basic if args.variant == "basic"
                  else rep.predicted_bits_partitioned)
     print(f"variant            {f.variant}")
@@ -121,7 +121,7 @@ def _cmd_build(args):
           f"r={f.type_counts[2]} n={f.type_counts[3]}"
           if f.variant == "partitioned" else
           "type counts        (basic layout, untyped)")
-    print(f"bits/k-mer         {f.bits_per_kmer():.4f}")
+    print(f"bits/k-mer         {rep.bits_per_kmer:.4f}")
     print(f"predicted bits     {predicted:.4f}")
     print(f"epsilon            {rep.epsilon:.6f}")
     print(f"build seconds      {elapsed:.2f}")

@@ -17,8 +17,8 @@ from .errors import InvalidBase, LengthOutOfRange
 __all__ = [
     "MAX_K", "MAX_M", "BASES",
     "encode_bases", "decode_bases", "Kmer", "encode_kmer",
-    "mix64", "mix64_array", "seed_key", "hash_mmer", "hash_mmer_array",
-    "hash_words_array",
+    "mix64", "mix64_inplace", "seed_key", "hash_mmer",
+    "hash_mmer_array", "hash_words_array",
     "window_values", "kmer_words", "kmer_words_at", "first_duplicate",
 ]
 
@@ -125,15 +125,13 @@ def mix64(x):
     return x
 
 
-def mix64_array(x):
-    """splitmix64 finalizer over a uint64 numpy array."""
-    x = x.astype(_U64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> _U64(30)
-        x *= _U64(0xBF58476D1CE4E5B9)
-        x ^= x >> _U64(27)
-        x *= _U64(0x94D049BB133111EB)
-        x ^= x >> _U64(31)
+def mix64_inplace(x):
+    """splitmix64 finalizer over a uint64 array, in place (numpy wraps)."""
+    x ^= x >> _U64(30)
+    x *= _U64(0xBF58476D1CE4E5B9)
+    x ^= x >> _U64(27)
+    x *= _U64(0x94D049BB133111EB)
+    x ^= x >> _U64(31)
     return x
 
 
@@ -149,13 +147,13 @@ def hash_mmer(mmer, seed):
 
 def hash_mmer_array(mmers, seed):
     """Vector version of hash_mmer; equal to the scalar elementwise."""
-    return mix64_array(mmers ^ _U64(seed_key(seed)))
+    return mix64_inplace(np.asarray(mmers, dtype=_U64) ^ _U64(seed_key(seed)))
 
 
 def hash_words_array(hi, lo, seed):
     """64-bit hash of two-word packed keys (used for k-mers, k > 32 allowed)."""
-    s = _U64(seed_key(seed))
-    return mix64_array(mix64_array(lo ^ s) ^ hi)
+    x = mix64_inplace(np.asarray(lo, dtype=_U64) ^ _U64(seed_key(seed)))
+    return mix64_inplace(np.bitwise_xor(x, hi, out=x))
 
 
 def hash_words(hi, lo, seed):
@@ -174,11 +172,16 @@ def window_values(codes, width):
     n = codes.size - width + 1
     if n <= 0:
         return np.empty(0, dtype=_U64)
-    c64 = codes.astype(_U64)
-    acc = np.zeros(n, dtype=_U64)
-    for j in range(width):
-        acc <<= _U64(2)
-        acc |= c64[j:j + n]
+    acc, used = codes.astype(_U64), 1   # acc[i]: the window of `used` bases at i
+    for digit in bin(width)[3:]:  # width's binary digits after the leading 1
+        nxt = acc[:-used] << _U64(2 * used)   # double: join windows i, i + used
+        nxt |= acc[used:]
+        acc, used = nxt, 2 * used
+        if digit == "1":                      # one more base, in place
+            acc = acc[:-1]
+            acc <<= _U64(2)
+            acc |= codes[used:]
+            used += 1
     return acc
 
 
@@ -197,17 +200,11 @@ def kmer_words(codes, k):
 def kmer_words_at(codes, k, positions):
     """(hi, lo) packed words for k-mers at the given start positions only."""
     positions = np.asarray(positions, dtype=np.int64)
-    c64 = codes.astype(_U64)
-    lo_width = min(k, 32)
-    hi_width = k - lo_width
-    hi = np.zeros(positions.size, dtype=_U64)
-    for j in range(hi_width):
-        hi <<= _U64(2)
-        hi |= c64[positions + j]
-    lo = np.zeros(positions.size, dtype=_U64)
-    for j in range(hi_width, k):
-        lo <<= _U64(2)
-        lo |= c64[positions + j]
+    hi, lo = np.zeros((2, positions.size), dtype=_U64)
+    for j in range(k):
+        word = lo if j >= k - 32 else hi   # the last 32 bases go to lo
+        word <<= _U64(2)
+        word |= codes[positions + j].astype(_U64)
     return hi, lo
 
 

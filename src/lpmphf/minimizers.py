@@ -231,10 +231,6 @@ class MinimizerCensus:
         return self.distinct.size
 
     @property
-    def ambiguous_values(self):
-        return self.distinct[self.counts > 1]
-
-    @property
     def num_ambiguous(self):
         return int(np.count_nonzero(self.counts > 1))
 

@@ -10,11 +10,14 @@ by construction. Expected linear construction time, no retries needed.
 Keys are (hi, lo) uint64 pairs; plain 64-bit keys pass hi=0.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from ._binio import Reader, Writer
 from .errors import CorruptFile, DuplicateKey, EmptyFunction
-from .kmers import first_duplicate, hash_words, hash_words_array, mix64
+from .kmers import (first_duplicate, hash_words, hash_words_array, mix64,
+                    mix64_inplace, seed_key)
 from .succinct import RankBitvector
 
 __all__ = ["GeneralMphf", "DEFAULT_GAMMA", "MAX_LEVELS"]
@@ -56,10 +59,15 @@ class GeneralMphf:
         self.seed = seed
         self.gamma = gamma
         self._levels = levels                      # list of RankBitvector
-        self._offsets = np.zeros(len(levels) + 1, dtype=np.int64)
-        for i, bv in enumerate(levels):
-            self._offsets[i + 1] = self._offsets[i] + bv.num_ones
         self._residual = _key_pairs(residual_hi, residual_lo)   # sorted
+
+    @cached_property
+    def _probes(self):
+        """Per level: (pre-mixed level key, bitvector, value offset), built
+        on the first evaluation so that loading mixes no seeds."""
+        offsets = np.cumsum([0] + [bv.num_ones for bv in self._levels])
+        return [(seed_key(_level_seed(self.seed, i)), bv, int(offsets[i]))
+                for i, bv in enumerate(self._levels)]
 
     # --- construction ---
 
@@ -102,15 +110,15 @@ class GeneralMphf:
         if self.n_keys == 0:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
-        for level, bv in enumerate(self._levels):
-            pos = hash_words(hi, lo, _level_seed(self.seed, level)) % bv.nbits
+        for level_key, bv, offset in self._probes:
+            pos = mix64(mix64(lo ^ level_key) ^ hi) % bv.nbits
             if bv.get(pos):
-                return int(self._offsets[level]) + bv.rank1(pos)
+                return offset + bv.rank1(pos)
         if self._residual.size:
             pos, found = self._find_residual(np.array([hi], dtype=_U64),
                                              np.array([lo], dtype=_U64))
             if found[0]:
-                return int(self._offsets[-1]) + int(pos[0])
+                return int(pos[0])
         return hash_words(hi, lo, self.seed) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):
@@ -119,34 +127,31 @@ class GeneralMphf:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = _as_key_arrays(lo, hi)
         out = np.empty(lo.size, dtype=np.int64)
-        pending = np.arange(lo.size, dtype=np.int64)
-        cur_hi, cur_lo = hi, lo
-        for level, bv in enumerate(self._levels):
-            if pending.size == 0:
-                break
-            pos = (hash_words_array(cur_hi, cur_lo, _level_seed(self.seed, level))
-                   % _U64(bv.nbits)).astype(np.int64)
-            hit = bv.get_many(pos).astype(bool)
-            if np.any(hit):
-                out[pending[hit]] = self._offsets[level] + bv.rank1_many(pos[hit])
+        pending = np.arange(lo.size)   # the keys no level has placed yet
+        cur_hi, cur_lo = hi, lo        # their words
+        for level_key, bv, offset in self._probes:
+            h = mix64_inplace(mix64_inplace(cur_lo ^ _U64(level_key)) ^ cur_hi)
+            hit, rank = bv.probe_many((h % _U64(bv.nbits)).view(np.int64))
+            out[pending[hit]] = offset + rank[hit]
             pending = pending[~hit]
-            cur_hi, cur_lo = cur_hi[~hit], cur_lo[~hit]
-        if pending.size:
-            vals = (hash_words_array(cur_hi, cur_lo, self.seed)
-                    % _U64(self.n_keys)).astype(np.int64)
-            if self._residual.size:
-                pos, found = self._find_residual(cur_hi, cur_lo)
-                vals[found] = self._offsets[-1] + pos[found]
-            out[pending] = vals
+            if pending.size == 0:
+                return out
+            cur_hi, cur_lo = hi[pending], lo[pending]
+        vals = (hash_words_array(cur_hi, cur_lo, self.seed)
+                % _U64(self.n_keys)).astype(np.int64)
+        if self._residual.size:
+            pos, found = self._find_residual(cur_hi, cur_lo)
+            vals[found] = pos[found]
+        out[pending] = vals
         return out
 
     def _find_residual(self, hi, lo):
-        """Binary search of (hi, lo) keys in the sorted residual: each key's
-        index there, and whether it is present (index clipped when not)."""
+        """Binary search of (hi, lo) keys in the sorted residual: each key's value
+        (n_keys - residual size + its clipped index) and whether it is present."""
         keys = _key_pairs(hi, lo)
         pos = np.minimum(np.searchsorted(self._residual, keys),
                          self._residual.size - 1)
-        return pos, self._residual[pos] == keys
+        return self.n_keys - self._residual.size + pos, self._residual[pos] == keys
 
     # --- introspection / persistence ---
 
@@ -190,6 +195,12 @@ class GeneralMphf:
         n_levels = r.u32()
         n_res = r.u32()
         levels = [RankBitvector.read_from(r) for _ in range(n_levels)]
+        # the build makes every level a positive multiple of 64 bits, and
+        # each key sets one bit of one level or joins the residual
+        if sum(bv.num_ones for bv in levels) + n_res != n_keys or any(
+                bv.nbits == 0 or bv.nbits % 64 or bv.num_ones > bv.nbits
+                for bv in levels):
+            raise CorruptFile("MPHF level headers disagree with its key count")
         res_hi = r.array(_U64, n_res)
         res_lo = r.array(_U64, n_res)
         # a residual key's value is its rank in the sorted residual, so the

@@ -103,10 +103,6 @@ class RankBitvector(_Serialized):
     def get(self, i):
         return (int(self._words[i >> 6]) >> (i & 63)) & 1
 
-    def get_many(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        return ((self._words[idx >> 6] >> (idx & 63).astype(_U64)) & _U64(1))
-
     def rank1(self, i):
         """Number of set bits in [0, i); 0 <= i <= nbits."""
         if not 0 <= i <= self.nbits:
@@ -119,16 +115,20 @@ class RankBitvector(_Serialized):
         return r + (int(self._words[i >> 6]) & mask).bit_count()
 
     def rank1_many(self, idx):
+        return self.probe_many(idx)[1]
+
+    def probe_many(self, idx):
+        """(bit as bool, rank1) at each position, from one gather of its word."""
         idx = np.asarray(idx, dtype=np.int64)
+        word = self._words[idx >> 6]
+        off = (idx & 63).astype(_U64)
         block = idx >> 9
         sub = ((idx >> 6) & 7).astype(_U64)
-        r = self._abs[block].copy()
+        r = self._abs[block]
         shift = (sub - _U64(1)) * _U64(9)
-        rel = np.where(sub > 0, (self._rel[block] >> shift) & _U64(511), _U64(0))
-        r += rel
-        mask = (_U64(1) << (idx & 63).astype(_U64)) - _U64(1)
-        r += popcount(self._words[idx >> 6] & mask).astype(_U64)
-        return r.astype(np.int64)
+        r += np.where(sub > 0, (self._rel[block] >> shift) & _U64(511), _U64(0))
+        r += popcount(word & ((_U64(1) << off) - _U64(1)))
+        return ((word >> off) & _U64(1)).astype(bool), r.view(np.int64)
 
     def select1(self, j):
         """Position of the (j+1)-th set bit, 0-based; 0 <= j < num_ones."""
@@ -421,10 +421,10 @@ class TypeSequence(_Serialized):
 
     def access_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
-        c1 = self._b1.get_many(idx).astype(np.int64)
-        r1 = self._b1.rank1_many(idx)
+        c1, r1 = self._b1.probe_many(idx)
+        c1 = c1.astype(np.int64)
         pos2 = np.where(c1 == 0, idx - r1, self._count0 + r1)
-        return ((c1 << 1) | self._b2.get_many(pos2).astype(np.int64)).astype(np.uint8)
+        return ((c1 << 1) | self._b2.probe_many(pos2)[0]).astype(np.uint8)
 
     def rank(self, t, i):
         """Occurrences of symbol t in the first i positions (0 <= i <= length)."""

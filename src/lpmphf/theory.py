@@ -139,13 +139,13 @@ class StatsReport:
         return "\n".join(lines) + "\n"
 
 
-def stats(spss, f):
+def stats(spss, f, scan=None):
     """Measure epsilon, xi, alpha, and type proportions of a built structure
-    and put them next to the closed-form predictions."""
+    (reusing `scan`, its `scan_spss`, if given) next to the predictions."""
     from .basic import epsilon_of_values
     from .partitioned import _classify_arrays
 
-    scan = scan_spss(spss, f.scheme)
+    scan = scan_spss(spss, f.scheme) if scan is None else scan
     census = census_from_scan(scan)
     amb = census.counts[np.searchsorted(census.distinct, scan.minvals)] > 1
     types = _classify_arrays(scan.sizes[~amb], scan.p1[~amb], f.scheme.w)

@@ -92,3 +92,21 @@ def ef_header_patches(blob, ef):
             out = bytearray(blob)
             out[off:off + 8] = ((value + delta) % (1 << 64)).to_bytes(8, "little")
             yield name, bytes(out)
+
+
+def mphf_header_patches(blob, f):
+    """Copies of `blob` with level 0's header of the GeneralMphf `f`
+    (serialized somewhere inside it) made inconsistent, as (field name,
+    bytes) pairs: num_ones above nbits, nbits off the 64-bit grid with the
+    same word count, and num_ones one short of the key count."""
+    at = blob.find(f.to_bytes())
+    assert at >= 0
+    nbits_at, ones_at = at + 32, at + 40   # after n_keys, seed, gamma, counts
+    nbits = int.from_bytes(blob[nbits_at:nbits_at + 8], "little")
+    ones = int.from_bytes(blob[ones_at:ones_at + 8], "little")
+    for name, off, value in (("num_ones", ones_at, 10 ** 6),
+                             ("nbits", nbits_at, nbits - 63),
+                             ("num_ones", ones_at, ones - 1)):
+        out = bytearray(blob)
+        out[off:off + 8] = value.to_bytes(8, "little")
+        yield name, bytes(out)

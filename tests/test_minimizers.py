@@ -9,7 +9,8 @@ from lpmphf import (MinimizerScheme, census, default_minimizer_length,
                     encode_kmer, minimizer, split_superkmers,
                     spss_from_strings)
 from lpmphf.errors import LengthOutOfRange, StringShorterThanK
-from lpmphf.kmers import BASES, hash_mmer
+from lpmphf._lookup import _BLOCK_ROWS, kmer_minimizers
+from lpmphf.kmers import BASES, encode_bases, hash_mmer, kmer_words
 from lpmphf.minimizers import _window_argmin, scan_spss, scan_string
 
 from conftest import find_single_superkmer
@@ -259,3 +260,30 @@ def test_default_minimizer_length():
     assert m == 10
     assert default_minimizer_length(31, 4 ** 20) <= 31
     assert 1 <= default_minimizer_length(5, 100) <= 5
+
+
+def _kmer_minimizer_cases():
+    for k in (1, 2, 16, 31, 32, 33, 47, 48, 63):
+        for m in sorted({min(k, m) for m in (1, 2, max(1, k // 3), 17, 32)}):
+            yield k, m
+
+
+@pytest.mark.parametrize("k,m", list(_kmer_minimizer_cases()))
+def test_kmer_minimizers_match_brute_oracle(k, m):
+    # m-mers starting at bit offsets 0, 64 and above 64 of the packed
+    # k-mer, m = 32 (the full 64-bit mask) and tie-heavy m = 1; more than
+    # two blocks of k-mers, so blocks end inside the batch and after it
+    n = 2 * _BLOCK_ROWS + 37
+    rng = np.random.default_rng(1000 * k + m)
+    s = random_dna(rng, n + k - 1)
+    hi, lo = kmer_words(encode_bases(s), k)
+    scheme = MinimizerScheme(k=k, m=m, seed=k + m)
+    vals, pos = kmer_minimizers(hi, lo, scheme)
+    assert vals.dtype == np.uint64 and pos.dtype == np.int64
+    edges = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS, n - 1]
+    for i in sorted(set(edges) | set(range(0, n, 41))):
+        assert (int(vals[i]), int(pos[i])) == brute_minimizer(
+            s[i:i + k], m, scheme.seed), i
+    empty = np.empty(0, dtype=np.uint64)
+    vals, pos = kmer_minimizers(empty, empty, scheme)
+    assert vals.size == pos.size == 0

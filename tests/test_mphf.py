@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from lpmphf import GeneralMphf
 from lpmphf.errors import CorruptFile, DuplicateKey, EmptyFunction
 
+from conftest import mphf_header_patches
+
 
 def distinct_keys(rng, n, bits=62):
     pool = rng.integers(0, 2 ** bits, size=int(n * 1.2) + 8, dtype=np.uint64)
@@ -144,3 +146,45 @@ def test_bijective_property(keyset):
     f = GeneralMphf.build(lo, hi, seed=6)
     vals = f.evaluate_many(lo, hi)
     assert np.array_equal(np.sort(vals), np.arange(len(keys)))
+
+
+@pytest.mark.parametrize("gamma", [2.0, 0.5])
+def test_fresh_load_scalar_equals_vector_either_first(gamma, rng):
+    # 128-bit keys; at gamma 0.5 many of them land in the residual
+    hi = rng.integers(0, 2 ** 63, size=3000, dtype=np.uint64)
+    lo = distinct_keys(rng, 3000, bits=63)
+    f = GeneralMphf.build(lo, hi, seed=11, gamma=gamma)
+    assert (f.num_residual > 100) == (gamma < 1)
+    others_hi = rng.integers(0, 2 ** 63, size=500, dtype=np.uint64)
+    others_lo = rng.integers(0, 2 ** 63, size=500, dtype=np.uint64)
+    qhi, qlo = np.concatenate([hi, others_hi]), np.concatenate([lo, others_lo])
+    keys = [(h << 64) | l for h, l in zip(qhi.tolist(), qlo.tolist())]
+    expect = f.evaluate_many(qlo, qhi)
+    assert np.array_equal(np.sort(expect[:3000]), np.arange(3000))
+    blob = f.to_bytes()
+    scalar_first = GeneralMphf.from_bytes(blob)
+    assert [scalar_first.evaluate(x) for x in keys] == expect.tolist()
+    assert np.array_equal(scalar_first.evaluate_many(qlo, qhi), expect)
+    vector_first = GeneralMphf.from_bytes(blob)
+    assert np.array_equal(vector_first.evaluate_many(qlo, qhi), expect)
+    assert [vector_first.evaluate(x) for x in keys] == expect.tolist()
+
+
+def test_inconsistent_level_header_raises_corrupt_file(rng):
+    f = GeneralMphf.build(distinct_keys(rng, 1000), seed=3)
+    blob = f.to_bytes()
+    assert GeneralMphf.from_bytes(blob).to_bytes() == blob
+    for _, patched in mphf_header_patches(blob, f):
+        with pytest.raises(CorruptFile, match="MPHF level"):
+            GeneralMphf.from_bytes(patched)
+    # a key count the levels and the residual do not add up to
+    bad = (f.n_keys + 1).to_bytes(8, "little") + blob[8:]
+    with pytest.raises(CorruptFile, match="MPHF level"):
+        GeneralMphf.from_bytes(bad)
+    # more ones than bits in level 0, with the key count raised to match
+    nbits, ones = f._levels[0].nbits, f._levels[0].num_ones
+    bad = bytearray(blob)
+    bad[0:8] = (f.n_keys + nbits + 1 - ones).to_bytes(8, "little")
+    bad[40:48] = (nbits + 1).to_bytes(8, "little")
+    with pytest.raises(CorruptFile, match="MPHF level"):
+        GeneralMphf.from_bytes(bytes(bad))

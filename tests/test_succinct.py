@@ -35,6 +35,23 @@ def test_rank_matches_naive_on_large_random(rng):
         assert bv.rank1(int(i)) == int(cum[i])
 
 
+@pytest.mark.parametrize("nbits", [1, 63, 64, 65, 511, 513, 1000, 4097])
+def test_probe_matches_naive_rank_and_bits(nbits, rng):
+    # dense at odd lengths, so the in-block counts pass 255
+    bits = rng.random(nbits) < (0.9 if nbits % 2 else 0.3)
+    bits[-1] = True
+    bv = RankBitvector.from_bools(bits)
+    idx = np.concatenate([np.arange(nbits), rng.integers(0, nbits, 300)])
+    bit, rank = bv.probe_many(idx)
+    assert bit.dtype == bool
+    assert np.array_equal(bit, bits[idx])
+    assert rank.tolist() == [naive_rank(bits, int(i)) for i in idx]
+    assert np.array_equal(bv.rank1_many(idx), rank)
+    # rank at nbits counts the last bit; the padding reads as clear
+    bit, rank = bv.probe_many([nbits])
+    assert not bit[0] and rank[0] == bits.sum() == bv.rank1(nbits)
+
+
 def test_rank_out_of_range():
     bv = RankBitvector.from_bools(np.ones(10, dtype=bool))
     with pytest.raises(IndexOutOfRange):

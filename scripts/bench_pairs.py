@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent commit and this checkout.
 
-Checks the parent commit out into a temporary `git worktree`, then runs
-`bench/run.py --workload all` on the parent and on this checkout (working
-tree included) once per seed, alternating which side runs first. Writes one
+Extracts the parent commit (`git archive`) into a temporary directory, then
+runs `bench/run.py --workload all` on the parent and on this checkout
+(working tree included) once per seed, alternating which side runs first. Writes one
 JSON file holding, per workload and end-to-end metric of BENCHMARK.json,
 each side's runs, median and quartiles, the number of pairs the change won
 (ties count for neither side), and the `correct`/`failed` totals. The file is
@@ -16,19 +16,22 @@ Run from the repository root, for example:
 """
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def git(*args):
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
+def git(*args, text=True):
+    out = subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                         capture_output=True, text=text).stdout
+    return out.strip() if text else out
 
 
 def run_side(root, seed):
@@ -111,23 +114,20 @@ def main(argv=None):
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(tree), parent_sha)
-        try:
-            runs = []
-            for i in range(args.pairs):
-                seed = args.seed_start + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_side(tree if side == "parent" else ROOT,
-                                          seed)
-                runs.append(pair)
-                rec = report(parent_sha, head_sha, dirty, spec, runs)
-                Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
-                print(f"pair {i + 1}/{args.pairs} (seed {seed}) done",
-                      flush=True)
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        archive = io.BytesIO(git("archive", parent_sha, text=False))
+        with tarfile.open(fileobj=archive) as tar:
+            tar.extractall(tree, filter="data")
+        runs = []
+        for i in range(args.pairs):
+            seed = args.seed_start + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_side(tree if side == "parent" else ROOT, seed)
+            runs.append(pair)
+            rec = report(parent_sha, head_sha, dirty, spec, runs)
+            Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
+            print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", flush=True)
     return 0
 
 

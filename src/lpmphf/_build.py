@@ -37,9 +37,7 @@ class SlotAssembly:
     slot_sizes: np.ndarray       # super-k-mer size per slot, 0 when ambiguous
     slot_p1: np.ndarray          # first-k-mer minimizer position, 0 when ambiguous
     slot_ambiguous: np.ndarray   # bool per slot
-    fm_of_skm: np.ndarray        # slot index per super-k-mer (scan order)
     skm_ambiguous: np.ndarray    # bool per super-k-mer
-    census: object
     n_unambiguous: int
 
 
@@ -61,8 +59,7 @@ def assemble_slots(scan, seed):
     slot_ambiguous[slot_of_distinct[amb_distinct]] = True
     return SlotAssembly(
         fm=fm, slot_sizes=slot_sizes, slot_p1=slot_p1,
-        slot_ambiguous=slot_ambiguous, fm_of_skm=fm_of_skm,
-        skm_ambiguous=skm_ambiguous, census=census,
+        slot_ambiguous=slot_ambiguous, skm_ambiguous=skm_ambiguous,
         n_unambiguous=int(scan.sizes[keep].sum()))
 
 

@@ -1,32 +1,36 @@
 """General-purpose minimal perfect hashing over 64- or 128-bit keys.
 
-Multi-level fingerprint construction: level l hashes the surviving keys into
-ceil(gamma * n_l) bits and keeps the keys that land alone; keys still
-colliding after a fixed depth go into an explicit sorted residual index.
-A key's hash value is the rank of its set bit across the level bitvectors
-(residual keys come after all of those), which makes the function minimal
-by construction. Expected linear construction time, no retries needed.
+Multi-level fingerprint construction in the style of BBHash (Limasset et
+al., SEA 2017): level l hashes the surviving keys into ceil(gamma * n_l)
+bits and keeps the keys that land alone; levels are added until every key
+is placed. A key's hash value is the rank of its set bit across the level
+bitvectors, which makes the function minimal by construction. Expected
+linear construction time, no retries needed. A build still holding keys
+after `MAX_LEVELS` levels raises LpmphfError: a safety cap, which 10^6 keys
+reach at gamma 0.5 but which gamma 2 (13 levels there) stays far below.
 
 Keys are (hi, lo) uint64 pairs; plain 64-bit keys pass hi=0.
+
+Serialized as n_keys, seed, gamma, the level count, the count of keys
+placed outside the levels (a u32, always 0), then the levels.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from ._binio import Reader, Writer
-from .errors import CorruptFile, DuplicateKey, EmptyFunction
+from ._binio import Writer
+from .errors import CorruptFile, DuplicateKey, EmptyFunction, LpmphfError
 from .kmers import (first_duplicate, hash_words, hash_words_array, mix64,
                     mix64_inplace, seed_key)
-from .succinct import RankBitvector
+from .succinct import RankBitvector, _Serialized
 
 __all__ = ["GeneralMphf", "DEFAULT_GAMMA", "MAX_LEVELS"]
 
 _U64 = np.uint64
 DEFAULT_GAMMA = 2.0
-MAX_LEVELS = 12
+MAX_LEVELS = 64
 _LEVEL_SALT = 0x9E3779B97F4A7C15
-_KEY_PAIR = np.dtype([("hi", "<u8"), ("lo", "<u8")])
 
 
 def _level_seed(seed, level):
@@ -44,22 +48,16 @@ def _as_key_arrays(lo, hi):
     return hi, lo
 
 
-def _key_pairs(hi, lo):
-    """Keys as one structured array, ordered and searched by (hi, lo)."""
-    pairs = np.empty(hi.size, dtype=_KEY_PAIR)
-    pairs["hi"], pairs["lo"] = hi, lo
-    return pairs
-
-
-class GeneralMphf:
+class GeneralMphf(_Serialized):
     """Minimal perfect hash over a static key set."""
 
-    def __init__(self, n_keys, seed, gamma, levels, residual_hi, residual_lo):
+    num_residual = 0   # keys placed outside the levels: none, by construction
+
+    def __init__(self, n_keys, seed, gamma, levels):
         self.n_keys = n_keys
         self.seed = seed
         self.gamma = gamma
         self._levels = levels                      # list of RankBitvector
-        self._residual = _key_pairs(residual_hi, residual_lo)   # sorted
 
     @cached_property
     def _probes(self):
@@ -75,29 +73,25 @@ class GeneralMphf:
     def build(cls, lo, hi=None, seed=0, gamma=DEFAULT_GAMMA):
         """Build over distinct keys given as uint64 arrays (hi optional)."""
         hi, lo = _as_key_arrays(lo, hi)
-        n = lo.size
         dup = first_duplicate(hi, lo)
         if dup is not None:
             raise DuplicateKey(dup)
         levels = []
         cur_hi, cur_lo = hi, lo
-        for level in range(MAX_LEVELS):
-            if cur_lo.size == 0:
-                break
+        while cur_lo.size:
+            if len(levels) == MAX_LEVELS:
+                raise LpmphfError(f"{cur_lo.size} of {lo.size} keys still "
+                                  f"collide after {MAX_LEVELS} MPHF levels "
+                                  f"(gamma {gamma})")
             nbits = max(64, ((int(np.ceil(gamma * cur_lo.size)) + 63) // 64) * 64)
-            h = (hash_words_array(cur_hi, cur_lo, _level_seed(seed, level))
+            h = (hash_words_array(cur_hi, cur_lo, _level_seed(seed, len(levels)))
                  % _U64(nbits)).astype(np.int64)
             counts = np.bincount(h, minlength=nbits)
             alone = counts[h] == 1
             levels.append(RankBitvector.from_positions(nbits, h[alone]))
             keep = ~alone
             cur_hi, cur_lo = cur_hi[keep], cur_lo[keep]
-        if cur_lo.size:
-            perm = np.lexsort((cur_lo, cur_hi))
-            res_hi, res_lo = cur_hi[perm], cur_lo[perm]
-        else:
-            res_hi = res_lo = np.empty(0, dtype=_U64)
-        return cls(n, seed, gamma, levels, res_hi, res_lo)
+        return cls(lo.size, seed, gamma, levels)
 
     # --- evaluation ---
 
@@ -114,11 +108,6 @@ class GeneralMphf:
             pos = mix64(mix64(lo ^ level_key) ^ hi) % bv.nbits
             if bv.get(pos):
                 return offset + bv.rank1(pos)
-        if self._residual.size:
-            pos, found = self._find_residual(np.array([hi], dtype=_U64),
-                                             np.array([lo], dtype=_U64))
-            if found[0]:
-                return int(pos[0])
         return hash_words(hi, lo, self.seed) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):
@@ -137,21 +126,9 @@ class GeneralMphf:
             if pending.size == 0:
                 return out
             cur_hi, cur_lo = hi[pending], lo[pending]
-        vals = (hash_words_array(cur_hi, cur_lo, self.seed)
-                % _U64(self.n_keys)).astype(np.int64)
-        if self._residual.size:
-            pos, found = self._find_residual(cur_hi, cur_lo)
-            vals[found] = pos[found]
-        out[pending] = vals
+        out[pending] = (hash_words_array(cur_hi, cur_lo, self.seed)
+                        % _U64(self.n_keys)).astype(np.int64)
         return out
-
-    def _find_residual(self, hi, lo):
-        """Binary search of (hi, lo) keys in the sorted residual: each key's value
-        (n_keys - residual size + its clipped index) and whether it is present."""
-        keys = _key_pairs(hi, lo)
-        pos = np.minimum(np.searchsorted(self._residual, keys),
-                         self._residual.size - 1)
-        return self.n_keys - self._residual.size + pos, self._residual[pos] == keys
 
     # --- introspection / persistence ---
 
@@ -160,18 +137,9 @@ class GeneralMphf:
         return len(self._levels)
 
     @property
-    def num_residual(self):
-        return int(self._residual.size)
-
-    @property
     def bits_per_key(self):
         """Measured space of the serialized function per key."""
-        if self.n_keys == 0:
-            return 0.0
-        return 8 * len(self.to_bytes()) / self.n_keys
-
-    def size_in_bits(self):
-        return 8 * len(self.to_bytes())
+        return self.size_in_bits() / self.n_keys if self.n_keys else 0.0
 
     def to_bytes(self):
         w = Writer()
@@ -179,44 +147,23 @@ class GeneralMphf:
         w.u64(self.seed)
         w.f64(self.gamma)
         w.u32(len(self._levels))
-        w.u32(self._residual.size)
+        w.u32(0)
         for bv in self._levels:
             w.raw(bv.to_bytes())
-        w.array(self._residual["hi"])
-        w.array(self._residual["lo"])
-        w.array(np.arange(self._residual.size, dtype=np.int64))
         return w.getvalue()
 
     @classmethod
     def read_from(cls, r):
-        n_keys = r.u64()
-        seed = r.u64()
-        gamma = r.f64()
-        n_levels = r.u32()
-        n_res = r.u32()
+        n_keys, seed, gamma = r.u64(), r.u64(), r.f64()
+        n_levels, n_outside = r.u32(), r.u32()
+        if n_outside or n_levels > MAX_LEVELS:
+            raise CorruptFile(f"MPHF header: {n_levels} levels and "
+                              f"{n_outside} keys outside them")
         levels = [RankBitvector.read_from(r) for _ in range(n_levels)]
         # the build makes every level a positive multiple of 64 bits, and
-        # each key sets one bit of one level or joins the residual
-        if sum(bv.num_ones for bv in levels) + n_res != n_keys or any(
+        # each key sets one bit of one level
+        if sum(bv.num_ones for bv in levels) != n_keys or any(
                 bv.nbits == 0 or bv.nbits % 64 or bv.num_ones > bv.nbits
                 for bv in levels):
             raise CorruptFile("MPHF level headers disagree with its key count")
-        res_hi = r.array(_U64, n_res)
-        res_lo = r.array(_U64, n_res)
-        # a residual key's value is its rank in the sorted residual, so the
-        # stored index words are always 0..n_res-1
-        res_idx = r.array(np.int64, n_res)
-        if n_res and np.any(res_idx != np.arange(n_res)):
-            raise CorruptFile("MPHF residual index is not 0..n-1")
-        # evaluation binary-searches the residual, so it must stay sorted
-        if n_res > 1 and np.any(
-                np.lexsort((res_lo, res_hi)) != np.arange(n_res)):
-            raise CorruptFile("MPHF residual keys out of order")
-        return cls(n_keys, seed, gamma, levels, res_hi, res_lo)
-
-    @classmethod
-    def from_bytes(cls, buf):
-        r = Reader(buf)
-        f = cls.read_from(r)
-        r.done()
-        return f
+        return cls(n_keys, seed, gamma, levels)

@@ -3,7 +3,8 @@
 Little-endian container: magic "LPH1", format version, variant code, the
 scheme parameters (k, m, seed) and global counts, then one length-framed
 section per component: the inner MPHF, the layout's `SECTIONS` in order,
-and the fallback MPHF. Loading rejects unknown magic, version or variant.
+and the fallback MPHF. Loading rejects unknown magic, version or variant,
+and header counts the inner and fallback MPHFs' key counts disagree with.
 """
 
 import struct
@@ -67,6 +68,8 @@ def structure_from_bytes(buf):
                 for name, kind in cls.SECTIONS}
     fallback = GeneralMphf.from_bytes(_read_section(r))
     r.done()
+    if fallback.n_keys != n - n_unamb:
+        raise CorruptFile("fallback key count mismatch")
     return cls(MinimizerScheme(k=k, m=m, seed=seed), n, n_unamb, fm,
                fallback, **sections)
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmphf import GeneralMphf
-from lpmphf.errors import CorruptFile, DuplicateKey, EmptyFunction
+from lpmphf import GeneralMphf, mphf
+from lpmphf.errors import CorruptFile, DuplicateKey, EmptyFunction, LpmphfError
 
 from conftest import mphf_header_patches
 
@@ -47,11 +47,12 @@ def test_scalar_matches_vector(rng):
         assert f.evaluate(int(keys[i])) == int(vals[i])
 
 
-def test_residual_lookup(rng):
-    # gamma < 1 leaves thousands of keys colliding after the last level
+def test_low_gamma_places_every_key_past_twelve_levels(rng):
+    # at gamma 0.5 a level places about e^-2 of its keys, so 2*10^4 keys
+    # need far more than 12 levels before none is left
     keys = distinct_keys(rng, 20_000)
     f = GeneralMphf.build(keys, seed=5, gamma=0.5)
-    assert f.num_residual > 1000
+    assert f.num_levels > 12
     vals = f.evaluate_many(keys)
     assert np.array_equal(np.sort(vals), np.arange(keys.size))
     others = rng.integers(2 ** 62, 2 ** 63, size=2000, dtype=np.uint64)
@@ -60,18 +61,34 @@ def test_residual_lookup(rng):
         assert f.evaluate(key) == v
     blob = f.to_bytes()
     assert GeneralMphf.from_bytes(blob).to_bytes() == blob
-    # the residual closes the blob as hi, lo and index arrays; reversing
-    # the keys' order must be caught on load
-    r = 8 * f.num_residual
-    hi, lo = blob[-3 * r:-2 * r], blob[-2 * r:-r]
-    flip = b"".join(x[i:i + 8] for x in (hi, lo) for i in range(r - 8, -1, -8))
-    with pytest.raises(CorruptFile, match="out of order"):
-        GeneralMphf.from_bytes(blob[:-3 * r] + flip + blob[-r:])
-    # a residual key's value is its rank there, so the stored index words
-    # must be 0..n-1; swapping two of them must be caught on load
-    swapped = blob[-r:][8:16] + blob[-r:][:8] + blob[-r:][16:]
-    with pytest.raises(CorruptFile, match="index"):
-        GeneralMphf.from_bytes(blob[:-r] + swapped)
+
+
+def test_level_cap_raises(rng, monkeypatch):
+    monkeypatch.setattr(mphf, "MAX_LEVELS", 1)
+    with pytest.raises(LpmphfError, match="after 1 MPHF levels") as e:
+        GeneralMphf.build(distinct_keys(rng, 1000), seed=3)
+    assert type(e.value) is LpmphfError
+
+
+def test_keys_outside_levels_rejected_on_load(rng):
+    f = GeneralMphf.build(distinct_keys(rng, 1000), seed=3)
+    blob = f.to_bytes()
+    assert blob[28:32] == bytes(4)   # the u32 after the level count
+    bad = blob[:28] + (1).to_bytes(4, "little") + blob[32:]
+    with pytest.raises(CorruptFile, match="outside"):
+        GeneralMphf.from_bytes(bad)
+
+
+def test_level_count_above_cap_rejected_on_load(rng, monkeypatch):
+    f = GeneralMphf.build(distinct_keys(rng, 1000), seed=3)
+    blob = f.to_bytes()
+    bad = blob[:24] + (2 ** 32 - 1).to_bytes(4, "little") + blob[28:]
+    with pytest.raises(CorruptFile, match="levels"):
+        GeneralMphf.from_bytes(bad)
+    # a well-formed function with one level more than the cap allows
+    monkeypatch.setattr(mphf, "MAX_LEVELS", f.num_levels - 1)
+    with pytest.raises(CorruptFile, match="levels"):
+        GeneralMphf.from_bytes(blob)
 
 
 def test_member_evaluation_stable(rng):
@@ -150,11 +167,11 @@ def test_bijective_property(keyset):
 
 @pytest.mark.parametrize("gamma", [2.0, 0.5])
 def test_fresh_load_scalar_equals_vector_either_first(gamma, rng):
-    # 128-bit keys; at gamma 0.5 many of them land in the residual
+    # 128-bit keys; gamma 0.5 needs more than 12 levels to place them all
     hi = rng.integers(0, 2 ** 63, size=3000, dtype=np.uint64)
     lo = distinct_keys(rng, 3000, bits=63)
     f = GeneralMphf.build(lo, hi, seed=11, gamma=gamma)
-    assert (f.num_residual > 100) == (gamma < 1)
+    assert (f.num_levels > 12) == (gamma < 1)
     others_hi = rng.integers(0, 2 ** 63, size=500, dtype=np.uint64)
     others_lo = rng.integers(0, 2 ** 63, size=500, dtype=np.uint64)
     qhi, qlo = np.concatenate([hi, others_hi]), np.concatenate([lo, others_lo])
@@ -177,7 +194,7 @@ def test_inconsistent_level_header_raises_corrupt_file(rng):
     for _, patched in mphf_header_patches(blob, f):
         with pytest.raises(CorruptFile, match="MPHF level"):
             GeneralMphf.from_bytes(patched)
-    # a key count the levels and the residual do not add up to
+    # a key count the levels do not add up to
     bad = (f.n_keys + 1).to_bytes(8, "little") + blob[8:]
     with pytest.raises(CorruptFile, match="MPHF level"):
         GeneralMphf.from_bytes(bad)

@@ -139,3 +139,19 @@ def test_golden_bytes(case, variant):
         assert spss.num_strings == 7 and 0 < f.n_unambiguous < f.n
     digest = hashlib.sha256(structure_to_bytes(f)).hexdigest()
     assert digest == GOLDEN[case, variant]
+
+
+@pytest.mark.filterwarnings(
+    "ignore::lpmphf.minimizers.MinimizerDensityWarning")
+@pytest.mark.parametrize("builder", [build_basic, build_partitioned])
+def test_unambiguous_count_checked_against_fallback(builder):
+    # the fallback MPHF holds exactly the n - n_unambiguous ambiguous k-mers;
+    # with the header's n_unambiguous raised by 3, values would run to n + 2
+    spss, scheme = _golden_unitigs()
+    f = builder(spss, scheme)
+    blob = structure_to_bytes(f)
+    at = 40   # n_unambiguous: the last u64 of the header
+    assert int.from_bytes(blob[at:at + 8], "little") == f.n_unambiguous
+    bad = blob[:at] + (f.n_unambiguous + 3).to_bytes(8, "little") + blob[at + 8:]
+    with pytest.raises(CorruptFile, match="fallback key count"):
+        structure_from_bytes(bad)

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent commit and this checkout.
 
-Extracts the parent commit (`git archive`) into a temporary directory, then
-runs `bench/run.py --workload all` on the parent and on this checkout
-(working tree included) once per seed, alternating which side runs first. Writes one
+Extracts the parent commit (`git archive`) into one temporary directory and
+copies this checkout's tracked files, as they are in the working tree, into
+another, so both sides start from fresh directories and bytecode caches. Then
+runs `bench/run.py --workload all` on each side once per seed, alternating
+which side runs first. Files git does not track (say, new files not yet
+added) are not copied. Writes one
 JSON file holding, per workload and end-to-end metric of BENCHMARK.json,
 each side's runs, median and quartiles, the number of pairs the change won
 (ties count for neither side), and the `correct`/`failed` totals. The file is
@@ -18,6 +21,7 @@ Run from the repository root, for example:
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -32,6 +36,15 @@ def git(*args, text=True):
     out = subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                          capture_output=True, text=text).stdout
     return out.strip() if text else out
+
+
+def copy_tracked(dest):
+    """Copy the tracked files of this checkout's working tree to `dest`."""
+    for name in git("ls-files", "-z").split("\0"):
+        src = ROOT / name
+        if name and src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_side(root, seed):
@@ -113,17 +126,18 @@ def main(argv=None):
     head_sha = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "parent"
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         archive = io.BytesIO(git("archive", parent_sha, text=False))
         with tarfile.open(fileobj=archive) as tar:
-            tar.extractall(tree, filter="data")
+            tar.extractall(trees["parent"], filter="data")
+        copy_tracked(trees["change"])
         runs = []
         for i in range(args.pairs):
             seed = args.seed_start + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_side(tree if side == "parent" else ROOT, seed)
+                pair[side] = run_side(trees[side], seed)
             runs.append(pair)
             rec = report(parent_sha, head_sha, dirty, spec, runs)
             Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")

@@ -2,12 +2,16 @@
 
 Multi-level fingerprint construction in the style of BBHash (Limasset et
 al., SEA 2017): level l hashes the surviving keys into ceil(gamma * n_l)
-bits and keeps the keys that land alone; levels are added until every key
-is placed. A key's hash value is the rank of its set bit across the level
-bitvectors, which makes the function minimal by construction. Expected
-linear construction time, no retries needed. A build still holding keys
-after `MAX_LEVELS` levels raises LpmphfError: a safety cap, which 10^6 keys
-reach at gamma 0.5 but which gamma 2 (13 levels there) stays far below.
+bits, rounded up to whole words, and keeps the keys that land alone; levels
+are added until every key is placed (expected linear time, no retries). A
+build still holding keys after `MAX_LEVELS` levels raises LpmphfError: a
+safety cap, which 10^6 keys reach at gamma 0.5 but gamma 2 (13 levels) not.
+
+Evaluation reads the levels, one after another, as one rank bitvector. A
+key's value is the rank of the first set bit it hits, which makes the
+function minimal; a key that hits none gets `hash_words % n_keys`. The
+vector path probes its pending keys against max(1, _GROUP // pending)
+levels per 2-D pass, so a short batch crosses every level at once.
 
 Keys are (hi, lo) uint64 pairs; plain 64-bit keys pass hi=0.
 
@@ -31,6 +35,7 @@ _U64 = np.uint64
 DEFAULT_GAMMA = 2.0
 MAX_LEVELS = 64
 _LEVEL_SALT = 0x9E3779B97F4A7C15
+_GROUP = 4096   # probes per grouped evaluation pass: pending keys x levels
 
 
 def _level_seed(seed, level):
@@ -60,12 +65,17 @@ class GeneralMphf(_Serialized):
         self._levels = levels                      # list of RankBitvector
 
     @cached_property
-    def _probes(self):
-        """Per level: (pre-mixed level key, bitvector, value offset), built
-        on the first evaluation so that loading mixes no seeds."""
-        offsets = np.cumsum([0] + [bv.num_ones for bv in self._levels])
-        return [(seed_key(_level_seed(self.seed, i)), bv, int(offsets[i]))
-                for i, bv in enumerate(self._levels)]
+    def _view(self):
+        """The levels as one RankBitvector, and their pre-mixed keys, sizes
+        and first bits as a (3, levels) array and as Python rows; built on
+        the first evaluation so that loading mixes no seeds."""
+        sizes = [bv.nbits for bv in self._levels]
+        bits = RankBitvector(sum(sizes), np.concatenate(
+            [bv._words[:bv.nbits // 64] for bv in self._levels]))
+        bits._build_directory()
+        keys = [seed_key(_level_seed(self.seed, i)) for i in range(len(sizes))]
+        levels = np.array([keys, sizes, np.cumsum([0] + sizes[:-1])], dtype=_U64)
+        return bits, levels, levels.T.tolist()
 
     # --- construction ---
 
@@ -104,30 +114,38 @@ class GeneralMphf(_Serialized):
         if self.n_keys == 0:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
-        for level_key, bv, offset in self._probes:
-            pos = mix64(mix64(lo ^ level_key) ^ hi) % bv.nbits
-            if bv.get(pos):
-                return offset + bv.rank1(pos)
+        bits, _, rows = self._view
+        for level_key, size, start in rows:
+            pos = start + mix64(mix64(lo ^ level_key) ^ hi) % size
+            if bits.get(pos):
+                return bits.rank1(pos)
         return hash_words(hi, lo, self.seed) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):
-        """Vector evaluate over uint64 key arrays."""
+        """Vector evaluate over uint64 key arrays, in grouped level passes."""
         if self.n_keys == 0:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = _as_key_arrays(lo, hi)
+        bits, levels, _ = self._view
         out = np.empty(lo.size, dtype=np.int64)
         pending = np.arange(lo.size)   # the keys no level has placed yet
         cur_hi, cur_lo = hi, lo        # their words
-        for level_key, bv, offset in self._probes:
-            h = mix64_inplace(mix64_inplace(cur_lo ^ _U64(level_key)) ^ cur_hi)
-            hit, rank = bv.probe_many((h % _U64(bv.nbits)).view(np.int64))
-            out[pending[hit]] = offset + rank[hit]
+        while pending.size and levels.size:   # levels: those not probed yet
+            level_key, size, start = levels[:, :max(1, _GROUP // pending.size), None]
+            levels = levels[:, size.size:]
+            h = mix64_inplace(mix64_inplace(cur_lo ^ level_key) ^ cur_hi)
+            hit, rank = bits.probe_many((h % size + start).view(np.int64))
+            if size.size == 1:
+                hit, rank = hit[0], rank[0]
+            else:   # (levels, keys): a key's first set bit ranks lowest
+                rank = np.where(hit, rank, self.n_keys).min(axis=0)
+                hit = rank < self.n_keys
+            out[pending[hit]] = rank[hit]
             pending = pending[~hit]
-            if pending.size == 0:
-                return out
             cur_hi, cur_lo = hi[pending], lo[pending]
-        out[pending] = (hash_words_array(cur_hi, cur_lo, self.seed)
-                        % _U64(self.n_keys)).astype(np.int64)
+        if pending.size:
+            out[pending] = (hash_words_array(cur_hi, cur_lo, self.seed)
+                            % _U64(self.n_keys)).astype(np.int64)
         return out
 
     # --- introspection / persistence ---

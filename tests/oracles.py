@@ -5,9 +5,11 @@ hash and the alphabet definition; no sliding-window machinery, no succinct
 structures.
 """
 
+import struct
+
 import numpy as np
 
-from lpmphf.kmers import BASES, hash_mmer
+from lpmphf.kmers import BASES, hash_mmer, mix64, seed_key
 
 
 def random_dna(rng, length):
@@ -80,3 +82,38 @@ def naive_rank(bits, i):
 
 def naive_symbol_rank(symbols, t, i):
     return int(np.sum(np.asarray(symbols[:i]) == t))
+
+
+MPHF_LEVEL_SALT = 0x9E3779B97F4A7C15   # level l hashes under mix64(seed + (l+1) * salt)
+
+
+def mphf_levels_from_bytes(blob):
+    """(n_keys, seed, [(bits as a Python int, nbits), ...]) read from a
+    serialized GeneralMphf: its header, then per level nbits, the count of
+    ones, the payload words and the two rank-directory arrays."""
+    n_keys, seed, _gamma, n_levels, _outside = struct.unpack_from("<QQdII", blob)
+    at, levels = 32, []
+    for _ in range(n_levels):
+        nbits, _ones = struct.unpack_from("<QQ", blob, at)
+        nwords, nblocks = (nbits + 63) // 64, (nbits + 511) // 512
+        payload = blob[at + 16:at + 16 + 8 * nwords]
+        levels.append((int.from_bytes(payload, "little"), nbits))
+        at += 16 + 8 * (nwords + 2 * nblocks)
+    assert at == len(blob)
+    return n_keys, seed, levels
+
+
+def brute_mphf_value(n_keys, seed, levels, key):
+    """A BBHash-style cascade evaluated level by level on Python ints: the
+    first level whose bit at the key's hash is set places the key, at the
+    count of set bits before it in that level and all earlier ones; a key
+    that sets no bit gets its seeded hash modulo n_keys."""
+    hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
+    before = 0
+    for level, (bits, nbits) in enumerate(levels):
+        level_key = seed_key(mix64(seed + (level + 1) * MPHF_LEVEL_SALT))
+        pos = mix64(mix64(lo ^ level_key) ^ hi) % nbits
+        if bits >> pos & 1:
+            return before + (bits & ((1 << pos) - 1)).bit_count()
+        before += bits.bit_count()
+    return mix64(mix64(lo ^ seed_key(seed)) ^ hi) % n_keys

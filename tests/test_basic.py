@@ -3,11 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from lpmphf import (Kmer, MinimizerScheme, build_basic, generate_spss,
-                    measure_epsilon, spss_from_strings)
+from lpmphf import (Kmer, MinimizerScheme, SpssInput, build_basic,
+                    generate_spss, measure_epsilon, spss_from_strings)
 from lpmphf.errors import DefiniteMiss, KMismatch
 from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import MinimizerDensityWarning, scan_spss
+from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
 from conftest import BUILDERS, SCALAR_SHAPES, find_single_superkmer
 from oracles import all_kmers, random_dna
@@ -237,3 +238,26 @@ def test_space_accounting_against_bound(medium_spss):
     params = TheoryParams(k=31, m=15, b=f.fm.bits_per_key, little_oh=0.5)
     bound = space_bound_basic(medium_spss.n, params, xi=xi)
     assert abs(f.size_in_bits() - bound) / bound < 0.15
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+def test_unitig_like_strings_stream_matches_assigned_values(build):
+    # 2*10^4 k-mers in strings of 20-120 k-mers at m = 8, like the unitigs
+    # of a compacted de Bruijn graph: about 40% of the k-mers have ambiguous
+    # minimizers, and each call evaluates both inner MPHFs on a few keys
+    n = 20_000
+    whole = generate_spss(n + 30, 31, seed=71).codes[0]
+    ends = np.cumsum(np.random.default_rng(71).integers(20, 121, size=n // 20))
+    cuts = [0, *ends[ends < n].tolist(), n]
+    spss = SpssInput(k=31, codes=[whole[a:b + 30] for a, b in zip(cuts, cuts[1:])])
+    f = build(spss, MinimizerScheme(k=31, m=8, seed=9))
+    assert 0.3 < 1 - f.n_unambiguous / f.n < 0.5
+    table = f.assigned_values(spss)
+    for g in (f, structure_from_bytes(structure_to_bytes(f))):
+        at = 0
+        for codes in spss.codes:
+            got = g.stream_lookup(codes)
+            assert np.array_equal(got, table[at:at + codes.size - 30])
+            at += codes.size - 30
+        assert at == n

@@ -7,6 +7,7 @@ from lpmphf import GeneralMphf, mphf
 from lpmphf.errors import CorruptFile, DuplicateKey, EmptyFunction, LpmphfError
 
 from conftest import mphf_header_patches
+from oracles import brute_mphf_value, mphf_levels_from_bytes
 
 
 def distinct_keys(rng, n, bits=62):
@@ -205,3 +206,44 @@ def test_inconsistent_level_header_raises_corrupt_file(rng):
     bad[40:48] = (nbits + 1).to_bytes(8, "little")
     with pytest.raises(CorruptFile, match="MPHF level"):
         GeneralMphf.from_bytes(bytes(bad))
+
+
+@pytest.fixture(scope="module", params=[(2.0, 64), (2.0, 128), (0.5, 64), (0.5, 128)],
+                ids=lambda p: f"gamma{p[0]}-{p[1]}bit")
+def oracle_case(request):
+    """A function over 10^4 keys, and a shuffled pool of its keys and as
+    many others with each one's value under the level-by-level oracle."""
+    gamma, width = request.param
+    rng = np.random.default_rng([width, int(10 * gamma)])
+    n = 10_000
+    lo = distinct_keys(rng, n, bits=63)
+    hi = (rng.integers(0, 2 ** 63, size=n, dtype=np.uint64) if width == 128
+          else np.zeros(n, dtype=np.uint64))
+    f = GeneralMphf.build(lo, hi if width == 128 else None, seed=width, gamma=gamma)
+    others = rng.integers(0, 2 ** 63, size=(2, n), dtype=np.uint64)
+    order = rng.permutation(2 * n)
+    qlo = np.concatenate([lo, others[0]])[order]
+    qhi = np.concatenate([hi, others[1] if width == 128 else hi])[order]
+    keys = [(h << 64) | x for h, x in zip(qhi.tolist(), qlo.tolist())]
+    n_keys, seed, levels = mphf_levels_from_bytes(f.to_bytes())
+    expect = np.array([brute_mphf_value(n_keys, seed, levels, x) for x in keys])
+    assert np.array_equal(np.sort(expect[order < n]), np.arange(n))
+    return f, width, qlo, qhi, keys, expect
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_evaluate_matches_level_oracle(oracle_case, loaded):
+    f, width, qlo, qhi, keys, expect = oracle_case
+    if loaded:
+        f = GeneralMphf.from_bytes(f.to_bytes())
+    assert (f.num_levels > 12) == (f.gamma < 1)
+    group = mphf._GROUP
+    # batch sizes on both sides of one grouped pass over every level, up to
+    # the whole pool; at most 300 batches of each size
+    for size in (1, 7, group - 1, group, group + 1, 20_000):
+        for a in range(0, min(qlo.size, 300 * size), size):
+            batch = slice(a, a + size)
+            got = (f.evaluate_many(qlo[batch], qhi[batch]) if width == 128
+                   else f.evaluate_many(qlo[batch]))
+            assert np.array_equal(got, expect[batch]), (size, a)
+    assert [f.evaluate(x) for x in keys[:4000]] == expect[:4000].tolist()

@@ -52,6 +52,25 @@ def test_probe_matches_naive_rank_and_bits(nbits, rng):
     assert not bit[0] and rank[0] == bits.sum() == bv.rank1(nbits)
 
 
+def test_probe_2d_index_matches_1d_over_word_aligned_levels(rng):
+    # levels of whole words laid end to end, as the inner MPHF reads them:
+    # row l probes level l, its last column that level's last bit
+    sizes = np.array([64, 128, 576, 64, 1024])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    bits = rng.random(sizes.sum()) < 0.4
+    bits[starts + sizes - 1] = [True, False, True, True, False]
+    bv = RankBitvector.from_bools(bits)
+    idx = starts[:, None] + rng.integers(0, 1 << 20, size=(sizes.size, 50)) % sizes[:, None]
+    idx[:, -1] = starts + sizes - 1
+    bit, rank = bv.probe_many(idx)
+    flat_bit, flat_rank = bv.probe_many(idx.ravel())
+    assert bit.shape == rank.shape == idx.shape
+    assert np.array_equal(bit, flat_bit.reshape(idx.shape))
+    assert np.array_equal(rank, flat_rank.reshape(idx.shape))
+    assert np.array_equal(bit, bits[idx])
+    assert np.array_equal(rank, np.concatenate([[0], np.cumsum(bits)])[idx])
+
+
 def test_rank_out_of_range():
     bv = RankBitvector.from_bools(np.ones(10, dtype=bool))
     with pytest.raises(IndexOutOfRange):

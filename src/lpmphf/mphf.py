@@ -73,6 +73,8 @@ class GeneralMphf(_Serialized):
         bits = RankBitvector(sum(sizes), np.concatenate(
             [bv._words[:bv.nbits // 64] for bv in self._levels]))
         bits._build_directory()
+        if bits.num_ones != self.n_keys:   # each key sets one bit in one level
+            raise CorruptFile("MPHF level words disagree with its key count")
         keys = [seed_key(_level_seed(self.seed, i)) for i in range(len(sizes))]
         levels = np.array([keys, sizes, np.cumsum([0] + sizes[:-1])], dtype=_U64)
         return bits, levels, levels.T.tolist()

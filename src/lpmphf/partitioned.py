@@ -16,10 +16,12 @@ the non-max position array P_n. The codomain is arranged as
 block prefixes K_lr, K_l, K_r, K_n; within a block, k-mers are ordered by
 per-type slot rank then position. Ambiguous minimizers are stored as
 right-max entries with a zero-size increment in L_r, so the right-max path
-checks the size before trusting the implicit p1 = w.
+checks the size before trusting the implicit p1 = w. A batch of slots is
+decoded by one descent of R and one select over L_l, L_r, L_n end to end.
 """
 
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +30,10 @@ from ._binio import Reader, Writer
 from ._build import assemble_slots, build_fallback, finish_lookup  # noqa: F401
 from ._lookup import kmer_minimizers, stream_plan  # noqa: F401
 from .basic import LpMphf
+from .errors import CorruptFile
 from .minimizers import scan_spss  # noqa: F401
-from .succinct import EliasFanoSeq, IntVector, TypeSequence
+from .succinct import (EliasFanoSeq, IntVector, RankBitvector, TypeSequence,
+                       _ef_pairs)
 
 __all__ = ["FlType", "classify", "LpMphfPartitioned", "build_partitioned"]
 
@@ -80,28 +84,26 @@ class LpMphfPartitioned(LpMphf):
 
     def __init__(self, *args, **sections):
         super().__init__(*args, **sections)
-        self.K_lr = self.type_counts[0] * self.scheme.w
-        self.K_l, self.K_r, self.K_n = (
-            int(ef.access(len(ef) - 1)) if len(ef) else 0
-            for ef in (self.L_l, self.L_r, self.L_n))
-        # (type, size prefixes, first codomain value), at index type - 1
-        self._blocks = (
-            (FlType.LEFT_MAX, self.L_l, self.K_lr),
-            (FlType.RIGHT_MAX, self.L_r, self.K_lr + self.K_l),
-            (FlType.NON_MAX, self.L_n, self.K_lr + self.K_l + self.K_r))
+        R, (n_lr, n_l, _, n_n) = self.R, self.type_counts
+        efs = (self.L_l, self.L_r, self.L_n)
+        per_type = [ef.length - 1 for ef in efs]
+        if (R.length != self.num_minimizers or R.rank(2, R.length) != per_type[1]
+                or (n_l, n_n, n_n) != (per_type[0], per_type[2], len(self.P_n))):
+            raise CorruptFile("type counts disagree with the slot layout")
+        self.K_lr, self.K_l, self.K_r, self.K_n = K = [n_lr * self.scheme.w] + [
+            int(ef.access(ef.length - 1)) for ef in efs]
+        if sum(K) != self.n_unambiguous:
+            raise CorruptFile("type blocks disagree with the k-mer count")
+        # (size prefixes, first codomain value), at index type - 1
+        self._blocks = tuple(zip(efs, (K[0], K[0] + K[1], K[0] + K[1] + K[2])))
 
     @staticmethod
     def _layout(slots, w):
-        m = slots.slot_sizes.size
-        slot_types = np.full(m, FlType.RIGHT_MAX, dtype=np.uint8)
         unamb = ~slots.slot_ambiguous
-        slot_types[unamb] = _classify_arrays(
-            slots.slot_sizes[unamb], slots.slot_p1[unamb], w)
-
-        idx_l = np.flatnonzero(slot_types == FlType.LEFT_MAX)
-        idx_r = np.flatnonzero(slot_types == FlType.RIGHT_MAX)
-        idx_n = np.flatnonzero(slot_types == FlType.NON_MAX)
-        n_lr = int(np.count_nonzero(slot_types == FlType.LEFT_RIGHT_MAX))
+        slot_types = np.where(unamb, _classify_arrays(
+            slots.slot_sizes, slots.slot_p1, w), FlType.RIGHT_MAX.value)
+        idx_lr, idx_l, idx_r, idx_n = (np.flatnonzero(slot_types == t)
+                                       for t in FlType)
 
         def prefix_ef(idx):
             pref = np.concatenate([[0], np.cumsum(slots.slot_sizes[idx])])
@@ -109,32 +111,47 @@ class LpMphfPartitioned(LpMphf):
 
         return {
             "R": TypeSequence.from_symbols(slot_types),
-            "L_l": prefix_ef(idx_l), "L_r": prefix_ef(idx_r),
-            "L_n": prefix_ef(idx_n),
+            "L_l": prefix_ef(idx_l), "L_r": prefix_ef(idx_r), "L_n": prefix_ef(idx_n),
             "P_n": IntVector.from_values(slots.slot_p1[idx_n],
                                          width=w.bit_length()),
-            "type_counts": TypeCounts((
-                n_lr, idx_l.size, int(np.count_nonzero(unamb[idx_r])),
-                idx_n.size)),
+            "type_counts": TypeCounts((idx_lr.size, idx_l.size, int(
+                np.count_nonzero(unamb[idx_r])), idx_n.size)),
         }
+
+    @cached_property
+    def _view(self):
+        """L_l, L_r, L_n end to end: high words as one RankBitvector, low words
+        (two spare), and the rows `_slot_params` takes per type (0: a dummy)."""
+        highs, lows, rows = [], [], [[0] * 6]
+        rank = hbit = lbit = 0
+        for ef, offset in self._blocks:
+            lw = ef.low_width
+            rows.append([rank, hbit - rank, lbit, lw, (1 << lw) - 1, offset])
+            highs.append(ef._high._words[:(ef._high.nbits + 63) // 64])
+            lows.append(ef._low._words[:(ef.length * lw + 63) // 64])
+            rank, hbit, lbit = (rank + ef.length, hbit + 64 * highs[-1].size,
+                                lbit + 64 * lows[-1].size)
+        high = RankBitvector(hbit, np.concatenate(highs))
+        high._build_directory()
+        if high.num_ones != rank:   # each element sets one high bit
+            raise CorruptFile("Elias-Fano high words disagree with their lengths")
+        return high, np.concatenate(lows + [np.zeros(2, np.uint64)]), np.array(rows).T
 
     def _slot_params(self, slot):
         w = self.scheme.w
-        t = self.R.access_many(slot).astype(np.int64)
-        j0 = self.R.rank_many(t, slot + 1) - 1
-        base = j0 * w  # left-right-max: size and p1 both w
-        sizes, p1s = np.full(slot.size, w), np.full(slot.size, w)
-        for typ, ef, offset in self._blocks:
-            sel = t == typ
-            if np.any(sel):
-                lo, hi = ef.bounds_many(j0[sel])
-                base[sel] = offset + lo
-                sizes[sel] = hi - lo
-        sel = t == FlType.LEFT_MAX
-        p1s[sel] = sizes[sel]
-        sel = t == FlType.NON_MAX
-        p1s[sel] = self.P_n.get_many(j0[sel])
-        return base, p1s, sizes, (t == FlType.RIGHT_MAX) & (sizes == 0)
+        t, j = self.R.access_many(slot)
+        high, low, rows = self._view
+        first, shift, lbit, lw, mask, offset = np.take(rows, t, axis=1)
+        lrm = t == FlType.LEFT_RIGHT_MAX.value   # size and p1 both w
+        g = np.where(lrm, 0, first + j)
+        lo, hi = _ef_pairs(high, low, g, g + shift, lbit + j * lw, lw,
+                           mask.view(np.uint64))
+        sizes = np.where(lrm, w, hi - lo)
+        p1s = np.where(t == FlType.LEFT_MAX.value, sizes, w)
+        nm = t == FlType.NON_MAX.value
+        p1s[nm] = self.P_n.get_many(j[nm])
+        return (np.where(lrm, j * w, offset + lo), p1s, sizes,
+                (t == FlType.RIGHT_MAX.value) & (sizes == 0))
 
     def _slot_param(self, slot):
         w = self.scheme.w
@@ -142,7 +159,7 @@ class LpMphfPartitioned(LpMphf):
         j0 = self.R.rank(t, slot + 1) - 1
         if t == FlType.LEFT_RIGHT_MAX:
             return j0 * w, w, w, False
-        _, ef, offset = self._blocks[t - 1]
+        ef, offset = self._blocks[t - 1]
         lo, hi = ef.bounds(j0)
         if t == FlType.LEFT_MAX:
             return offset + lo, hi - lo, hi - lo, False

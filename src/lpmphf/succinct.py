@@ -9,7 +9,8 @@ path finds the word by a 3-step search over the relative counts and the bit
 by a 32/16/8-bit popcount search and a byte table, O(1) passes over its
 input, and raises CorruptFile where the directory disagrees with the words.
 An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is the next set
-bit after L[i]'s, found in the same word or by a second select.
+bit after L[i]'s, found in the same word or by a second select. Its vector
+form `_ef_pairs` also decodes several sequences laid end to end in one pass.
 
 Serialization is little-endian: parameters, payload words, and the rank
 directory words; nothing is rebuilt on load.
@@ -40,6 +41,23 @@ def _low_width(length, universe):
 
 def _width_mask(width):
     return _FULL64 if width >= 64 else _U64((1 << width) - 1)
+
+
+def _bits_at(words, off, mask):
+    """The `mask`ed field at each bit offset `off`; a spare word ends `words`."""
+    wi, sh = off >> 6, (off & 63).astype(_U64)
+    # (x << 1) << (63 - sh) is 0 at sh = 0, where the field ends in word wi
+    out = words[wi] >> sh | (words[wi + 1] << _U64(1)) << (_U64(63) - sh)
+    return (out & mask).view(np.int64)
+
+
+def _ef_pairs(high, low, g, d, off, lw, mask):
+    """(L[i], L[i+1]) by one select and a next-one scan. Per element: `g` is the
+    rank of L[i]'s bit in `high`, `d` its position - L[i] >> lw, `off` its low bits."""
+    p = high.select1_many(g)
+    q = high.next1_many(p, g)
+    lo = (p - d) << lw | _bits_at(low, off, mask)
+    return lo, (q - d - 1) << lw | _bits_at(low, off + lw, mask)
 
 
 class _Serialized:
@@ -230,7 +248,7 @@ class IntVector(_Serialized):
     def __init__(self, length, width, words=None):
         self.length = int(length)
         self.width = int(width)
-        nwords = (self.length * self.width + 63) // 64 + 1
+        nwords = (self.length * self.width + 63) // 64 + 2   # spares: `_bits_at`
         self._words = np.zeros(nwords, dtype=_U64)
         if words is not None:
             self._words[:words.size] = words
@@ -266,16 +284,8 @@ class IntVector(_Serialized):
         return val & ((1 << self.width) - 1)
 
     def get_many(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if self.width == 0:
-            return np.zeros(idx.size, dtype=np.int64)
-        off = idx * self.width
-        wi = off >> 6
-        sh = (off & 63).astype(_U64)
-        lo = self._words[wi] >> sh
-        shift2 = (_U64(64) - sh) & _U64(63)
-        hi = np.where(sh > 0, self._words[wi + 1] << shift2, _U64(0))
-        return ((lo | hi) & _width_mask(self.width)).astype(np.int64)
+        off = np.asarray(idx, dtype=np.int64) * self.width
+        return _bits_at(self._words, off, _width_mask(self.width))
 
     def __len__(self):
         return self.length
@@ -347,9 +357,8 @@ class EliasFanoSeq(_Serialized):
     def bounds_many(self, idx):
         """Vector `bounds`: (L[idx], L[idx + 1]), 0 <= idx < length - 1."""
         idx = np.asarray(idx, dtype=np.int64)
-        lo = self.access_many(idx)
-        pos = self._high.next1_many((lo >> self.low_width) + idx, idx)
-        return lo, ((pos - idx - 1) << self.low_width) | self._low.get_many(idx + 1)
+        return _ef_pairs(self._high, self._low._words, idx, idx, idx * self.low_width,
+                         self.low_width, _width_mask(self.low_width))
 
     def __len__(self):
         return self.length
@@ -397,6 +406,8 @@ class TypeSequence(_Serialized):
         self._b1 = b1
         self._b2 = b2
         self._count0 = count0
+        ones = b2.rank1(count0)   # ranks for 2 and 3 also count b2's bits before it
+        self._before = np.array([0, 0, count0 - ones, ones])
 
     @classmethod
     def from_symbols(cls, symbols):
@@ -420,11 +431,13 @@ class TypeSequence(_Serialized):
         return (c1 << 1) | self._b2.get(pos2)
 
     def access_many(self, idx):
+        """(symbol, its occurrences before idx) per position; one probe per level."""
         idx = np.asarray(idx, dtype=np.int64)
         c1, r1 = self._b1.probe_many(idx)
-        c1 = c1.astype(np.int64)
-        pos2 = np.where(c1 == 0, idx - r1, self._count0 + r1)
-        return ((c1 << 1) | self._b2.probe_many(pos2)[0]).astype(np.uint8)
+        pos2 = np.where(c1, self._count0 + r1, idx - r1)
+        c0, r2 = self._b2.probe_many(pos2)
+        symbols = c1.view(np.uint8) << 1 | c0.view(np.uint8)
+        return symbols, np.where(c0, r2, pos2 - r2) - self._before[symbols]
 
     def rank(self, t, i):
         """Occurrences of symbol t in the first i positions (0 <= i <= length)."""
@@ -443,14 +456,10 @@ class TypeSequence(_Serialized):
         """Vector rank for per-element (symbol, position) pairs."""
         ts = np.asarray(ts, dtype=np.int64)
         idx = np.asarray(idx, dtype=np.int64)
-        c1, c0 = (ts >> 1) & 1, ts & 1
-        n1 = self._b1.rank1_many(idx)
-        n0 = idx - n1
-        pos = np.where(c1 == 0, n0, self._count0 + n1)
-        base = self._b2.rank1(self._count0)
-        ones = self._b2.rank1_many(pos) - np.where(c1 == 0, 0, base)
-        n = np.where(c1 == 0, n0, n1)
-        return np.where(c0 == 1, ones, n - ones)
+        r1 = self._b1.rank1_many(idx)
+        pos2 = np.where(ts >> 1, self._count0 + r1, idx - r1)
+        r2 = self._b2.rank1_many(pos2)
+        return np.where(ts & 1, r2, pos2 - r2) - self._before[ts]
 
     def __len__(self):
         return self.length
@@ -469,4 +478,6 @@ class TypeSequence(_Serialized):
         count0 = r.u64()
         b1 = RankBitvector.read_from(r)
         b2 = RankBitvector.read_from(r)
+        if (b1.nbits, b2.nbits, count0) != (length, length, length - b1.num_ones):
+            raise CorruptFile("type sequence bitvectors disagree with its length")
         return cls(length, b1, b2, count0)

@@ -110,3 +110,48 @@ def mphf_header_patches(blob, f):
         out = bytearray(blob)
         out[off:off + 8] = value.to_bytes(8, "little")
         yield name, bytes(out)
+
+
+def _add(blob, edits):
+    """`blob` with each (offset, delta) edit added to the u64 at offset."""
+    out = bytearray(blob)
+    for off, delta in edits:
+        value = int.from_bytes(out[off:off + 8], "little")
+        out[off:off + 8] = ((value + delta) % (1 << 64)).to_bytes(8, "little")
+    return bytes(out)
+
+
+def layout_patches(blob, f):
+    """Copies of `blob`, the file of the partitioned structure `f`, with the
+    lengths and counts its slot decode relies on made inconsistent, as
+    (name, bytes) pairs. Each copy keeps every word count, so it parses as
+    far as the layout checks.
+
+    The type sequence R is serialized as length, count0, then b1 and b2,
+    each as nbits, num_ones and words; type_counts as four u64; P_n as
+    length, width and words. The header holds n at 24 and n_unambiguous at
+    40.
+    """
+    r = blob.find(f.R.to_bytes())
+    counts = blob.find(f.type_counts.to_bytes())
+    p_n = blob.find(f.P_n.to_bytes())
+    assert min(r, counts, p_n) >= 0
+    b1, b2 = r + 16, r + 16 + len(f.R._b1.to_bytes())
+    m = f.R.length
+    shorter = -1 if m % 64 != 1 else 1   # keeps the word counts of b1 and b2
+    width = f.P_n.width
+    words = (len(f.P_n) * width + 63) // 64
+    p_delta = -1 if ((len(f.P_n) - 1) * width + 63) // 64 == words else 1
+    yield "R.length", _add(blob, [(r, 1)])
+    yield "R.count0", _add(blob, [(r + 8, 1)])
+    yield "R.b1.num_ones", _add(blob, [(b1 + 8, 1)])
+    yield "R.b2.nbits", _add(blob, [(b2, shorter)])
+    yield "R.length and |M|", _add(blob, [(r, shorter), (r + 8, shorter),
+                                          (b1, shorter), (b2, shorter)])
+    for i, name in enumerate(("n_lr", "n_l", "n_r", "n_n")):
+        if name != "n_r":   # only reported, never read by a lookup
+            yield f"type_counts.{name}", _add(blob, [(counts + 8 * i, 1)])
+    # K_lr = n_lr * w: too large for int64 here, it raised OverflowError
+    yield "type_counts.n_lr + 2^60", _add(blob, [(counts, 1 << 60)])
+    yield "P_n.length", _add(blob, [(p_n, p_delta)])
+    yield "n and n_unambiguous", _add(blob, [(24, 1), (40, 1)])

@@ -6,7 +6,7 @@ import pytest
 from lpmphf import load_structure
 from lpmphf.cli import main
 
-from conftest import ef_header_patches, mphf_header_patches
+from conftest import ef_header_patches, layout_patches, mphf_header_patches
 
 
 def run(capsys, *argv):
@@ -211,6 +211,18 @@ def test_query_on_patched_ef_header_exit_2(workdir, tmp_path, capsys):
         code, _, err = run(capsys, "query", "-i", str(bad),
                            "-q", str(workdir / "in.fa"))
         assert code == 2, (field, err)
+
+
+def test_query_on_patched_partitioned_layout_exit_2(workdir, tmp_path, capsys):
+    blob = (workdir / "f.lph").read_bytes()
+    f = load_structure(workdir / "f.lph")
+    bad = tmp_path / "bad.lph"
+    for field, patched in layout_patches(blob, f):
+        bad.write_bytes(patched)
+        code, _, err = run(capsys, "query", "-i", str(bad),
+                           "-q", str(workdir / "in.fa"))
+        assert code == 2, (field, err)
+        assert "disagree" in err, (field, err)
 
 
 def test_query_on_patched_mphf_level_header_exit_2(workdir, tmp_path, capsys):

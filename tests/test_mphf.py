@@ -208,6 +208,19 @@ def test_inconsistent_level_header_raises_corrupt_file(rng):
         GeneralMphf.from_bytes(bytes(bad))
 
 
+@pytest.mark.parametrize("bit", [0, 63, 64 * 3 + 17])
+def test_flipped_level_word_raises_corrupt_file_on_evaluation(bit, rng):
+    # the stored rank directories still agree with the header, so the
+    # function loads; its evaluation view counts the set bits of the words
+    keys = distinct_keys(rng, 1000)
+    blob = bytearray(GeneralMphf.build(keys, seed=3).to_bytes())
+    words = 48   # header (32 bytes), then level 0's nbits and num_ones
+    blob[words + bit // 8] ^= 1 << (bit % 8)
+    g = GeneralMphf.from_bytes(bytes(blob))
+    with pytest.raises(CorruptFile, match="MPHF level words"):
+        g.evaluate_many(keys)
+
+
 @pytest.fixture(scope="module", params=[(2.0, 64), (2.0, 128), (0.5, 64), (0.5, 128)],
                 ids=lambda p: f"gamma{p[0]}-{p[1]}bit")
 def oracle_case(request):

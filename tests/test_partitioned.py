@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from lpmphf import (FlType, MinimizerScheme, SuperKmerRecord, build_basic,
-                    build_partitioned, census, classify, generate_spss,
-                    measure_epsilon, spss_from_strings, type_probabilities)
+from lpmphf import (FlType, MinimizerScheme, SpssInput, SuperKmerRecord,
+                    build_basic, build_partitioned, census, classify,
+                    generate_spss, measure_epsilon, spss_from_strings,
+                    type_probabilities)
+from lpmphf._build import assemble_slots
 from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import scan_spss, split_superkmers
 from lpmphf.partitioned import _classify_arrays
+from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
-from conftest import BUILDERS, SCALAR_SHAPES
+from conftest import BUILDERS, SCALAR_SHAPES, pieces_k31_m5
 from oracles import random_dna
 
 AMBIG = pytest.mark.filterwarnings("ignore::lpmphf.minimizers.MinimizerDensityWarning")
@@ -91,6 +94,21 @@ def test_single_nonmax_superkmer_matches_basic():
 def test_slot_param_equals_slot_params(shape, build):
     # every slot of every FL type, ambiguous slots included
     f = build(*shape())
+    slots = np.arange(f.num_minimizers, dtype=np.int64)
+    vector = [a.tolist() for a in f._slot_params(slots)]
+    for i in slots.tolist():
+        assert f._slot_param(i) == tuple(col[i] for col in vector)
+
+
+def reloaded(f):
+    return structure_from_bytes(structure_to_bytes(f))
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("shape", SCALAR_SHAPES)
+def test_slot_param_equals_slot_params_after_reload(shape, build):
+    f = reloaded(build(*shape()))
     slots = np.arange(f.num_minimizers, dtype=np.int64)
     vector = [a.tolist() for a in f._slot_params(slots)]
     for i in slots.tolist():
@@ -195,3 +213,70 @@ def test_space_accounting_against_bound(medium_spss):
     params = TheoryParams(k=31, m=15, b=f.fm.bits_per_key, little_oh=0.5)
     bound = space_bound_partitioned(medium_spss.n, params, xi=xi)
     assert abs(f.size_in_bits() - bound) / bound < 0.15
+
+
+# --- slot decode against the build's own slot table -------------------------------
+
+def unitigs_k31_m8():
+    """Unitig-like pieces (overlapping by k-1, mean 70 k-mers) at m = 8."""
+    whole = generate_spss(4000 + 30, 31, seed=64).codes[0]
+    n_kmers = whole.size - 30
+    ends = np.random.default_rng(1).choice(np.arange(1, n_kmers),
+                                           size=n_kmers // 70 - 1, replace=False)
+    cuts = [0, *np.sort(ends).tolist(), n_kmers]
+    pieces = [whole[a:b + 30] for a, b in zip(cuts, cuts[1:])]
+    return SpssInput(k=31, codes=pieces), MinimizerScheme(k=31, m=8, seed=3)
+
+
+def pieces_k31(m):
+    """`pieces_k31_m5`'s pieces at another m. At m = 4, L_r and L_n have
+    low width 0 and the left-right-max block is empty; at m = 3 every
+    minimizer is ambiguous."""
+    def shape():
+        spss, _ = pieces_k31_m5()
+        return spss, MinimizerScheme(k=31, m=m, seed=3)
+    shape.__name__ = f"pieces_k31_m{m}"
+    return shape
+
+
+def single_nonmax():
+    """One non-max super-k-mer: three empty type blocks."""
+    s, scheme = find_single_nonmax()
+    return spss_from_strings([s], k=13), scheme
+
+
+DECODE_SHAPES = SCALAR_SHAPES + [unitigs_k31_m8, pieces_k31(4), pieces_k31(3),
+                                 single_nonmax]
+
+
+@AMBIG
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+@pytest.mark.parametrize("shape", DECODE_SHAPES, ids=lambda s: s.__name__)
+def test_slot_decode_matches_slot_assembly(shape, reload):
+    spss, scheme = shape()
+    f = build_partitioned(spss, scheme)
+    table = assemble_slots(scan_spss(spss, scheme), scheme.seed)
+    assert table.fm.to_bytes() == f.fm.to_bytes()   # the same slot order
+    f = reloaded(f) if reload else f
+    base, p1s, sizes, fallback = f._slot_params(
+        np.arange(f.num_minimizers, dtype=np.int64))
+    amb = table.slot_ambiguous
+    assert np.array_equal(fallback, amb)
+    assert np.array_equal(sizes, table.slot_sizes)     # 0 on ambiguous slots
+    # left-right-max slots hold (w, w) in the table too
+    assert np.array_equal(p1s[~amb], table.slot_p1[~amb])
+    # the unambiguous super-k-mers tile [0, n_unambiguous) in base order
+    order = np.argsort(base[~amb], kind="stable")
+    starts, lengths = base[~amb][order], sizes[~amb][order]
+    assert np.array_equal(starts, np.cumsum(lengths) - lengths)
+    assert int(lengths.sum()) == f.n_unambiguous
+
+
+@AMBIG
+def test_decode_shapes_cover_the_edge_layouts():
+    m4, m3, one = (build_partitioned(*shape()) for shape in
+                   (pieces_k31(4), pieces_k31(3), single_nonmax))
+    assert 0 in (m4.L_l.low_width, m4.L_r.low_width, m4.L_n.low_width)
+    assert m4.type_counts[0] == 0                  # empty left-right-max block
+    assert (m3.type_counts, m3.n_unambiguous) == ((0, 0, 0, 0), 0)
+    assert one.type_counts == (0, 0, 0, 1)

@@ -317,17 +317,43 @@ def test_type_sequence_matches_naive(rng):
     symbols = rng.integers(0, 4, size=100_000).astype(np.uint8)
     ts = TypeSequence.from_symbols(symbols)
     idx = rng.integers(0, symbols.size, size=2_000)
-    assert np.array_equal(ts.access_many(idx), symbols[idx])
+    cums = {t: np.concatenate([[0], np.cumsum(symbols == t)]) for t in range(4)}
+    got_symbols, got_ranks = ts.access_many(idx)
+    assert np.array_equal(got_symbols, symbols[idx])
+    assert np.array_equal(got_ranks, [cums[int(symbols[i])][i] for i in idx])
     probes_t = rng.integers(0, 4, size=1_000)
     probes_i = rng.integers(0, symbols.size + 1, size=1_000)
     got = ts.rank_many(probes_t, probes_i)
-    cums = {t: np.concatenate([[0], np.cumsum(symbols == t)]) for t in range(4)}
     want = np.array([cums[int(t)][int(i)] for t, i in zip(probes_t, probes_i)])
     assert np.array_equal(got, want)
     for t, i in zip(probes_t[:100], probes_i[:100]):
         assert ts.rank(int(t), int(i)) == naive_symbol_rank(symbols, int(t), int(i))
         assert ts.access(int(min(i, symbols.size - 1))) == \
             symbols[int(min(i, symbols.size - 1))]
+
+
+_SYMBOL_CASES = {
+    "empty": [],
+    "one": [2],
+    "below_2": np.random.default_rng(3).integers(0, 2, size=1_300),
+    "from_2": np.random.default_rng(4).integers(2, 4, size=1_300),
+    "repeated": [1] * 1_100,
+    "mixed": np.random.default_rng(5).integers(0, 4, size=1_500),
+}
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+@pytest.mark.parametrize("case", list(_SYMBOL_CASES))
+def test_type_sequence_access_many_returns_symbol_and_rank(case, reload, rng):
+    symbols = np.asarray(_SYMBOL_CASES[case], dtype=np.uint8)
+    ts = TypeSequence.from_symbols(symbols)
+    if reload:
+        ts = TypeSequence.from_bytes(ts.to_bytes())
+    idx = rng.permutation(symbols.size)
+    got_symbols, got_ranks = ts.access_many(idx)
+    assert got_symbols.tolist() == symbols[idx].tolist()
+    assert got_ranks.tolist() == [naive_symbol_rank(symbols, int(symbols[i]), i)
+                                  for i in idx.tolist()]
 
 
 def test_type_sequence_ranks_sum_to_i(rng):
@@ -348,5 +374,8 @@ def test_type_sequence_serialization(rng):
     ts = TypeSequence.from_symbols(symbols)
     back = TypeSequence.from_bytes(ts.to_bytes())
     idx = np.arange(symbols.size)
-    assert np.array_equal(back.access_many(idx), symbols)
+    got_symbols, got_ranks = back.access_many(idx)
+    assert np.array_equal(got_symbols, symbols)
+    assert np.array_equal(got_ranks, [naive_symbol_rank(symbols, t, i)
+                                      for i, t in enumerate(symbols.tolist())])
     assert back.to_bytes() == ts.to_bytes()

@@ -56,8 +56,9 @@ class Reader:
         return bytes(self._take(n))
 
     def array(self, dtype, count):
+        """A read-only view of the next `count` values; callers copy it."""
         dt = np.dtype(dtype).newbyteorder("<")
-        return np.frombuffer(self._take(dt.itemsize * count), dtype=dt).copy()
+        return np.frombuffer(self._take(dt.itemsize * count), dtype=dt)
 
     def done(self):
         if self._pos != len(self._buf):

@@ -25,7 +25,7 @@ import numpy as np
 from ._build import (ambiguous_kmer_words, assemble_slots, build_fallback,
                      expand_ranges, finish_lookup)
 from ._lookup import kmer_minimizers, resolve_kmer_input, stream_plan
-from .errors import DefiniteMiss
+from .errors import CorruptFile, DefiniteMiss
 from .kmers import Kmer
 from .minimizers import (minimizer, scan_spss,
                          warn_if_density_condition_violated)
@@ -153,6 +153,14 @@ class LpMphfBasic(LpMphf):
     variant = "basic"
     variant_code = 0
     SECTIONS = (("L", EliasFanoSeq), ("P", IntVector))
+
+    def __init__(self, *args, **sections):
+        super().__init__(*args, **sections)
+        m = self.num_minimizers
+        if (len(self.L), len(self.P)) != (m + 1, m) or \
+                self.L.access(m) != self.n_unambiguous:
+            raise CorruptFile("slot arrays disagree with the minimizer and "
+                              "k-mer counts")
 
     @staticmethod
     def _layout(slots, w):

@@ -15,8 +15,10 @@ levels per 2-D pass, so a short batch crosses every level at once.
 
 Keys are (hi, lo) uint64 pairs; plain 64-bit keys pass hi=0.
 
-Serialized as n_keys, seed, gamma, the level count, the count of keys
-placed outside the levels (a u32, always 0), then the levels.
+Serialized as n_keys, seed, gamma, the level count (a u32), then each
+level's bit count and words. Loading reads the levels into one bitvector,
+derives its rank directory once, and checks that the levels hold one set
+bit per key.
 """
 
 from functools import cached_property
@@ -58,26 +60,22 @@ class GeneralMphf(_Serialized):
 
     num_residual = 0   # keys placed outside the levels: none, by construction
 
-    def __init__(self, n_keys, seed, gamma, levels):
+    def __init__(self, n_keys, seed, gamma, sizes, bits):
         self.n_keys = n_keys
         self.seed = seed
         self.gamma = gamma
-        self._levels = levels                      # list of RankBitvector
+        self._sizes = sizes   # bits per level, each a positive multiple of 64
+        self._bits = bits     # the levels end to end, one RankBitvector
 
     @cached_property
     def _view(self):
-        """The levels as one RankBitvector, and their pre-mixed keys, sizes
-        and first bits as a (3, levels) array and as Python rows; built on
-        the first evaluation so that loading mixes no seeds."""
-        sizes = [bv.nbits for bv in self._levels]
-        bits = RankBitvector(sum(sizes), np.concatenate(
-            [bv._words[:bv.nbits // 64] for bv in self._levels]))
-        bits._build_directory()
-        if bits.num_ones != self.n_keys:   # each key sets one bit in one level
-            raise CorruptFile("MPHF level words disagree with its key count")
+        """The levels' pre-mixed keys, sizes and first bits as a (3, levels)
+        array and as Python rows; built on the first evaluation so that
+        loading mixes no seeds."""
+        sizes = self._sizes
         keys = [seed_key(_level_seed(self.seed, i)) for i in range(len(sizes))]
         levels = np.array([keys, sizes, np.cumsum([0] + sizes[:-1])], dtype=_U64)
-        return bits, levels, levels.T.tolist()
+        return levels, levels.T.tolist()
 
     # --- construction ---
 
@@ -88,22 +86,25 @@ class GeneralMphf(_Serialized):
         dup = first_duplicate(hi, lo)
         if dup is not None:
             raise DuplicateKey(dup)
-        levels = []
+        sizes, placed = [], []   # per level: bits, and its keys' set bits
         cur_hi, cur_lo = hi, lo
         while cur_lo.size:
-            if len(levels) == MAX_LEVELS:
+            if len(sizes) == MAX_LEVELS:
                 raise LpmphfError(f"{cur_lo.size} of {lo.size} keys still "
                                   f"collide after {MAX_LEVELS} MPHF levels "
                                   f"(gamma {gamma})")
             nbits = max(64, ((int(np.ceil(gamma * cur_lo.size)) + 63) // 64) * 64)
-            h = (hash_words_array(cur_hi, cur_lo, _level_seed(seed, len(levels)))
+            h = (hash_words_array(cur_hi, cur_lo, _level_seed(seed, len(sizes)))
                  % _U64(nbits)).astype(np.int64)
             counts = np.bincount(h, minlength=nbits)
             alone = counts[h] == 1
-            levels.append(RankBitvector.from_positions(nbits, h[alone]))
+            placed.append(h[alone] + sum(sizes))
+            sizes.append(nbits)
             keep = ~alone
             cur_hi, cur_lo = cur_hi[keep], cur_lo[keep]
-        return cls(lo.size, seed, gamma, levels)
+        bits = RankBitvector.from_positions(
+            sum(sizes), np.concatenate([np.zeros(0, np.int64), *placed]))
+        return cls(lo.size, seed, gamma, sizes, bits)
 
     # --- evaluation ---
 
@@ -116,7 +117,7 @@ class GeneralMphf(_Serialized):
         if self.n_keys == 0:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
-        bits, _, rows = self._view
+        bits, (_, rows) = self._bits, self._view
         for level_key, size, start in rows:
             pos = start + mix64(mix64(lo ^ level_key) ^ hi) % size
             if bits.get(pos):
@@ -128,7 +129,7 @@ class GeneralMphf(_Serialized):
         if self.n_keys == 0:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = _as_key_arrays(lo, hi)
-        bits, levels, _ = self._view
+        bits, (levels, _) = self._bits, self._view
         out = np.empty(lo.size, dtype=np.int64)
         pending = np.arange(lo.size)   # the keys no level has placed yet
         cur_hi, cur_lo = hi, lo        # their words
@@ -154,7 +155,7 @@ class GeneralMphf(_Serialized):
 
     @property
     def num_levels(self):
-        return len(self._levels)
+        return len(self._sizes)
 
     @property
     def bits_per_key(self):
@@ -166,24 +167,28 @@ class GeneralMphf(_Serialized):
         w.u64(self.n_keys)
         w.u64(self.seed)
         w.f64(self.gamma)
-        w.u32(len(self._levels))
-        w.u32(0)
-        for bv in self._levels:
-            w.raw(bv.to_bytes())
+        w.u32(len(self._sizes))
+        start = 0
+        for nbits in self._sizes:
+            w.u64(nbits)
+            w.array(self._bits._words[start // 64:(start + nbits) // 64])
+            start += nbits
         return w.getvalue()
 
     @classmethod
     def read_from(cls, r):
         n_keys, seed, gamma = r.u64(), r.u64(), r.f64()
-        n_levels, n_outside = r.u32(), r.u32()
-        if n_outside or n_levels > MAX_LEVELS:
-            raise CorruptFile(f"MPHF header: {n_levels} levels and "
-                              f"{n_outside} keys outside them")
-        levels = [RankBitvector.read_from(r) for _ in range(n_levels)]
-        # the build makes every level a positive multiple of 64 bits, and
-        # each key sets one bit of one level
-        if sum(bv.num_ones for bv in levels) != n_keys or any(
-                bv.nbits == 0 or bv.nbits % 64 or bv.num_ones > bv.nbits
-                for bv in levels):
-            raise CorruptFile("MPHF level headers disagree with its key count")
-        return cls(n_keys, seed, gamma, levels)
+        n_levels = r.u32()
+        if n_levels > MAX_LEVELS:
+            raise CorruptFile(f"MPHF header: {n_levels} levels")
+        sizes, words = [], []
+        for _ in range(n_levels):
+            sizes.append(r.u64())
+            # the build makes every level a positive multiple of 64 bits
+            if sizes[-1] == 0 or sizes[-1] % 64:
+                raise CorruptFile(f"MPHF level of {sizes[-1]} bits")
+            words.append(r.array(_U64, sizes[-1] // 64))
+        bits = RankBitvector(sum(sizes), np.concatenate([np.zeros(0, _U64), *words]))
+        if bits.num_ones != n_keys:   # each key sets one bit in one level
+            raise CorruptFile("MPHF level words disagree with its key count")
+        return cls(n_keys, seed, gamma, sizes, bits)

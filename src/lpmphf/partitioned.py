@@ -86,9 +86,10 @@ class LpMphfPartitioned(LpMphf):
         super().__init__(*args, **sections)
         R, (n_lr, n_l, _, n_n) = self.R, self.type_counts
         efs = (self.L_l, self.L_r, self.L_n)
-        per_type = [ef.length - 1 for ef in efs]
-        if (R.length != self.num_minimizers or R.rank(2, R.length) != per_type[1]
-                or (n_l, n_n, n_n) != (per_type[0], per_type[2], len(self.P_n))):
+        per_type = [n_lr] + [ef.length - 1 for ef in efs]
+        if (R.length != self.num_minimizers or (n_l, n_n, n_n) != (
+                per_type[1], per_type[3], len(self.P_n)) or
+                R.counts != per_type):
             raise CorruptFile("type counts disagree with the slot layout")
         self.K_lr, self.K_l, self.K_r, self.K_n = K = [n_lr * self.scheme.w] + [
             int(ef.access(ef.length - 1)) for ef in efs]
@@ -132,9 +133,6 @@ class LpMphfPartitioned(LpMphf):
             rank, hbit, lbit = (rank + ef.length, hbit + 64 * highs[-1].size,
                                 lbit + 64 * lows[-1].size)
         high = RankBitvector(hbit, np.concatenate(highs))
-        high._build_directory()
-        if high.num_ones != rank:   # each element sets one high bit
-            raise CorruptFile("Elias-Fano high words disagree with their lengths")
         return high, np.concatenate(lows + [np.zeros(2, np.uint64)]), np.array(rows).T
 
     def _slot_params(self, slot):

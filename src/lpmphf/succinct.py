@@ -7,13 +7,15 @@ rank is O(1). Select binary-searches the absolute counts for its block, then
 resolves inside the block: the scalar path scans at most 8 words; the batch
 path finds the word by a 3-step search over the relative counts and the bit
 by a 32/16/8-bit popcount search and a byte table, O(1) passes over its
-input, and raises CorruptFile where the directory disagrees with the words.
-An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is the next set
-bit after L[i]'s, found in the same word or by a second select. Its vector
-form `_ef_pairs` also decodes several sequences laid end to end in one pass.
+input. An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is the
+next set bit after L[i]'s, found in the same word or by a second select. Its
+vector form `_ef_pairs` also decodes several sequences laid end to end in
+one pass.
 
-Serialization is little-endian: parameters, payload words, and the rank
-directory words; nothing is rebuilt on load.
+Serialization is little-endian: parameters and payload words only. Loading
+derives each bitvector's set-bit count and rank directory from its words in
+one vectorised pass, so the directory always agrees with the words; the
+counts a structure's header implies are checked against the derived ones.
 """
 
 import numpy as np
@@ -32,6 +34,8 @@ popcount = np.bitwise_count
 # position of the (r+1)-th set bit of byte b at index 8 * b + r, 255 when absent
 _SELECT_IN_BYTE = np.array([([i for i in range(8) if b >> i & 1] + [255] * 8)[:8]
                             for b in range(256)], dtype=np.int64).ravel()
+# 2^(9 j): a block's ones before words 1..7 as seven 9-bit fields, by matmul
+_REL_FIELDS = _U64(1) << (_U64(9) * np.arange(7, dtype=_U64))
 
 
 def _low_width(length, universe):
@@ -77,29 +81,22 @@ class _Serialized:
 class RankBitvector(_Serialized):
     """Static bitvector with O(1) rank1 and directory-searched select1."""
 
-    def __init__(self, nbits, words=None):
+    def __init__(self, nbits, words):
+        """Over the first `nbits` bits of `words`; derives the directory."""
         self.nbits = int(nbits)
-        ndata = (self.nbits + 63) // 64
-        nblocks = (ndata + 7) // 8
+        self._nblocks = ((self.nbits + 63) // 64 + 7) // 8
         # one zero pad block so rank/select gathers never index out of range
-        total = (nblocks + 1) * 8
-        self._words = np.zeros(total, dtype=_U64)
-        if words is not None:
-            self._words[:words.size] = words
-        self._nblocks = nblocks
-        self._abs = None
-        self._rel = None
-        self.num_ones = 0
+        self._words = np.zeros((self._nblocks + 1) * 8, dtype=_U64)
+        self._words[:words.size] = words
+        self._build_directory()
 
     @classmethod
     def from_positions(cls, nbits, positions):
-        bv = cls(nbits)
         positions = np.asarray(positions, dtype=np.int64)
-        word = positions >> 6
-        bit = _U64(1) << (positions & 63).astype(_U64)
-        np.bitwise_or.at(bv._words, word, bit)
-        bv._build_directory()
-        return bv
+        words = np.zeros((nbits + 63) // 64, dtype=_U64)
+        np.bitwise_or.at(words, positions >> 6,
+                         _U64(1) << (positions & 63).astype(_U64))
+        return cls(nbits, words)
 
     @classmethod
     def from_bools(cls, bits):
@@ -107,15 +104,12 @@ class RankBitvector(_Serialized):
 
     def _build_directory(self):
         nb = self._nblocks
-        pc = popcount(self._words[:nb * 8]).reshape(nb, 8).astype(_U64)
-        within = np.cumsum(pc, axis=1)
+        within = np.cumsum(popcount(self._words[:nb * 8]).reshape(nb, 8),
+                           axis=1, dtype=_U64)
         self._abs = np.zeros(nb + 1, dtype=_U64)
-        if nb:
-            np.cumsum(within[:, 7], out=self._abs[1:])
-        rel = np.zeros(nb, dtype=_U64)
-        for j in range(1, 8):
-            rel |= within[:, j - 1] << _U64(9 * (j - 1))
-        self._rel = np.concatenate([rel, np.zeros(1, dtype=_U64)])
+        np.cumsum(within[:, 7], out=self._abs[1:])
+        self._rel = np.zeros(nb + 1, dtype=_U64)
+        np.matmul(within[:, :7], _REL_FIELDS, out=self._rel[:nb])
         self.num_ones = int(self._abs[nb])
 
     def get(self, i):
@@ -162,7 +156,6 @@ class RankBitvector(_Serialized):
                     word &= word - 1
                 return (block << 9) + (wi << 6) + (word & -word).bit_length() - 1
             rem -= c
-        raise CorruptFile("rank directory disagrees with the bitvector words")
 
     def select1_many(self, js):
         """Vector `select1` (see the module docstring)."""
@@ -171,24 +164,14 @@ class RankBitvector(_Serialized):
             raise IndexOutOfRange(f"select rank outside [0, {self.num_ones})")
         block = np.searchsorted(self._abs[:self._nblocks + 1].view(np.int64), js,
                                 side="right") - 1
-        if np.any((block < 0) | (block >= self._nblocks)):
-            raise CorruptFile("rank directory disagrees with the bitvector words")
-        start = self._abs[block].view(np.int64)
-        rem = js - start
+        rem = js - self._abs[block].view(np.int64)
         rel = self._rel[block].view(np.int64)  # seven 9-bit counts, bit 63 clear
         sh = np.zeros(js.size, dtype=np.int64)  # 9 * t
         for step in (36, 18, 9):  # largest t with (ones before word t) <= rem
             sh += step * (((rel >> (sh + (step - 9))) & 511) <= rem)
-        before = np.where(sh > 0, (rel >> ((sh - 9) & 63)) & 511, 0)
-        after = np.where(sh < 63, (rel >> sh) & 511,
-                         self._abs[block + 1].view(np.int64) - start)
+        rem -= np.where(sh > 0, (rel >> ((sh - 9) & 63)) & 511, 0)
         pos = (block << 9) + (sh // 9 << 6)
-        word = self._words[pos >> 6]
-        pc = popcount(word).astype(np.int64)
-        rem -= before
-        if np.any((rem < 0) | (rem >= pc) | (after - before != pc)):
-            raise CorruptFile("rank directory disagrees with the bitvector words")
-        word = word.view(np.int64)  # sign fill is masked off below
+        word = self._words[pos >> 6].view(np.int64)  # sign fill is masked off below
         for width in (32, 16, 8):
             c = popcount(word & ((1 << width) - 1)).astype(np.int64)
             skip = c <= rem
@@ -218,28 +201,19 @@ class RankBitvector(_Serialized):
         return out
 
     def to_bytes(self):
-        ndata = (self.nbits + 63) // 64
         w = Writer()
         w.u64(self.nbits)
-        w.u64(self.num_ones)
-        w.array(self._words[:ndata])
-        w.array(self._abs[:self._nblocks])
-        w.array(self._rel[:self._nblocks])
+        w.array(self._words[:(self.nbits + 63) // 64])
         return w.getvalue()
 
     @classmethod
     def read_from(cls, r):
+        """nbits and the words; the directory and num_ones are derived."""
         nbits = r.u64()
-        num_ones = r.u64()
-        ndata = (nbits + 63) // 64
-        nblocks = (ndata + 7) // 8
-        bv = cls(nbits, words=r.array(_U64, ndata))
-        abs_stored = r.array(_U64, nblocks)
-        rel_stored = r.array(_U64, nblocks)
-        bv._abs = np.concatenate([abs_stored, np.array([num_ones], dtype=_U64)])
-        bv._rel = np.concatenate([rel_stored, np.zeros(1, dtype=_U64)])
-        bv.num_ones = num_ones
-        return bv
+        words = r.array(_U64, (nbits + 63) // 64)
+        if nbits & 63 and int(words[-1]) >> (nbits & 63):
+            raise CorruptFile("bitvector has set bits past its length")
+        return cls(nbits, words)
 
 
 class IntVector(_Serialized):
@@ -408,6 +382,8 @@ class TypeSequence(_Serialized):
         self._count0 = count0
         ones = b2.rank1(count0)   # ranks for 2 and 3 also count b2's bits before it
         self._before = np.array([0, 0, count0 - ones, ones])
+        rest = b2.num_ones - ones
+        self.counts = [count0 - ones, ones, length - count0 - rest, rest]   # per symbol
 
     @classmethod
     def from_symbols(cls, symbols):

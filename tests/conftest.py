@@ -1,4 +1,5 @@
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lpmphf import (MinimizerScheme, SpssInput, build_basic, build_partitioned,
-                    generate_spss, split_superkmers)
+from lpmphf import (EliasFanoSeq, MinimizerScheme, SpssInput, build_basic,
+                    build_partitioned, generate_spss, split_superkmers)
 
 from oracles import random_dna
 
@@ -69,13 +70,37 @@ def one_string_k63():
 SCALAR_SHAPES = [one_string_k31, pieces_k31_m5, one_string_k63]
 
 
+# Structure file layout: a 48-byte header (magic b"LPH1", u16 version, u8
+# variant, a pad byte, u32 k and m, then u64 seed, n, |M| and n_unambiguous),
+# its CRC-32 as a u32, then sections to the end of the file, each framed as
+# (u64 payload length, u32 CRC-32 of the payload, payload).
+FILE_MAGIC = b"LPH1"
+HEADER_BYTES = 48
+FRAME_BYTES = 12
+
+
+def reseal(blob):
+    """`blob`, a structure file, with the header's and every section's
+    CRC-32 recomputed, so that a patch reaches the checks behind them."""
+    out = bytearray(blob)
+    crc = zlib.crc32(out[:HEADER_BYTES])
+    out[HEADER_BYTES:HEADER_BYTES + 4] = crc.to_bytes(4, "little")
+    at = HEADER_BYTES + 4
+    while at + FRAME_BYTES <= len(out):
+        size = int.from_bytes(out[at:at + 8], "little")
+        crc = zlib.crc32(out[at + FRAME_BYTES:at + FRAME_BYTES + size])
+        out[at + 8:at + FRAME_BYTES] = crc.to_bytes(4, "little")
+        at += FRAME_BYTES + size
+    return bytes(out)
+
+
 def ef_header_patches(blob, ef):
     """Copies of `blob` with one header field of the Elias-Fano sequence `ef`
-    (serialized somewhere inside it) altered, as (field name, bytes) pairs.
+    (serialized somewhere inside it) altered, as (field name, bytes) pairs,
+    checksums recomputed.
 
     Fields in file order: length, universe and low width; the low part's
-    length and width; after the low words, the high bitvector's nbits and
-    num_ones.
+    length and width; after the low words, the high bitvector's nbits.
     """
     at = blob.find(ef.to_bytes())
     assert at >= 0
@@ -83,7 +108,6 @@ def ef_header_patches(blob, ef):
     offsets = dict(zip(("length", "universe", "low_width", "low.length",
                         "low.width"), range(at, at + 40, 8)))
     offsets["high.nbits"] = at + 40 + 8 * low_words
-    offsets["high.num_ones"] = offsets["high.nbits"] + 8
     for name, off in offsets.items():
         value = int.from_bytes(blob[off:off + 8], "little")
         # universe + 1 may round to the same low width and high length
@@ -91,63 +115,77 @@ def ef_header_patches(blob, ef):
         for delta in deltas:
             out = bytearray(blob)
             out[off:off + 8] = ((value + delta) % (1 << 64)).to_bytes(8, "little")
-            yield name, bytes(out)
+            yield name, reseal(out)
 
 
 def mphf_header_patches(blob, f):
-    """Copies of `blob` with level 0's header of the GeneralMphf `f`
-    (serialized somewhere inside it) made inconsistent, as (field name,
-    bytes) pairs: num_ones above nbits, nbits off the 64-bit grid with the
-    same word count, and num_ones one short of the key count."""
+    """Copies of `blob` with the header of the GeneralMphf `f` (serialized
+    somewhere inside it, or all of it) made inconsistent, as (field name,
+    bytes) pairs, checksums recomputed: level 0's nbits off the 64-bit grid
+    with the same word count, level 0's nbits 0, and the key count one above
+    the levels' set bits."""
     at = blob.find(f.to_bytes())
     assert at >= 0
-    nbits_at, ones_at = at + 32, at + 40   # after n_keys, seed, gamma, counts
+    nbits_at = at + 28   # after n_keys, seed, gamma and the level count
     nbits = int.from_bytes(blob[nbits_at:nbits_at + 8], "little")
-    ones = int.from_bytes(blob[ones_at:ones_at + 8], "little")
-    for name, off, value in (("num_ones", ones_at, 10 ** 6),
-                             ("nbits", nbits_at, nbits - 63),
-                             ("num_ones", ones_at, ones - 1)):
+    for name, off, value in (("nbits", nbits_at, nbits - 63),
+                             ("nbits", nbits_at, 0),
+                             ("n_keys", at, f.n_keys + 1)):
         out = bytearray(blob)
         out[off:off + 8] = value.to_bytes(8, "little")
-        yield name, bytes(out)
+        yield name, reseal(out) if blob[:4] == FILE_MAGIC else bytes(out)
 
 
 def _add(blob, edits):
-    """`blob` with each (offset, delta) edit added to the u64 at offset."""
+    """`blob` with each (offset, delta) edit added to the u64 at offset,
+    checksums recomputed."""
     out = bytearray(blob)
     for off, delta in edits:
         value = int.from_bytes(out[off:off + 8], "little")
         out[off:off + 8] = ((value + delta) % (1 << 64)).to_bytes(8, "little")
-    return bytes(out)
+    return reseal(out)
+
+
+def _flip(blob, at, bit):
+    """`blob` with bit `bit` of the words starting at `at` flipped,
+    checksums recomputed."""
+    out = bytearray(blob)
+    out[at + bit // 8] ^= 1 << (bit % 8)
+    return reseal(out)
 
 
 def layout_patches(blob, f):
     """Copies of `blob`, the file of the partitioned structure `f`, with the
     lengths and counts its slot decode relies on made inconsistent, as
-    (name, bytes) pairs. Each copy keeps every word count, so it parses as
-    far as the layout checks.
+    (name, bytes) pairs, checksums recomputed. Each copy keeps every word
+    count, so it parses as far as the layout checks.
 
     The type sequence R is serialized as length, count0, then b1 and b2,
-    each as nbits, num_ones and words; type_counts as four u64; P_n as
-    length, width and words. The header holds n at 24 and n_unambiguous at
-    40.
+    each as nbits and words; b2 holds the low symbol bits of R's symbols 0
+    and 1 (its first count0 bits), then of 2 and 3. type_counts is four
+    u64; P_n is length, width and words. The header holds n at 24 and
+    n_unambiguous at 40.
     """
     r = blob.find(f.R.to_bytes())
     counts = blob.find(f.type_counts.to_bytes())
     p_n = blob.find(f.P_n.to_bytes())
     assert min(r, counts, p_n) >= 0
     b1, b2 = r + 16, r + 16 + len(f.R._b1.to_bytes())
-    m = f.R.length
-    shorter = -1 if m % 64 != 1 else 1   # keeps the word counts of b1 and b2
+    m, count0 = f.R.length, f.R._count0
+    other = 1 if m % 64 else -1   # a length with the same word count
     width = f.P_n.width
     words = (len(f.P_n) * width + 63) // 64
     p_delta = -1 if ((len(f.P_n) - 1) * width + 63) // 64 == words else 1
     yield "R.length", _add(blob, [(r, 1)])
     yield "R.count0", _add(blob, [(r + 8, 1)])
-    yield "R.b1.num_ones", _add(blob, [(b1 + 8, 1)])
-    yield "R.b2.nbits", _add(blob, [(b2, shorter)])
-    yield "R.length and |M|", _add(blob, [(r, shorter), (r + 8, shorter),
-                                          (b1, shorter), (b2, shorter)])
+    yield "R.b2.nbits", _add(blob, [(b2, other)])
+    yield "R.length and |M|", _add(blob, [(r, other), (r + 8, other),
+                                          (b1, other), (b2, other)])
+    # one symbol changed within R's left group (0 <-> 1) and right group
+    # (2 <-> 3): the type counts no longer match R
+    b2_bits = [f.R._b2.get(i) for i in range(m)]
+    yield "R symbol 0 -> 1", _flip(blob, b2 + 8, b2_bits.index(0))
+    yield "R symbol 3 -> 2", _flip(blob, b2 + 8, b2_bits.index(1, count0))
     for i, name in enumerate(("n_lr", "n_l", "n_r", "n_n")):
         if name != "n_r":   # only reported, never read by a lookup
             yield f"type_counts.{name}", _add(blob, [(counts + 8 * i, 1)])
@@ -155,3 +193,24 @@ def layout_patches(blob, f):
     yield "type_counts.n_lr + 2^60", _add(blob, [(counts, 1 << 60)])
     yield "P_n.length", _add(blob, [(p_n, p_delta)])
     yield "n and n_unambiguous", _add(blob, [(24, 1), (40, 1)])
+
+
+def basic_layout_patches(blob, f):
+    """Copies of `blob`, the file of the basic structure `f`, whose L or P
+    disagrees with |M| or n_unambiguous, as (name, bytes) pairs, checksums
+    recomputed: P one element shorter or longer with the same word count,
+    and L's section replaced by a well-formed Elias-Fano sequence that is
+    one element short, or whose last prefix sum is one less."""
+    p = blob.find(f.P.to_bytes())
+    old = f.L.to_bytes()
+    at = blob.find(old)
+    assert min(p, at) >= 0
+    words = (len(f.P) * f.P.width + 63) // 64
+    p_delta = -1 if ((len(f.P) - 1) * f.P.width + 63) // 64 == words else 1
+    yield "P.length", _add(blob, [(p, p_delta)])
+    prefix = f.L.access_many(np.arange(len(f.L)))
+    for name, values in (("L.length", prefix[:-1]),
+                         ("L last value", np.minimum(prefix, prefix[-1] - 1))):
+        new = EliasFanoSeq.from_values(values, universe=f.L.universe).to_bytes()
+        frame = len(new).to_bytes(8, "little") + bytes(4)
+        yield name, reseal(blob[:at - FRAME_BYTES] + frame + new + blob[at + len(old):])

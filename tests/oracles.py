@@ -89,16 +89,16 @@ MPHF_LEVEL_SALT = 0x9E3779B97F4A7C15   # level l hashes under mix64(seed + (l+1)
 
 def mphf_levels_from_bytes(blob):
     """(n_keys, seed, [(bits as a Python int, nbits), ...]) read from a
-    serialized GeneralMphf: its header, then per level nbits, the count of
-    ones, the payload words and the two rank-directory arrays."""
-    n_keys, seed, _gamma, n_levels, _outside = struct.unpack_from("<QQdII", blob)
-    at, levels = 32, []
+    serialized GeneralMphf: its header (n_keys, seed, gamma, a u32 level
+    count), then per level nbits and the payload words."""
+    n_keys, seed, _gamma, n_levels = struct.unpack_from("<QQdI", blob)
+    at, levels = 28, []
     for _ in range(n_levels):
-        nbits, _ones = struct.unpack_from("<QQ", blob, at)
-        nwords, nblocks = (nbits + 63) // 64, (nbits + 511) // 512
-        payload = blob[at + 16:at + 16 + 8 * nwords]
+        (nbits,) = struct.unpack_from("<Q", blob, at)
+        nwords = (nbits + 63) // 64
+        payload = blob[at + 8:at + 8 + 8 * nwords]
         levels.append((int.from_bytes(payload, "little"), nbits))
-        at += 16 + 8 * (nwords + 2 * nblocks)
+        at += 8 + 8 * nwords
     assert at == len(blob)
     return n_keys, seed, levels
 

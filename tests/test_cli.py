@@ -6,7 +6,8 @@ import pytest
 from lpmphf import load_structure
 from lpmphf.cli import main
 
-from conftest import ef_header_patches, layout_patches, mphf_header_patches
+from conftest import (basic_layout_patches, ef_header_patches, layout_patches,
+                      mphf_header_patches)
 
 
 def run(capsys, *argv):
@@ -218,6 +219,22 @@ def test_query_on_patched_partitioned_layout_exit_2(workdir, tmp_path, capsys):
     f = load_structure(workdir / "f.lph")
     bad = tmp_path / "bad.lph"
     for field, patched in layout_patches(blob, f):
+        bad.write_bytes(patched)
+        code, _, err = run(capsys, "query", "-i", str(bad),
+                           "-q", str(workdir / "in.fa"))
+        assert code == 2, (field, err)
+        assert "disagree" in err, (field, err)
+
+
+def test_query_on_patched_basic_layout_exit_2(workdir, tmp_path, capsys):
+    good = tmp_path / "basic.lph"
+    assert main(["build", "-i", str(workdir / "in.fa"), "-o", str(good),
+                 "-k", "31", "-m", "15", "--seed", "5",
+                 "--variant", "basic"]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.lph"
+    for field, patched in basic_layout_patches(good.read_bytes(),
+                                               load_structure(good)):
         bad.write_bytes(patched)
         code, _, err = run(capsys, "query", "-i", str(bad),
                            "-q", str(workdir / "in.fa"))

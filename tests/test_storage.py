@@ -10,7 +10,8 @@ from lpmphf.errors import CorruptFile
 from lpmphf.kmers import kmer_words
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
-from conftest import ef_header_patches, layout_patches
+from conftest import (basic_layout_patches, ef_header_patches,
+                      layout_patches, reseal)
 from oracles import random_dna
 
 
@@ -96,8 +97,10 @@ def test_trailing_garbage_rejected(built):
 def test_unknown_variant_code_rejected(built):
     blob = bytearray(structure_to_bytes(built))
     blob[6] = 7  # variant code byte follows the 4-byte magic and u16 version
-    with pytest.raises(CorruptFile, match="unknown variant"):
+    with pytest.raises(CorruptFile, match="checksum mismatch in header"):
         structure_from_bytes(bytes(blob))
+    with pytest.raises(CorruptFile, match="unknown variant"):
+        structure_from_bytes(reseal(blob))
 
 
 def _golden_long():
@@ -114,16 +117,17 @@ def _golden_unitigs():
     return SpssInput(k=31, codes=pieces), MinimizerScheme(k=31, m=5, seed=5)
 
 
-# sha256 of to_bytes(); any change means the file format changed
+# sha256 of to_bytes() (format version 2); any change means the file format
+# changed
 GOLDEN = {
     ("long", "basic"):
-        "1ee70891f98b984927ddbd0f10f5de58192427d44f12cf9eb20348ade5ff86ff",
+        "4bea7d73c53e23f0e1e4667a98faffa2dc4819e230f0d7f828eb9ba0e38923c2",
     ("long", "partitioned"):
-        "64e360df4bd8ec1c147a40b32ee97c1d1349251caffab9c0ddd7787602a5182a",
+        "3b69bf93a21e6a2dab8097e0bc79602128e4fc166cd00ccf4e88232977d555b4",
     ("unitigs", "basic"):
-        "3c1c92514a2dd0359a12be866238a1dc8047764594e58920aae6541b68629dac",
+        "54b03b7cf35c3cc587e176afd631d3309b1e0f6069566618213a7bffb3fe5654",
     ("unitigs", "partitioned"):
-        "8519ea5754c288384167a1b48845bca58dbccc17cc3b2b32cb952b49bb6d4b1d",
+        "5ee0d264d4aa5643c127f3cfd7d9af99170f9b8ca6d1206c954a057e2546cfa5",
 }
 
 
@@ -152,7 +156,8 @@ def test_unambiguous_count_checked_against_fallback(builder):
     blob = structure_to_bytes(f)
     at = 40   # n_unambiguous: the last u64 of the header
     assert int.from_bytes(blob[at:at + 8], "little") == f.n_unambiguous
-    bad = blob[:at] + (f.n_unambiguous + 3).to_bytes(8, "little") + blob[at + 8:]
+    bad = reseal(blob[:at] + (f.n_unambiguous + 3).to_bytes(8, "little")
+                 + blob[at + 8:])
     with pytest.raises(CorruptFile, match="fallback key count"):
         structure_from_bytes(bad)
 
@@ -167,24 +172,37 @@ def test_partitioned_layout_checked_on_load(small_spss, tmp_path):
         path.write_bytes(patched)
         with pytest.raises(CorruptFile, match="type .* disagree"):
             load_structure(path)
-    assert len(names) == 11
+    assert len(names) == 12
+
+
+def test_basic_layout_checked_on_load(small_spss, tmp_path):
+    f = build_basic(small_spss, MinimizerScheme(k=31, m=15, seed=41))
+    blob = structure_to_bytes(f)
+    names = []
+    for name, patched in basic_layout_patches(blob, f):
+        names.append(name)
+        path = tmp_path / "bad.lph"
+        path.write_bytes(patched)
+        with pytest.raises(CorruptFile, match="slot arrays disagree"):
+            load_structure(path)
+    assert names == ["P.length", "L.length", "L last value"]
 
 
 @pytest.mark.parametrize("part", ["L_l", "L_r"])
 def test_flipped_elias_fano_high_word_raises_corrupt_file_on_lookup(
         part, small_spss):
-    # a bit of the first word flipped: the file loads, since loading reads
-    # only the last element, in a later block, through the stored rank
-    # directory; the vector decode rebuilds the directory from the words
+    # a bit of the first high word flipped: the section's checksum fails;
+    # with the checksums recomputed, the set-bit count derived on load
+    # disagrees with the length, so the file never reaches a lookup
     f = build_partitioned(small_spss, MinimizerScheme(k=31, m=15, seed=41))
     ef = getattr(f, part)
     assert ef._high.nbits > 512
     blob = bytearray(structure_to_bytes(f))
     at = blob.find(ef.to_bytes())
     low_words = (ef.length * ef.low_width + 63) // 64
-    high_words = at + 40 + 8 * low_words + 16
+    high_words = at + 40 + 8 * low_words + 8
     blob[high_words] ^= 1
-    g = structure_from_bytes(bytes(blob))
-    hi, lo = kmer_words(small_spss.codes[0], 31)
-    with pytest.raises(CorruptFile, match="Elias-Fano high words"):
-        g.lookup_words(hi, lo)
+    with pytest.raises(CorruptFile, match=f"checksum mismatch in section {part}"):
+        structure_from_bytes(bytes(blob))
+    with pytest.raises(CorruptFile, match="Elias-Fano high part"):
+        structure_from_bytes(reseal(blob))

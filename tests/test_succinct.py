@@ -129,51 +129,56 @@ def test_next1_matches_flatnonzero(rng):
             bv.next1(int(ones[-1]), ones.size - 1)
 
 
-@pytest.mark.parametrize("where", ["abs", "rel"])
-@pytest.mark.parametrize("delta", [1, -1])
-def test_damaged_directory_raises_corrupt_file(where, delta, rng):
-    bits = rng.random(4 * 512 + 100) < 0.5
-    blob = bytearray(RankBitvector.from_bools(bits).to_bytes())
-    nwords, nblocks = (bits.size + 63) // 64, 5
-    block = 2
-    off = 16 + 8 * nwords + 8 * block + (8 * nblocks if where == "rel" else 0)
-    value = int.from_bytes(blob[off:off + 8], "little")
-    # rel: the 9-bit count of ones before word 4 of the block
-    value += delta << (27 if where == "rel" else 0)
-    blob[off:off + 8] = value.to_bytes(8, "little")
-    bv = RankBitvector.from_bytes(bytes(blob))
-    js = np.arange(int(bits.sum()))
-    with pytest.raises(CorruptFile):
-        bv.select1_many(js)
-    if where == "abs":  # the scalar select reads no relative count
-        with pytest.raises(CorruptFile):
-            for j in js:
-                bv.select1(int(j))
-    ones = np.flatnonzero(bits)
-    for j in js:  # one at a time: a typed error, or a set bit
-        try:
-            pos = int(bv.select1_many([j])[0])
-        except CorruptFile:
-            continue
-        assert bits[pos]
-        if where == "rel":  # a word's two bounds check each other
-            assert pos == ones[j]
+def _naive_directory(bits):
+    """Rank9 directory by loops over Python ints: per 512-bit block the ones
+    before it, and seven 9-bit fields with the block's ones before words
+    1..7."""
+    byte_ones = [bin(b).count("1") for b in np.packbits(bits, bitorder="little").tolist()]
+    ones = [sum(byte_ones[i:i + 8]) for i in range(0, len(byte_ones), 8)]   # per word
+    nblocks = (len(ones) + 7) // 8
+    abs_, rel, total = [], [], 0
+    for blk in range(nblocks):
+        abs_.append(total)
+        word_ones = ones[8 * blk:8 * blk + 8] + [0] * 8
+        field, before = 0, 0
+        for j in range(7):
+            before += word_ones[j]
+            field |= before << (9 * j)
+        rel.append(field)
+        total += sum(word_ones[:8])
+    return abs_ + [total], rel + [0]
 
 
-def test_select_first_block_damaged_raises_corrupt_file(rng):
-    bits = rng.random(1_000) < 0.5
-    blob = bytearray(RankBitvector.from_bools(bits).to_bytes())
-    off = 16 + 8 * 16   # the first absolute count, stored as 0
-    blob[off] = 1
-    bv = RankBitvector.from_bytes(bytes(blob))
-    with pytest.raises(CorruptFile):
-        bv.select1_many([0])
+@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 511, 512, 513, 4097])
+def test_derived_directory_equals_built(nbits, rng):
+    # the file stores nbits and the words; loading derives num_ones and the
+    # directory, which must equal those from_positions built
+    bits = rng.random(nbits) < 0.6
+    if nbits:
+        bits[-1] = True
+    bv = RankBitvector.from_positions(nbits, np.flatnonzero(bits))
+    back = RankBitvector.from_bytes(bv.to_bytes())
+    assert len(bv.to_bytes()) == 8 + 8 * ((nbits + 63) // 64)
+    abs_, rel = _naive_directory(bits)
+    for b in (bv, back):
+        assert b.nbits == nbits and b.num_ones == int(bits.sum())
+        assert b._abs.tolist() == abs_ and b._rel.tolist() == rel
+    assert back.to_bytes() == bv.to_bytes()
+
+
+def test_set_bit_past_length_rejected_on_load():
+    blob = bytearray(RankBitvector.from_bools(np.ones(70, dtype=bool)).to_bytes())
+    blob[8 + 8 + 0] |= 1 << 6   # bit 70, in the last word's padding
+    with pytest.raises(CorruptFile, match="past its length"):
+        RankBitvector.from_bytes(bytes(blob))
 
 
 def test_directory_overhead_near_25_percent():
+    # the in-memory directory; the serialized form holds nbits and words only
     bv = RankBitvector.from_bools(np.ones(1_000_000, dtype=bool))
-    overhead = bv.size_in_bits() / 1_000_000 - 1.0
+    overhead = 64 * (bv._abs.size + bv._rel.size) / 1_000_000
     assert 0.24 < overhead < 0.27
+    assert bv.size_in_bits() == 64 + 64 * ((1_000_000 + 63) // 64)
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=700), st.integers(0, 2 ** 20))
@@ -354,6 +359,7 @@ def test_type_sequence_access_many_returns_symbol_and_rank(case, reload, rng):
     assert got_symbols.tolist() == symbols[idx].tolist()
     assert got_ranks.tolist() == [naive_symbol_rank(symbols, int(symbols[i]), i)
                                   for i in idx.tolist()]
+    assert ts.counts == [naive_symbol_rank(symbols, t, symbols.size) for t in range(4)]
 
 
 def test_type_sequence_ranks_sum_to_i(rng):

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -12,12 +13,12 @@ import numpy as np
 
 from .basic import LpMphfBasic, epsilon_of_values
 from .errors import KMismatch, LpmphfError, QueryShorterThanK
-from .kmers import kmer_words
+from .kmers import MAX_K, MAX_M, kmer_words
 from .minimizers import MinimizerScheme, default_minimizer_length, scan_spss
 from .partitioned import LpMphfPartitioned
 from .spss import generate_spss, load_spss, write_fasta
 from .storage import load_structure, save_structure
-from .theory import (TheoryParams, density, space_bound_basic,
+from .theory import (LOG2_E, TheoryParams, density, space_bound_basic,
                      space_bound_partitioned, stats, type_probabilities)
 
 
@@ -75,9 +76,11 @@ def _build_parser():
     s.add_argument("--input-format", choices=("fasta", "lines"), default="fasta")
 
     t = sub.add_parser("theory", help="closed-form calculators")
-    t.add_argument("-k", type=int, required=True)
-    t.add_argument("-m", type=int, required=True)
-    t.add_argument("-b", type=float, default=2.5, help="inner MPHF bits/key")
+    t.add_argument("-k", type=_number(int, 1, MAX_K), required=True)
+    t.add_argument("-m", type=_number(int, 1, MAX_M), required=True,
+                   help="minimizer length, at most k")
+    t.add_argument("-b", type=_number(float, math.nextafter(LOG2_E, math.inf)),
+                   default=2.5, help="inner MPHF bits/key, above log2(e)")
     t.add_argument("--little-oh", type=float, default=0.5)
     t.add_argument("--xi", type=_number(float, 0, 1), default=0.0,
                    help="fraction of k-mers with ambiguous minimizers, in [0, 1]")
@@ -247,7 +250,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "theory" and args.m > args.k:   # a bound across two flags
+        parser.error(f"argument -m: {args.m} exceeds k = {args.k}")
     try:
         return _COMMANDS[args.command](args)
     except (LpmphfError, OSError, ValueError) as e:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBase, LengthOutOfRange
+from .errors import IndexOutOfRange, InvalidBase, LengthOutOfRange
 
 __all__ = [
     "MAX_K", "MAX_M", "BASES",
@@ -96,7 +96,7 @@ class Kmer:
     def mmer_at(self, pos, m):
         """Packed m-mer starting at 1-based position pos (pos in [1, k-m+1])."""
         if not 1 <= pos <= self.k - m + 1:
-            raise IndexError(f"m-mer position {pos} out of range")
+            raise IndexOutOfRange(f"m-mer position {pos} out of range")
         shift = 2 * (self.k - m - (pos - 1))
         return (self.value >> shift) & ((1 << (2 * m)) - 1)
 

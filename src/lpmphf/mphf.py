@@ -17,7 +17,7 @@ Keys are (hi, lo) uint64 pairs; plain 64-bit keys pass hi=0.
 
 Serialized as n_keys, seed, gamma, the level count (a u32), then each
 level's bit count and words. Loading reads the levels into one bitvector,
-derives its rank directory once, and checks that the levels hold one set
+derives its rank samples once, and checks that the levels hold one set
 bit per key.
 """
 

@@ -1,21 +1,20 @@
 """Succinct storage: rank-supported bitvectors, Elias-Fano sequences, and
 the 4-symbol type sequence.
 
-RankBitvector keeps a Rank9-style directory (one absolute count plus seven
-packed 9-bit relative counts per 512-bit block, ~25% of the payload) so
-rank is O(1). Select binary-searches the absolute counts for its block, then
-resolves inside the block: the scalar path scans at most 8 words; the batch
-path finds the word by a 3-step search over the relative counts and the bit
-by a 32/16/8-bit popcount search and a byte table, O(1) passes over its
-input. An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is the
-next set bit after L[i]'s, found in the same word or by a second select. Its
-vector form `_ef_pairs` also decodes several sequences laid end to end in
-one pass.
+RankBitvector keeps one rank sample per 64-bit word, the number of set bits
+before it, so rank is one sample plus one popcount. Select binary-searches
+the samples for its word, then finds the bit inside it: the scalar path
+clears the lower set bits, the batch path runs a 32/16/8-bit popcount search
+and a byte table, O(1) passes over its input. The samples cost 64 bits per
+word in memory and none in a file. An Elias-Fano pair (L[i], L[i+1]) costs
+one select: L[i+1] is the next set bit after L[i]'s, found in the same word
+or by a second select. Its vector form `_ef_pairs` also decodes several
+sequences laid end to end in one pass.
 
 Serialization is little-endian: parameters and payload words only. Loading
-derives each bitvector's set-bit count and rank directory from its words in
-one vectorised pass, so the directory always agrees with the words; the
-counts a structure's header implies are checked against the derived ones.
+derives each bitvector's set-bit count and rank samples from its words in
+one `cumsum`, so the samples always agree with the words; the counts a
+structure's header implies are checked against the derived ones.
 """
 
 import numpy as np
@@ -34,8 +33,6 @@ popcount = np.bitwise_count
 # position of the (r+1)-th set bit of byte b at index 8 * b + r, 255 when absent
 _SELECT_IN_BYTE = np.array([([i for i in range(8) if b >> i & 1] + [255] * 8)[:8]
                             for b in range(256)], dtype=np.int64).ravel()
-# 2^(9 j): a block's ones before words 1..7 as seven 9-bit fields, by matmul
-_REL_FIELDS = _U64(1) << (_U64(9) * np.arange(7, dtype=_U64))
 
 
 def _low_width(length, universe):
@@ -79,16 +76,18 @@ class _Serialized:
 
 
 class RankBitvector(_Serialized):
-    """Static bitvector with O(1) rank1 and directory-searched select1."""
+    """Static bitvector with O(1) rank1 and sample-searched select1."""
 
     def __init__(self, nbits, words):
-        """Over the first `nbits` bits of `words`; derives the directory."""
+        """Over the first `nbits` bits of `words`; derives the rank samples."""
         self.nbits = int(nbits)
-        self._nblocks = ((self.nbits + 63) // 64 + 7) // 8
-        # one zero pad block so rank/select gathers never index out of range
-        self._words = np.zeros((self._nblocks + 1) * 8, dtype=_U64)
+        nwords = (self.nbits + 63) // 64
+        # one zero pad word so rank/select gathers never index out of range
+        self._words = np.zeros(nwords + 1, dtype=_U64)
         self._words[:words.size] = words
-        self._build_directory()
+        self._cum = np.zeros(nwords + 2, dtype=np.int64)   # ones before each word
+        np.cumsum(popcount(self._words), dtype=np.int64, out=self._cum[1:])
+        self.num_ones = int(self._cum[-1])
 
     @classmethod
     def from_positions(cls, nbits, positions):
@@ -102,16 +101,6 @@ class RankBitvector(_Serialized):
     def from_bools(cls, bits):
         return cls.from_positions(len(bits), np.flatnonzero(bits))
 
-    def _build_directory(self):
-        nb = self._nblocks
-        within = np.cumsum(popcount(self._words[:nb * 8]).reshape(nb, 8),
-                           axis=1, dtype=_U64)
-        self._abs = np.zeros(nb + 1, dtype=_U64)
-        np.cumsum(within[:, 7], out=self._abs[1:])
-        self._rel = np.zeros(nb + 1, dtype=_U64)
-        np.matmul(within[:, :7], _REL_FIELDS, out=self._rel[:nb])
-        self.num_ones = int(self._abs[nb])
-
     def get(self, i):
         return (int(self._words[i >> 6]) >> (i & 63)) & 1
 
@@ -119,12 +108,8 @@ class RankBitvector(_Serialized):
         """Number of set bits in [0, i); 0 <= i <= nbits."""
         if not 0 <= i <= self.nbits:
             raise IndexOutOfRange(f"rank position {i} outside [0, {self.nbits}]")
-        block, sub = i >> 9, (i >> 6) & 7
-        r = int(self._abs[block])
-        if sub:
-            r += (int(self._rel[block]) >> (9 * (sub - 1))) & 511
         mask = (1 << (i & 63)) - 1
-        return r + (int(self._words[i >> 6]) & mask).bit_count()
+        return int(self._cum[i >> 6]) + (int(self._words[i >> 6]) & mask).bit_count()
 
     def rank1_many(self, idx):
         return self.probe_many(idx)[1]
@@ -132,46 +117,31 @@ class RankBitvector(_Serialized):
     def probe_many(self, idx):
         """(bit as bool, rank1) at each position, from one gather of its word."""
         idx = np.asarray(idx, dtype=np.int64)
-        word = self._words[idx >> 6]
+        wi = idx >> 6
+        word = self._words[wi]
         off = (idx & 63).astype(_U64)
-        block = idx >> 9
-        sub = ((idx >> 6) & 7).astype(_U64)
-        r = self._abs[block]
-        shift = (sub - _U64(1)) * _U64(9)
-        r += np.where(sub > 0, (self._rel[block] >> shift) & _U64(511), _U64(0))
-        r += popcount(word & ((_U64(1) << off) - _U64(1)))
-        return ((word >> off) & _U64(1)).astype(bool), r.view(np.int64)
+        r = self._cum[wi] + popcount(word & ((_U64(1) << off) - _U64(1)))
+        return ((word >> off) & _U64(1)).astype(bool), r
 
     def select1(self, j):
         """Position of the (j+1)-th set bit, 0-based; 0 <= j < num_ones."""
         if not 0 <= j < self.num_ones:
             raise IndexOutOfRange(f"select rank {j} outside [0, {self.num_ones})")
-        block = int(np.searchsorted(self._abs[:self._nblocks + 1], j,
-                                    side="right")) - 1
-        rem = j - int(self._abs[block])
-        for wi, word in enumerate(self._words[block * 8:block * 8 + 8].tolist()):
-            c = word.bit_count()
-            if c > rem:
-                for _ in range(rem):
-                    word &= word - 1
-                return (block << 9) + (wi << 6) + (word & -word).bit_length() - 1
-            rem -= c
+        wi = int(np.searchsorted(self._cum, j, side="right")) - 1
+        word = int(self._words[wi])
+        for _ in range(j - int(self._cum[wi])):
+            word &= word - 1
+        return (wi << 6) + (word & -word).bit_length() - 1
 
     def select1_many(self, js):
         """Vector `select1` (see the module docstring)."""
         js = np.asarray(js, dtype=np.int64)
         if js.size and not (0 <= js.min() and js.max() < self.num_ones):
             raise IndexOutOfRange(f"select rank outside [0, {self.num_ones})")
-        block = np.searchsorted(self._abs[:self._nblocks + 1].view(np.int64), js,
-                                side="right") - 1
-        rem = js - self._abs[block].view(np.int64)
-        rel = self._rel[block].view(np.int64)  # seven 9-bit counts, bit 63 clear
-        sh = np.zeros(js.size, dtype=np.int64)  # 9 * t
-        for step in (36, 18, 9):  # largest t with (ones before word t) <= rem
-            sh += step * (((rel >> (sh + (step - 9))) & 511) <= rem)
-        rem -= np.where(sh > 0, (rel >> ((sh - 9) & 63)) & 511, 0)
-        pos = (block << 9) + (sh // 9 << 6)
-        word = self._words[pos >> 6].view(np.int64)  # sign fill is masked off below
+        wi = np.searchsorted(self._cum, js, side="right") - 1
+        rem = js - self._cum[wi]
+        pos = wi << 6
+        word = self._words[wi].view(np.int64)  # sign fill is masked off below
         for width in (32, 16, 8):
             c = popcount(word & ((1 << width) - 1)).astype(np.int64)
             skip = c <= rem
@@ -208,7 +178,7 @@ class RankBitvector(_Serialized):
 
     @classmethod
     def read_from(cls, r):
-        """nbits and the words; the directory and num_ones are derived."""
+        """nbits and the words; the rank samples and num_ones are derived."""
         nbits = r.u64()
         words = r.array(_U64, (nbits + 63) // 64)
         if nbits & 63 and int(words[-1]) >> (nbits & 63):

@@ -2,7 +2,9 @@
 
 The calculators drop lower-order terms except for a single user-settable
 additive constant (default 0.5) standing in for the o(1) of the space
-bounds, which in practice is dominated by the rank-directory overhead.
+bounds, per minimizer: rounding, word padding, headers and section frames.
+It covers no rank directory, since files store none (format version 2
+derives rank samples on load).
 """
 
 import json

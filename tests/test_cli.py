@@ -158,7 +158,10 @@ def test_usage_error_exit_1(capsys):
 
 
 @pytest.mark.parametrize("bad", [["-n", "0"], ["-n", "-5"], ["--xi", "1.5"],
-                                 ["--xi", "-1"], ["--xi", "nan"]])
+                                 ["--xi", "-1"], ["--xi", "nan"],
+                                 ["-k", "0", "-m", "0"], ["-k", "31", "-m", "0"],
+                                 ["-k", "100", "-m", "15"], ["-m", "40"],
+                                 ["-b", "1"], ["-k", "10", "-m", "12"]])
 def test_theory_rejects_n_below_1_and_xi_outside_unit_interval(bad, capsys):
     with pytest.raises(SystemExit) as e:
         main(["theory", "-k", "31", "-m", "15", *bad])

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpmphf import encode_kmer, hash_mmer, mix64
-from lpmphf.errors import InvalidBase, LengthOutOfRange
+from lpmphf.errors import InvalidBase, LengthOutOfRange, LpmphfError
 from lpmphf.kmers import (decode_bases, encode_bases, hash_mmer_array,
                           hash_words, hash_words_array, kmer_words,
                           kmer_words_at, window_values)
@@ -74,6 +74,15 @@ def test_mmer_at_matches_slice():
     for m in (1, 3, 7):
         for p in range(1, len(s) - m + 2):
             assert km.mmer_at(p, m) == pack_mmer(s[p - 1:p + m - 1])
+
+
+@pytest.mark.parametrize("m", [1, 3, 17])
+def test_mmer_at_outside_window_raises_typed_error(m):
+    km = encode_kmer("ACGTTGCAACGTGGATC")
+    w = km.k - m + 1
+    for pos in (0, w + 1):
+        with pytest.raises(LpmphfError):
+            km.mmer_at(pos, m)
 
 
 # --- hashing -------------------------------------------------------------------

@@ -129,41 +129,57 @@ def test_next1_matches_flatnonzero(rng):
             bv.next1(int(ones[-1]), ones.size - 1)
 
 
-def _naive_directory(bits):
-    """Rank9 directory by loops over Python ints: per 512-bit block the ones
-    before it, and seven 9-bit fields with the block's ones before words
-    1..7."""
-    byte_ones = [bin(b).count("1") for b in np.packbits(bits, bitorder="little").tolist()]
-    ones = [sum(byte_ones[i:i + 8]) for i in range(0, len(byte_ones), 8)]   # per word
-    nblocks = (len(ones) + 7) // 8
-    abs_, rel, total = [], [], 0
-    for blk in range(nblocks):
-        abs_.append(total)
-        word_ones = ones[8 * blk:8 * blk + 8] + [0] * 8
-        field, before = 0, 0
-        for j in range(7):
-            before += word_ones[j]
-            field |= before << (9 * j)
-        rel.append(field)
-        total += sum(word_ones[:8])
-    return abs_ + [total], rel + [0]
+def _naive_samples(bits):
+    """Ones before each 64-bit word, the zero pad word and past it, from
+    Python's int.bit_count() per word."""
+    raw = np.packbits(bits, bitorder="little").tobytes()
+    cum = [0]
+    for i in range(0, len(raw), 8):
+        cum.append(cum[-1] + int.from_bytes(raw[i:i + 8], "little").bit_count())
+    return cum + [cum[-1]]
 
 
 @pytest.mark.parametrize("nbits", [0, 1, 63, 64, 511, 512, 513, 4097])
 def test_derived_directory_equals_built(nbits, rng):
     # the file stores nbits and the words; loading derives num_ones and the
-    # directory, which must equal those from_positions built
+    # rank samples, which must equal those from_positions built
     bits = rng.random(nbits) < 0.6
     if nbits:
         bits[-1] = True
     bv = RankBitvector.from_positions(nbits, np.flatnonzero(bits))
     back = RankBitvector.from_bytes(bv.to_bytes())
     assert len(bv.to_bytes()) == 8 + 8 * ((nbits + 63) // 64)
-    abs_, rel = _naive_directory(bits)
+    cum = _naive_samples(bits)
     for b in (bv, back):
         assert b.nbits == nbits and b.num_ones == int(bits.sum())
-        assert b._abs.tolist() == abs_ and b._rel.tolist() == rel
+        assert b._cum.dtype == np.int64 and b._cum.tolist() == cum
     assert back.to_bytes() == bv.to_bytes()
+
+
+@pytest.mark.parametrize("nbits, full_last", [(320_000, True), (320_017, True),
+                                              (320_000, False)])
+def test_sparse_bits_and_full_last_word(nbits, full_last, rng):
+    # ones 10^3 words apart leave long runs of equal samples, and without a
+    # full last word a run reaches the end
+    bits = np.zeros(nbits, dtype=bool)
+    bits[::64_000] = True
+    if full_last:
+        bits[(nbits - 1) // 64 * 64:] = True
+    bv = RankBitvector.from_bools(bits)
+    cum = np.concatenate([[0], np.cumsum(bits)])
+    ones = np.flatnonzero(bits)
+    idx = np.concatenate([ones, ones + 1, rng.integers(0, nbits + 1, 500), [0, nbits]])
+    idx = idx[idx <= nbits]
+    assert np.array_equal(bv.rank1_many(idx), cum[idx])
+    assert [bv.rank1(int(i)) for i in idx] == cum[idx].tolist()
+    bit, rank = bv.probe_many(idx)
+    assert np.array_equal(bit, np.append(bits, False)[idx])
+    assert np.array_equal(rank, cum[idx])
+    js = np.arange(ones.size)
+    assert np.array_equal(bv.select1_many(js), ones)
+    assert [bv.select1(int(j)) for j in js] == ones.tolist()
+    assert np.array_equal(bv.next1_many(ones[:-1], js[:-1]), ones[1:])
+    assert [bv.next1(int(p), j) for j, p in enumerate(ones[:-1])] == ones[1:].tolist()
 
 
 def test_set_bit_past_length_rejected_on_load():
@@ -173,12 +189,12 @@ def test_set_bit_past_length_rejected_on_load():
         RankBitvector.from_bytes(bytes(blob))
 
 
-def test_directory_overhead_near_25_percent():
-    # the in-memory directory; the serialized form holds nbits and words only
+def test_rank_samples_one_int64_per_word_plus_pad():
+    # in memory only; the serialized form holds nbits and words only
     bv = RankBitvector.from_bools(np.ones(1_000_000, dtype=bool))
-    overhead = 64 * (bv._abs.size + bv._rel.size) / 1_000_000
-    assert 0.24 < overhead < 0.27
-    assert bv.size_in_bits() == 64 + 64 * ((1_000_000 + 63) // 64)
+    nwords = (1_000_000 + 63) // 64
+    assert bv._cum.dtype == np.int64 and bv._cum.size == nwords + 2
+    assert bv.size_in_bits() == 64 + 64 * nwords
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=700), st.integers(0, 2 ** 20))

@@ -66,13 +66,8 @@ def assemble_slots(scan, seed):
 def expand_ranges(starts, lengths):
     """Concatenate arange(s, s+l) for every (s, l) pair."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    idx = np.repeat(np.asarray(starts, dtype=np.int64), lengths)
-    off = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths)
-    return idx + off
+    shift = np.cumsum(lengths) - lengths - np.asarray(starts, dtype=np.int64)
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(shift, lengths)
 
 
 def ambiguous_kmer_words(spss, scan, skm_ambiguous):
@@ -92,6 +87,12 @@ def build_fallback(spss, scan, skm_ambiguous, seed):
                             "once in the input") from e
 
 
+def run_misses(p1s, sizes, p1, length=1):
+    """The miss rule: does a run of `length` k-mers from minimizer position p1
+    leave its slot's super-k-mer (a rank p1s - p1 + 1 + i outside [1, size])?"""
+    return (p1 > p1s) | (sizes - p1s + p1 < length)
+
+
 def finish_lookup(base, p1s, sizes, p, fb_mask, fb_words, struct, checked):
     """Combine slot parameters into final hash values.
 
@@ -99,12 +100,11 @@ def finish_lookup(base, p1s, sizes, p, fb_mask, fb_words, struct, checked):
     fb_mask the elements routed to the fallback MPHF, fb_words a callable
     returning (hi, lo) for exactly those elements.
     """
-    r = p1s - p + 1
-    out = base + r - 1
+    out = base + p1s - p
     if np.any(fb_mask):
         fhi, flo = fb_words()
         out[fb_mask] = struct.n_unambiguous + struct.fallback.evaluate_many(flo, fhi)
-    miss = ~fb_mask & ((r < 1) | (r > sizes))
+    miss = ~fb_mask & run_misses(p1s, sizes, p)
     if checked:
         out[miss] = -1
     elif np.any(miss):

@@ -1,10 +1,11 @@
-"""Query-side minimizer computation shared by both structure variants."""
+"""Query-side minimizers and streaming run expansion, shared by both layouts."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._build import finish_lookup
+# finish_lookup is unused here; bench/tracing.py wraps it here too.
+from ._build import expand_ranges, finish_lookup, run_misses  # noqa: F401
 from .errors import KMismatch, QueryShorterThanK
 from .kmers import Kmer, encode_bases, kmer_words_at, mix64_inplace, seed_key
 from .minimizers import scan_string
@@ -59,28 +60,33 @@ def resolve_kmer_input(x, k):
 @dataclass
 class StreamPlan:
     """Run decomposition of a query string: one slot resolution per run of
-    k-mers sharing a minimizer occurrence, values re-derived by position."""
+    k-mers sharing a minimizer occurrence, values derived per run."""
 
     codes: np.ndarray
     k: int
     scan: object
 
     def expand(self, base, p1s, sizes, fb, struct, checked):
+        """Values from per-run slot data: k-mer t of run j gets
+        base_j + p1s_j - p1_j - kmer_base_j + t. Misses are found per run;
+        in checked mode, only runs that miss get a per-k-mer mask."""
         runs = self.scan
-        rl = runs.sizes  # run lengths on the query side
-        # minimizer position of each k-mer: p1 - (index - first index of run)
-        p = np.repeat(runs.p1 + runs.kmer_base, rl) - np.arange(runs.n)
-        base_e = np.repeat(base, rl)
-        p1_e = np.repeat(p1s, rl)
-        size_e = np.repeat(sizes, rl)
-        fb_e = np.repeat(fb, rl)
-
-        def fb_words():
-            positions = np.flatnonzero(fb_e)
-            return kmer_words_at(self.codes, self.k, positions)
-
-        return finish_lookup(base_e, p1_e, size_e, p, fb_e, fb_words,
-                             struct, checked)
+        rl, first = runs.sizes, runs.kmer_base
+        out = np.repeat(base + p1s - runs.p1 - first, rl)
+        out += np.arange(runs.n)
+        if np.any(fb):
+            idx = expand_ranges(first[fb], rl[fb])
+            hi, lo = kmer_words_at(self.codes, self.k, idx)
+            out[idx] = struct.n_unambiguous + struct.fallback.evaluate_many(lo, hi)
+        bad = ~fb & run_misses(p1s, sizes, runs.p1, rl)
+        if not np.any(bad):
+            return out
+        if not checked:
+            return np.clip(out, 0, struct.n - 1, out=out)
+        j = np.repeat(np.flatnonzero(bad), rl[bad])   # run of each k-mer
+        idx = expand_ranges(first[bad], rl[bad])
+        out[idx[run_misses(p1s[j], sizes[j], runs.p1[j] + first[j] - idx)]] = -1
+        return out
 
 
 def stream_plan(q, scheme):

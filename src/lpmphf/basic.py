@@ -105,7 +105,7 @@ class LpMphf:
     def stream_lookup(self, q, checked=False):
         """One value per consecutive k-mer of a query string.
 
-        Equal to per-k-mer lookups elementwise; the minimizer slot is only
+        Equal to per-k-mer lookups elementwise; slots, values and misses are
         resolved once per run of k-mers sharing a minimizer occurrence.
         """
         plan = stream_plan(q, self.scheme)
@@ -158,7 +158,7 @@ class LpMphfBasic(LpMphf):
         super().__init__(*args, **sections)
         m = self.num_minimizers
         if (len(self.L), len(self.P)) != (m + 1, m) or \
-                self.L.access(m) != self.n_unambiguous:
+                self.L.last() != self.n_unambiguous:
             raise CorruptFile("slot arrays disagree with the minimizer and "
                               "k-mer counts")
 

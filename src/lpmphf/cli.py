@@ -29,11 +29,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(cast, lo, hi=float("inf")):
-    """argparse type: the argument as `cast`, required to lie in [lo, hi]."""
+    """argparse type: the argument as `cast`, finite and in [lo, hi]."""
     def parse(s):
         v = cast(s)
-        if not lo <= v <= hi:
-            raise argparse.ArgumentTypeError(f"{v} outside [{lo}, {hi}]")
+        if not lo <= v <= hi or v == math.inf:
+            raise argparse.ArgumentTypeError(f"{v} is not a finite number in [{lo}, {hi}]")
         return v
     parse.__name__ = cast.__name__   # names the type in argparse's errors
     return parse
@@ -81,7 +81,7 @@ def _build_parser():
                    help="minimizer length, at most k")
     t.add_argument("-b", type=_number(float, math.nextafter(LOG2_E, math.inf)),
                    default=2.5, help="inner MPHF bits/key, above log2(e)")
-    t.add_argument("--little-oh", type=float, default=0.5)
+    t.add_argument("--little-oh", type=_number(float, 0), default=0.5)
     t.add_argument("--xi", type=_number(float, 0, 1), default=0.0,
                    help="fraction of k-mers with ambiguous minimizers, in [0, 1]")
     t.add_argument("-n", type=_number(int, 1), default=1,

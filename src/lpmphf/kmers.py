@@ -29,6 +29,7 @@ BASES = "ACGT"
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SEED_SALT = 0x9E3779B97F4A7C15
+_PACK_ROWS = 1 << 12   # k-mers per block of kmer_words_at
 
 # uppercase and lowercase accepted, everything else is a hard error
 _CODE_LUT = np.full(256, 255, dtype=np.uint8)
@@ -198,13 +199,27 @@ def kmer_words(codes, k):
 
 
 def kmer_words_at(codes, k, positions):
-    """(hi, lo) packed words for k-mers at the given start positions only."""
+    """(hi, lo) packed words for k-mers at the given start positions only.
+
+    Per block of _PACK_ROWS k-mers, rows of k codes from a strided view of
+    `codes` are right-aligned in 32 or 64 columns, joined four codes per
+    byte and read as big-endian words."""
     positions = np.asarray(positions, dtype=np.int64)
-    hi, lo = np.zeros((2, positions.size), dtype=_U64)
-    for j in range(k):
-        word = lo if j >= k - 32 else hi   # the last 32 bases go to lo
-        word <<= _U64(2)
-        word |= codes[positions + j].astype(_U64)
+    hi, lo = np.zeros(positions.size, dtype=_U64), np.empty(positions.size, dtype=_U64)
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)   # a buffer for the view
+    rows = np.ndarray((max(codes.size - k + 1, 0), k), np.uint8, codes, strides=(1, 1))
+    cols = 32 if k <= 32 else 64
+    for a in range(0, positions.size, _PACK_ROWS):
+        pos = positions[a:a + _PACK_ROWS]
+        block = np.zeros((pos.size, cols), dtype=np.uint8)
+        block[:, cols - k:] = rows[pos]
+        # codes at u32 bits 0/8/16/24 times 2^30+2^20+2^10+1 land carry-free at 30..24
+        quad = block.view("<u4") * np.uint32(0x40100401)
+        quad >>= np.uint32(24)
+        words = quad.astype(np.uint8).view(">u8")
+        lo[a:a + pos.size] = words[:, -1]
+        if k > 32:
+            hi[a:a + pos.size] = words[:, 0]
     return hi, lo
 
 

@@ -92,7 +92,7 @@ class LpMphfPartitioned(LpMphf):
                 R.counts != per_type):
             raise CorruptFile("type counts disagree with the slot layout")
         self.K_lr, self.K_l, self.K_r, self.K_n = K = [n_lr * self.scheme.w] + [
-            int(ef.access(ef.length - 1)) for ef in efs]
+            ef.last() for ef in efs]
         if sum(K) != self.n_unambiguous:
             raise CorruptFile("type blocks disagree with the k-mer count")
         # (size prefixes, first codomain value), at index type - 1

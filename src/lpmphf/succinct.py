@@ -292,6 +292,15 @@ class EliasFanoSeq(_Serialized):
         hval = self._high.select1_many(idx) - idx
         return (hval << self.low_width) | self._low.get_many(idx)
 
+    def last(self):
+        """The last value, from the last set bit of the high words (no select)."""
+        if not self.length:
+            raise CorruptFile("empty Elias-Fano sequence")
+        high = self._high
+        wi = int(np.searchsorted(high._cum, high.num_ones)) - 1   # its word
+        top = (wi << 6) + int(high._words[wi]).bit_length() - 1
+        return (top - self.length + 1) << self.low_width | self._low.get(self.length - 1)
+
     def bounds(self, i):
         """(L[i], L[i+1]) from one select and a next-one scan."""
         lo = self.access(i)

@@ -161,7 +161,9 @@ def test_usage_error_exit_1(capsys):
                                  ["--xi", "-1"], ["--xi", "nan"],
                                  ["-k", "0", "-m", "0"], ["-k", "31", "-m", "0"],
                                  ["-k", "100", "-m", "15"], ["-m", "40"],
-                                 ["-b", "1"], ["-k", "10", "-m", "12"]])
+                                 ["-b", "1"], ["-k", "10", "-m", "12"],
+                                 ["-b", "inf"], ["--little-oh", "nan"],
+                                 ["--little-oh", "-100"]])
 def test_theory_rejects_n_below_1_and_xi_outside_unit_interval(bad, capsys):
     with pytest.raises(SystemExit) as e:
         main(["theory", "-k", "31", "-m", "15", *bad])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from lpmphf import encode_kmer, hash_mmer, mix64
 from lpmphf.errors import InvalidBase, LengthOutOfRange, LpmphfError
-from lpmphf.kmers import (decode_bases, encode_bases, hash_mmer_array,
-                          hash_words, hash_words_array, kmer_words,
-                          kmer_words_at, window_values)
+from lpmphf.kmers import (_PACK_ROWS, decode_bases, encode_bases,
+                          hash_mmer_array, hash_words, hash_words_array,
+                          kmer_words, kmer_words_at, window_values)
 
 from oracles import all_kmers, pack_mmer, random_dna
 
@@ -157,13 +157,20 @@ def test_kmer_words_match_encode(k):
         assert (int(hi[i]), int(lo[i])) == (km.hi, km.lo)
 
 
-@pytest.mark.parametrize("k", [5, 33, 63])
+@pytest.mark.parametrize("k", [1, 5, 31, 32, 33, 63])
 def test_kmer_words_at_positions(k):
+    # no positions, the last k-mer, more than one block of rows, and a
+    # strided slice of codes; outputs are contiguous uint64 arrays
     rng = np.random.default_rng(k + 1)
-    s = random_dna(rng, 400)
-    codes = encode_bases(s)
-    hi_all, lo_all = kmer_words(codes, k)
-    pos = rng.integers(0, len(s) - k + 1, size=50)
-    hi, lo = kmer_words_at(codes, k, pos)
-    assert np.array_equal(hi, hi_all[pos])
-    assert np.array_equal(lo, lo_all[pos])
+    s = random_dna(rng, 2 * _PACK_ROWS + 400)
+    whole = encode_bases(s)
+    for codes in (whole[:400], whole, whole[1::2]):
+        hi_all, lo_all = kmer_words(codes, k)
+        last = codes.size - k
+        for pos in (np.empty(0, dtype=np.int64), np.array([last]),
+                    rng.integers(0, last + 1, size=50),
+                    rng.integers(0, last + 1, size=2 * _PACK_ROWS + 5)):
+            hi, lo = kmer_words_at(codes, k, pos)
+            for word, want in ((hi, hi_all[pos]), (lo, lo_all[pos])):
+                assert word.dtype == np.uint64 and word.flags.c_contiguous
+                assert np.array_equal(word, want)

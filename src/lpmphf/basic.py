@@ -33,6 +33,8 @@ from .succinct import EliasFanoSeq, IntVector
 
 __all__ = ["LpMphf", "LpMphfBasic", "build_basic", "measure_epsilon"]
 
+_SCALAR_RUNS = 13   # runs up to which one-at-a-time slot decode beats one vector pass
+
 
 class LpMphf:
     """Build, lookup and persistence shared by every slot layout.
@@ -106,11 +108,19 @@ class LpMphf:
         """One value per consecutive k-mer of a query string.
 
         Equal to per-k-mer lookups elementwise; slots, values and misses are
-        resolved once per run of k-mers sharing a minimizer occurrence.
+        resolved once per run of k-mers sharing a minimizer occurrence. Up to
+        _SCALAR_RUNS runs are resolved one at a time on Python ints (as in
+        `lookup`), more in one vector pass; fallback k-mers are always
+        evaluated in one vector pass.
         """
         plan = stream_plan(q, self.scheme)
-        slot = self.fm.evaluate_many(plan.scan.minvals)
-        base, p1s, sizes, fb = self._slot_params(slot)
+        mvals = plan.scan.minvals
+        if mvals.size <= _SCALAR_RUNS:
+            cols = np.array([self._slot_param(self.fm.evaluate(v))
+                             for v in mvals.tolist()], dtype=np.int64).T
+            base, p1s, sizes, fb = cols[0], cols[1], cols[2], cols[3] != 0
+        else:
+            base, p1s, sizes, fb = self._slot_params(self.fm.evaluate_many(mvals))
         return plan.expand(base, p1s, sizes, fb, self, checked)
 
     # --- diagnostics ---

@@ -47,9 +47,10 @@ def _build_parser():
     b = sub.add_parser("build", parents=[], help="build a structure from a FASTA SPSS")
     b.add_argument("-i", "--input", required=True, help="SPSS file")
     b.add_argument("-o", "--output", required=True, help="structure file to write")
-    b.add_argument("-k", type=int, required=True, help="k-mer length (1..63)")
-    b.add_argument("-m", type=int, default=None,
-                   help="minimizer length (default: from input size)")
+    b.add_argument("-k", type=_number(int, 1, MAX_K), required=True,
+                   help="k-mer length (1..63)")
+    b.add_argument("-m", type=_number(int, 1, MAX_M), default=None,
+                   help="minimizer length, at most k (default: from input size)")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--variant", choices=("basic", "partitioned"),
                    default="partitioned")
@@ -90,7 +91,7 @@ def _build_parser():
     g = sub.add_parser("gen-spss", help="generate a random SPSS FASTA file")
     g.add_argument("-o", "--output", required=True)
     g.add_argument("--length", type=int, required=True, help="total bases")
-    g.add_argument("-k", type=int, required=True)
+    g.add_argument("-k", type=_number(int, 1, MAX_K), required=True)
     g.add_argument("--seed", type=int, default=0)
 
     v = sub.add_parser("verify", help="self-check a structure against its input")
@@ -252,7 +253,7 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "theory" and args.m > args.k:   # a bound across two flags
+    if getattr(args, "m", None) is not None and args.m > args.k:   # across two flags
         parser.error(f"argument -m: {args.m} exceeds k = {args.k}")
     try:
         return _COMMANDS[args.command](args)

@@ -153,8 +153,7 @@ class LpMphfPartitioned(LpMphf):
 
     def _slot_param(self, slot):
         w = self.scheme.w
-        t = self.R.access(slot)
-        j0 = self.R.rank(t, slot + 1) - 1
+        t, j0 = self.R.access(slot)
         if t == FlType.LEFT_RIGHT_MAX:
             return j0 * w, w, w, False
         ef, offset = self._blocks[t - 1]

@@ -111,6 +111,12 @@ class RankBitvector(_Serialized):
         mask = (1 << (i & 63)) - 1
         return int(self._cum[i >> 6]) + (int(self._words[i >> 6]) & mask).bit_count()
 
+    def probe(self, i):
+        """(bit, rank1) at position i, from one read of its word; 0 <= i < nbits."""
+        wi, off = i >> 6, i & 63
+        word = int(self._words[wi])
+        return word >> off & 1, int(self._cum[wi]) + (word & ((1 << off) - 1)).bit_count()
+
     def rank1_many(self, idx):
         return self.probe_many(idx)[1]
 
@@ -376,14 +382,14 @@ class TypeSequence(_Serialized):
         return cls(symbols.size, b1, b2, int(np.count_nonzero(hi == 0)))
 
     def access(self, i):
+        """(symbol at i, its occurrences before i); one probe per level."""
         if not 0 <= i < self.length:
             raise IndexOutOfRange(f"index {i} outside [0, {self.length})")
-        c1 = self._b1.get(i)
-        if c1 == 0:
-            pos2 = i - self._b1.rank1(i)
-        else:
-            pos2 = self._count0 + self._b1.rank1(i)
-        return (c1 << 1) | self._b2.get(pos2)
+        c1, r1 = self._b1.probe(i)
+        pos2 = self._count0 + r1 if c1 else i - r1
+        c0, r2 = self._b2.probe(pos2)
+        t = c1 << 1 | c0
+        return t, (r2 if c0 else pos2 - r2) - int(self._before[t])
 
     def access_many(self, idx):
         """(symbol, its occurrences before idx) per position; one probe per level."""

@@ -3,7 +3,9 @@
 `bench/run.py --trace 1` wraps the package's module boundaries and reads
 attributes that no other test touches (the inner MPHF's level profile, the
 type counts, every section's bytes, the scan and census span attributes), so
-a change to the engine can break it while every other test passes.
+a change to the engine can break it while every other test passes. Both
+workloads run: the one-string long-k31 input and the many-string unitigs-k31
+input take different paths through the engine.
 """
 
 import json
@@ -11,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_benchmark_run_is_correct():
+@pytest.mark.parametrize("workload", ["long-k31", "unitigs-k31"])
+def test_traced_benchmark_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "unitigs-k31",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "11", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

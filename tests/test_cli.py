@@ -172,6 +172,24 @@ def test_theory_rejects_n_below_1_and_xi_outside_unit_interval(bad, capsys):
     assert cap.out == "" and "error" in cap.err
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("build", ["-k", "64"]), ("build", ["-k", "0"]), ("build", ["-m", "0"]),
+    ("build", ["-m", "40"]), ("build", ["-k", "13", "-m", "20"]),
+    ("gen-spss", ["-k", "64"]), ("gen-spss", ["-k", "0"])])
+def test_build_and_gen_spss_reject_k_and_m_as_usage_errors(command, bad, workdir,
+                                                           tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = (["build", "-i", str(workdir / "in.fa"), "-o", str(out), "-k", "31"]
+            if command == "build" else
+            ["gen-spss", "-o", str(out), "--length", "1000", "-k", "21"])
+    with pytest.raises(SystemExit) as e:
+        main(argv + bad)
+    assert e.value.code == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and "error" in cap.err
+    assert not out.exists()
+
+
 def test_build_has_no_threads_option(workdir, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["build", "-i", str(workdir / "in.fa"), "-o", str(tmp_path / "t.lph"),

@@ -4,7 +4,9 @@
 occurrence, checks misses per run and packs fallback k-mers from the query
 codes; `lookup_words` does each per k-mer. The two must agree elementwise,
 checked and unchecked, on query shapes that put run boundaries, partial
-misses, fallback runs and two-word k-mers in play.
+misses, fallback runs and two-word k-mers in play, each with queries on
+both sides of the run count at which `stream_lookup` switches from scalar
+to vector slot decoding.
 """
 
 import functools
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from lpmphf import MinimizerScheme, SpssInput, generate_spss
+from lpmphf.basic import _SCALAR_RUNS
 from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import scan_string
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
@@ -64,14 +67,18 @@ def substituted():
 
 
 def unitigs_m8():
-    """Unitig-like strings of 20-120 k-mers at m = 8, queried as indexed:
-    most of them have a run that goes to the fallback MPHF."""
+    """Unitig-like strings of 20-120 k-mers at m = 8, queried as indexed
+    (most of them have a run that goes to the fallback MPHF), and ten
+    300-k-mer stretches across several of them."""
     n = 4000
     whole = generate_spss(n + 30, 31, seed=83).codes[0]
-    ends = np.cumsum(np.random.default_rng(83).integers(20, 121, size=n // 20))
+    rng = np.random.default_rng(83)
+    ends = np.cumsum(rng.integers(20, 121, size=n // 20))
     cuts = [0, *ends[ends < n].tolist(), n]
     pieces = [whole[a:b + 30] for a, b in zip(cuts, cuts[1:])]
-    return SpssInput(k=31, codes=pieces), MinimizerScheme(k=31, m=8, seed=5), pieces
+    stretches = [whole[a:a + 330] for a in rng.integers(0, n - 300, 10)]
+    return (SpssInput(k=31, codes=pieces), MinimizerScheme(k=31, m=8, seed=5),
+            pieces + stretches)
 
 
 def two_words_k63():
@@ -115,18 +122,28 @@ def test_stream_equals_lookup_words(shape, build, checked):
 @AMBIG
 @pytest.mark.parametrize("build", BUILDERS)
 def test_shapes_reach_what_they_are_for(build):
-    """Every shape puts its case in play: partial run misses, fallback runs
-    in most unitig strings, and fallback runs at k = 63."""
-    f, _, queries = built(substituted, build)
-    partial = 0
-    for q in queries:
+    """Every shape puts its case in play on both sides of the switch from
+    run-by-run to vector slot decoding (at most, and more than, _SCALAR_RUNS
+    runs): partial run misses, fallback runs in most unitig strings, and
+    fallback runs at k = 63."""
+    def by_side(shape, case):
+        f, _, queries = built(shape, build)
+        side = [scan_string(q, f.scheme).sizes.size > _SCALAR_RUNS
+                for q in queries]
+        return [[case(f, q) for q, s in zip(queries, side) if s == vec]
+                for vec in (False, True)]
+
+    def partial(f, q):
         out = f.stream_lookup(q, checked=True)
         scan = scan_string(q, f.scheme)
-        for a, size in zip(scan.kmer_base, scan.sizes):
-            run = out[a:a + size]
-            partial += bool(np.any(run < 0) and np.any(run >= 0))
-    assert partial > 0
+        return any(np.any(out[a:a + size] < 0) and np.any(out[a:a + size] >= 0)
+                   for a, size in zip(scan.kmer_base, scan.sizes))
+
+    def fallback(f, q):
+        return np.any(f.stream_lookup(q) >= f.n_unambiguous)
+
+    for side in by_side(substituted, partial):
+        assert any(side)
     for shape, share in ((unitigs_m8, 0.5), (two_words_k63, 0)):
-        f, _, queries = built(shape, build)
-        fb = [np.any(f.stream_lookup(q) >= f.n_unambiguous) for q in queries]
-        assert np.mean(fb) > share
+        for side in by_side(shape, fallback):
+            assert np.mean(side) > share

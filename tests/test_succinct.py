@@ -349,8 +349,8 @@ def test_type_sequence_matches_naive(rng):
     assert np.array_equal(got, want)
     for t, i in zip(probes_t[:100], probes_i[:100]):
         assert ts.rank(int(t), int(i)) == naive_symbol_rank(symbols, int(t), int(i))
-        assert ts.access(int(min(i, symbols.size - 1))) == \
-            symbols[int(min(i, symbols.size - 1))]
+        j = int(min(i, symbols.size - 1))
+        assert ts.access(j) == (symbols[j], cums[int(symbols[j])][j])
 
 
 _SYMBOL_CASES = {
@@ -375,6 +375,8 @@ def test_type_sequence_access_many_returns_symbol_and_rank(case, reload, rng):
     assert got_symbols.tolist() == symbols[idx].tolist()
     assert got_ranks.tolist() == [naive_symbol_rank(symbols, int(symbols[i]), i)
                                   for i in idx.tolist()]
+    assert [ts.access(i) for i in idx.tolist()] == \
+        list(zip(got_symbols.tolist(), got_ranks.tolist()))
     assert ts.counts == [naive_symbol_rank(symbols, t, symbols.size) for t in range(4)]
 
 

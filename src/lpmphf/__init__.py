@@ -12,13 +12,11 @@ predictions.
 from . import theory
 from .basic import LpMphfBasic, build_basic, measure_epsilon
 from .errors import *  # noqa: F401,F403
-from .kmers import Kmer, encode_kmer, hash_mmer, mix64
+from .kmers import Kmer, mix64
 from .minimizers import (MinimizerCensus, MinimizerHit, MinimizerScheme,
-                         SuperKmerRecord, census, default_minimizer_length,
-                         minimizer, split_superkmers)
+                         census, default_minimizer_length, minimizer)
 from .mphf import GeneralMphf
-from .partitioned import (FlType, LpMphfPartitioned, build_partitioned,
-                          classify)
+from .partitioned import FlType, LpMphfPartitioned, build_partitioned
 from .spss import SpssInput, generate_spss, load_spss, spss_from_strings, write_fasta
 from .storage import load_structure, save_structure
 from .succinct import EliasFanoSeq, IntVector, RankBitvector, TypeSequence

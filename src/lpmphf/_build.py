@@ -45,10 +45,9 @@ def assemble_slots(scan, seed):
     census = census_from_scan(scan)
     fm = GeneralMphf.build(census.distinct, seed=mix64(seed ^ _FM_SALT))
     slot_of_distinct = fm.evaluate_many(census.distinct)
-    inverse = np.searchsorted(census.distinct, scan.minvals)
-    fm_of_skm = slot_of_distinct[inverse]
+    fm_of_skm = slot_of_distinct[census.inverse]
     amb_distinct = census.counts > 1
-    skm_ambiguous = amb_distinct[inverse]
+    skm_ambiguous = amb_distinct[census.inverse]
     m = census.distinct.size
     slot_sizes = np.zeros(m, dtype=np.int64)
     slot_p1 = np.zeros(m, dtype=np.int64)
@@ -93,17 +92,17 @@ def run_misses(p1s, sizes, p1, length=1):
     return (p1 > p1s) | (sizes - p1s + p1 < length)
 
 
-def finish_lookup(base, p1s, sizes, p, fb_mask, fb_words, struct, checked):
+def finish_lookup(base, p1s, sizes, p, fb_mask, hi, lo, struct, checked):
     """Combine slot parameters into final hash values.
 
     base/p1s/sizes are per-element slot data, p the query minimizer position,
-    fb_mask the elements routed to the fallback MPHF, fb_words a callable
-    returning (hi, lo) for exactly those elements.
+    fb_mask the elements routed to the fallback MPHF, and hi/lo the packed
+    words of every element, of which those elements are read.
     """
     out = base + p1s - p
     if np.any(fb_mask):
-        fhi, flo = fb_words()
-        out[fb_mask] = struct.n_unambiguous + struct.fallback.evaluate_many(flo, fhi)
+        out[fb_mask] = struct.n_unambiguous + struct.fallback.evaluate_many(
+            lo[fb_mask], hi[fb_mask])
     miss = ~fb_mask & run_misses(p1s, sizes, p)
     if checked:
         out[miss] = -1

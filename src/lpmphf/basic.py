@@ -64,9 +64,8 @@ class LpMphf:
     # --- construction ---
 
     @classmethod
-    def build(cls, spss, scheme, threads=1, scan=None):
-        """Build over an SPSS, reusing `scan` (its `scan_spss`) if given.
-        `threads` has no effect; `bench/run.py` still passes it."""
+    def build(cls, spss, scheme, scan=None):
+        """Build over an SPSS, reusing `scan` (its `scan_spss`) if given."""
         warn_if_density_condition_violated(scheme)
         scan = scan_spss(spss, scheme) if scan is None else scan
         slots = assemble_slots(scan, scheme.seed)
@@ -82,8 +81,7 @@ class LpMphf:
         mvals, p = kmer_minimizers(hi, lo, self.scheme)
         slot = self.fm.evaluate_many(mvals)
         base, p1s, sizes, fb = self._slot_params(slot)
-        return finish_lookup(base, p1s, sizes, p, fb,
-                             lambda: (hi[fb], lo[fb]), self, checked)
+        return finish_lookup(base, p1s, sizes, p, fb, hi, lo, self, checked)
 
     def lookup(self, x, checked=False):
         """Hash one k-mer (Kmer, DNA string, or packed int).
@@ -191,8 +189,8 @@ class LpMphfBasic(LpMphf):
 
 
 def build_basic(spss, scheme, threads=1):
-    """Build the un-partitioned structure over an SPSS (`threads`: see
-    `LpMphf.build`)."""
+    """Build the un-partitioned structure over an SPSS. `threads` has no
+    effect: `bench/run.py` passes it, and ROADMAP item D removes it."""
     return LpMphfBasic.build(spss, scheme)
 
 

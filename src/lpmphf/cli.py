@@ -39,6 +39,9 @@ def _number(cast, lo, hi=float("inf")):
     return parse
 
 
+_SEED = _number(int, 0, 2 ** 64 - 1)
+
+
 def _build_parser():
     p = _Parser(prog="lpmphf",
                 description="locality-preserving minimal perfect hashing of k-mers")
@@ -51,7 +54,7 @@ def _build_parser():
                    help="k-mer length (1..63)")
     b.add_argument("-m", type=_number(int, 1, MAX_M), default=None,
                    help="minimizer length, at most k (default: from input size)")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_SEED, default=0)
     b.add_argument("--variant", choices=("basic", "partitioned"),
                    default="partitioned")
     b.add_argument("--input-format", choices=("fasta", "lines"), default="fasta")
@@ -68,7 +71,7 @@ def _build_parser():
                       help="shuffle the k-mers and look each up independently")
     q.add_argument("--checked", action="store_true",
                    help="report definite misses as '-'")
-    q.add_argument("--seed", type=int, default=0, help="shuffle seed for --random")
+    q.add_argument("--seed", type=_SEED, default=0, help="shuffle seed for --random")
 
     s = sub.add_parser("stats", help="measured vs computed statistics")
     s.add_argument("-i", "--input", required=True, help="structure file")
@@ -92,7 +95,7 @@ def _build_parser():
     g.add_argument("-o", "--output", required=True)
     g.add_argument("--length", type=int, required=True, help="total bases")
     g.add_argument("-k", type=_number(int, 1, MAX_K), required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_SEED, default=0)
 
     v = sub.add_parser("verify", help="self-check a structure against its input")
     v.add_argument("-i", "--input", required=True, help="structure file")

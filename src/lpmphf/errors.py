@@ -16,7 +16,7 @@ class InvalidBase(LpmphfError):
 
 
 class LengthOutOfRange(LpmphfError):
-    """A k or m value outside the supported packing range."""
+    """A k, m or seed value outside the supported range."""
 
 
 # --- input ingestion ---

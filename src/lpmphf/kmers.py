@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidBase, LengthOutOfRange
+from .errors import InvalidBase, LengthOutOfRange
 
 __all__ = [
     "MAX_K", "MAX_M", "BASES",
-    "encode_bases", "decode_bases", "Kmer", "encode_kmer",
-    "mix64", "mix64_inplace", "seed_key", "hash_mmer",
-    "hash_mmer_array", "hash_words_array",
+    "encode_bases", "decode_bases", "Kmer",
+    "mix64", "mix64_inplace", "seed_key", "hash_mmer_array", "hash_words_array",
     "window_values", "kmer_words", "kmer_words_at", "first_duplicate",
 ]
 
@@ -63,8 +62,8 @@ class Kmer:
     """A fixed-length DNA string packed into 2k bits.
 
     `value` holds the bases most-significant-first; for k > 32 the packed
-    value spans two 64-bit words, exposed as `hi` (first k-32 bases) and
-    `lo` (last 32 bases).
+    value spans two 64-bit words, `value >> 64` (the first k-32 bases) and
+    its low 64 bits (the last 32), as `kmer_words` packs them.
     """
 
     k: int
@@ -86,31 +85,11 @@ class Kmer:
             value = (value << 2) | int(c)
         return cls(codes.size, value)
 
-    @property
-    def hi(self):
-        return self.value >> 64
-
-    @property
-    def lo(self):
-        return self.value & _MASK64
-
-    def mmer_at(self, pos, m):
-        """Packed m-mer starting at 1-based position pos (pos in [1, k-m+1])."""
-        if not 1 <= pos <= self.k - m + 1:
-            raise IndexOutOfRange(f"m-mer position {pos} out of range")
-        shift = 2 * (self.k - m - (pos - 1))
-        return (self.value >> shift) & ((1 << (2 * m)) - 1)
-
     def __str__(self):
         out = []
         for i in range(self.k - 1, -1, -1):
             out.append(BASES[(self.value >> (2 * i)) & 3])
         return "".join(out)
-
-
-def encode_kmer(s):
-    """Pack a DNA string of length 1..63 into a Kmer."""
-    return Kmer.from_string(s)
 
 
 # --- hashing -----------------------------------------------------------------
@@ -137,17 +116,12 @@ def mix64_inplace(x):
 
 
 def seed_key(seed):
-    """Pre-mixed seed: hash_mmer(x, seed) == mix64(x ^ seed_key(seed))."""
+    """Pre-mixed seed: an m-mer x hashes to mix64(x ^ seed_key(seed))."""
     return mix64(seed ^ _SEED_SALT)
 
 
-def hash_mmer(mmer, seed):
-    """Deterministic 64-bit hash of a packed m-mer (m <= 32) under a seed."""
-    return mix64(mmer ^ seed_key(seed))
-
-
 def hash_mmer_array(mmers, seed):
-    """Vector version of hash_mmer; equal to the scalar elementwise."""
+    """Hash of packed m-mers (m <= 32): mix64(x ^ seed_key(seed)) elementwise."""
     return mix64_inplace(np.asarray(mmers, dtype=_U64) ^ _U64(seed_key(seed)))
 
 

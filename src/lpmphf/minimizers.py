@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthOutOfRange, StringShorterThanK
-from .kmers import (MAX_K, MAX_M, Kmer, encode_bases, hash_mmer_array, mix64,
-                    seed_key, window_values)
+from .kmers import (MAX_K, MAX_M, Kmer, hash_mmer_array, mix64, seed_key,
+                    window_values)
 
 __all__ = [
-    "MinimizerScheme", "MinimizerHit", "SuperKmerRecord", "MinimizerCensus",
-    "minimizer", "split_superkmers", "census", "default_minimizer_length",
-    "MinimizerDensityWarning",
+    "MinimizerScheme", "MinimizerHit", "MinimizerCensus", "minimizer",
+    "census", "default_minimizer_length", "MinimizerDensityWarning",
 ]
 
 
@@ -36,7 +35,7 @@ class MinimizerDensityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MinimizerScheme:
-    """The (k, m, seed) triple; w = k - m + 1 m-mers per k-mer."""
+    """The (k, m, seed) triple, seed in [0, 2^64); w = k - m + 1 m-mers per k-mer."""
 
     k: int
     m: int
@@ -48,6 +47,8 @@ class MinimizerScheme:
         if not 1 <= self.m <= min(self.k, MAX_M):
             raise LengthOutOfRange(
                 f"m={self.m} outside [1, min(k, {MAX_M})] for k={self.k}")
+        if not 0 <= self.seed < 1 << 64:
+            raise LengthOutOfRange(f"seed={self.seed} outside [0, 2^64)")
 
     @property
     def w(self):
@@ -75,21 +76,6 @@ class MinimizerHit:
 
     mmer: int
     pos: int
-
-
-@dataclass(frozen=True)
-class SuperKmerRecord:
-    """One super-k-mer: minimizer value, k-mer count, and position.
-
-    `p1` is the minimizer's 1-based start position in the record's first
-    k-mer; `start_offset` the index of that first k-mer within its string.
-    Property: size <= p1 <= w.
-    """
-
-    minimizer: int
-    size: int
-    p1: int
-    start_offset: int = 0
 
 
 def minimizer(x, scheme):
@@ -198,18 +184,6 @@ def scan_spss(spss, scheme):
     return _scan(spss.joined_codes, scheme, spss.kmer_positions())
 
 
-def split_superkmers(s, scheme):
-    """Super-k-mer records of one DNA string, tiling its k-mers in order."""
-    codes = encode_bases(s) if isinstance(s, str) else s
-    scan = scan_string(codes, scheme)
-    return [
-        SuperKmerRecord(minimizer=int(scan.minvals[i]), size=int(scan.sizes[i]),
-                        p1=int(scan.p1[i]),
-                        start_offset=int(scan.kmer_base[i]))
-        for i in range(scan.sizes.size)
-    ]
-
-
 # --- census ---------------------------------------------------------------------
 
 @dataclass
@@ -217,12 +191,14 @@ class MinimizerCensus:
     """Per-minimizer super-k-mer counts over the whole SPSS.
 
     distinct/counts are aligned sorted arrays; a minimizer is ambiguous iff
-    it owns more than one super-k-mer. xi is the fraction of k-mers living
-    in ambiguous super-k-mers.
+    it owns more than one super-k-mer. `inverse` holds, per scanned
+    super-k-mer, its minimizer's index in `distinct`. xi is the fraction of
+    k-mers living in ambiguous super-k-mers.
     """
 
     distinct: np.ndarray
     counts: np.ndarray
+    inverse: np.ndarray
     xi: float
     n: int
 
@@ -230,26 +206,14 @@ class MinimizerCensus:
     def num_minimizers(self):
         return self.distinct.size
 
-    @property
-    def num_ambiguous(self):
-        return int(np.count_nonzero(self.counts > 1))
-
-    def count(self, mmer):
-        i = np.searchsorted(self.distinct, np.uint64(mmer))
-        if i < self.distinct.size and self.distinct[i] == np.uint64(mmer):
-            return int(self.counts[i])
-        return 0
-
-    def is_ambiguous(self, mmer):
-        return self.count(mmer) > 1
-
 
 def census_from_scan(scan):
     distinct, inverse, counts = np.unique(
         scan.minvals, return_inverse=True, return_counts=True)
     amb_skm = counts[inverse] > 1
     xi = float(scan.sizes[amb_skm].sum()) / scan.n if scan.n else 0.0
-    return MinimizerCensus(distinct=distinct, counts=counts, xi=xi, n=scan.n)
+    return MinimizerCensus(distinct=distinct, counts=counts, inverse=inverse,
+                           xi=xi, n=scan.n)
 
 
 def census(spss, scheme):

@@ -120,8 +120,9 @@ class GeneralMphf(_Serialized):
         bits, (_, rows) = self._bits, self._view
         for level_key, size, start in rows:
             pos = start + mix64(mix64(lo ^ level_key) ^ hi) % size
-            if bits.get(pos):
-                return bits.rank1(pos)
+            hit, rank = bits.probe(pos)
+            if hit:
+                return rank
         return hash_words(hi, lo, self.seed) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):

@@ -35,7 +35,7 @@ from .minimizers import scan_spss  # noqa: F401
 from .succinct import (EliasFanoSeq, IntVector, RankBitvector, TypeSequence,
                        _ef_pairs)
 
-__all__ = ["FlType", "classify", "LpMphfPartitioned", "build_partitioned"]
+__all__ = ["FlType", "LpMphfPartitioned", "build_partitioned"]
 
 
 class FlType(IntEnum):
@@ -45,14 +45,8 @@ class FlType(IntEnum):
     NON_MAX = 3
 
 
-def classify(record, w):
-    """FL type of a super-k-mer record (exactly one rule fires)."""
-    return FlType(int(_classify_arrays(
-        np.array([record.size], dtype=np.int64),
-        np.array([record.p1], dtype=np.int64), w)[0]))
-
-
 def _classify_arrays(sizes, p1, w):
+    """FL type of each super-k-mer (exactly one rule fires)."""
     last = p1 - sizes + 1
     return (((last > 1).astype(np.int64) << 1) | (p1 < w)).astype(np.uint8)
 
@@ -166,6 +160,6 @@ class LpMphfPartitioned(LpMphf):
 
 
 def build_partitioned(spss, scheme, threads=1):
-    """Build the partitioned structure over an SPSS (`threads`: see
-    `LpMphf.build`)."""
+    """Build the partitioned structure over an SPSS. `threads` has no
+    effect: `bench/run.py` passes it, and ROADMAP item D removes it."""
     return LpMphfPartitioned.build(spss, scheme)

@@ -101,9 +101,6 @@ class RankBitvector(_Serialized):
     def from_bools(cls, bits):
         return cls.from_positions(len(bits), np.flatnonzero(bits))
 
-    def get(self, i):
-        return (int(self._words[i >> 6]) >> (i & 63)) & 1
-
     def rank1(self, i):
         """Number of set bits in [0, i); 0 <= i <= nbits."""
         if not 0 <= i <= self.nbits:
@@ -321,12 +318,6 @@ class EliasFanoSeq(_Serialized):
 
     def __len__(self):
         return self.length
-
-    def __getitem__(self, i):
-        return self.access(i)
-
-    def payload_bits(self):
-        return self.length * self.low_width + self._high.nbits
 
     def to_bytes(self):
         w = Writer()

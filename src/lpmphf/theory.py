@@ -149,7 +149,7 @@ def stats(spss, f, scan=None):
 
     scan = scan_spss(spss, f.scheme) if scan is None else scan
     census = census_from_scan(scan)
-    amb = census.counts[np.searchsorted(census.distinct, scan.minvals)] > 1
+    amb = census.counts[census.inverse] > 1
     types = _classify_arrays(scan.sizes[~amb], scan.p1[~amb], f.scheme.w)
     n_unamb_skm = types.size
     measured = tuple(

@@ -8,7 +8,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lpmphf import (EliasFanoSeq, MinimizerScheme, SpssInput, build_basic,
-                    build_partitioned, generate_spss, split_superkmers)
+                    build_partitioned, generate_spss)
+from lpmphf.kmers import encode_bases
+from lpmphf.minimizers import scan_string
 
 from oracles import random_dna
 
@@ -38,8 +40,8 @@ def find_single_superkmer(k, m, size, seed=0, tries=5000):
     length = k + size - 1
     for _ in range(tries):
         s = random_dna(rng, length)
-        recs = split_superkmers(s, scheme)
-        if len(recs) == 1 and recs[0].size == size:
+        scan = scan_string(encode_bases(s), scheme)
+        if scan.num_superkmers == 1 and scan.sizes[0] == size:
             return s, scheme
     raise AssertionError(f"no single super-k-mer of size {size} found")
 
@@ -183,7 +185,7 @@ def layout_patches(blob, f):
                                           (b1, other), (b2, other)])
     # one symbol changed within R's left group (0 <-> 1) and right group
     # (2 <-> 3): the type counts no longer match R
-    b2_bits = [f.R._b2.get(i) for i in range(m)]
+    b2_bits = [f.R._b2.probe(i)[0] for i in range(m)]
     yield "R symbol 0 -> 1", _flip(blob, b2 + 8, b2_bits.index(0))
     yield "R symbol 3 -> 2", _flip(blob, b2 + 8, b2_bits.index(1, count0))
     for i, name in enumerate(("n_lr", "n_l", "n_r", "n_n")):

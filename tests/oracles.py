@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from lpmphf.kmers import BASES, hash_mmer, mix64, seed_key
+from lpmphf.kmers import BASES, mix64, seed_key
 
 
 def random_dna(rng, length):
@@ -28,7 +28,7 @@ def brute_minimizer(kmer, m, seed):
     best = None
     for p in range(len(kmer) - m + 1):
         v = pack_mmer(kmer[p:p + m])
-        h = hash_mmer(v, seed)
+        h = mix64(v ^ seed_key(seed))
         if best is None or h < best[0]:
             best = (h, v, p + 1)
     return best[1], best[2]

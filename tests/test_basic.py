@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
+import lpmphf
 from lpmphf import (Kmer, MinimizerScheme, SpssInput, build_basic,
                     generate_spss, measure_epsilon, spss_from_strings)
 from lpmphf.errors import DefiniteMiss, KMismatch
@@ -28,6 +31,15 @@ def built(small_spss, scheme):
 
 def stream_all(f, spss):
     return np.concatenate([f.stream_lookup(c) for c in spss.codes])
+
+
+@pytest.mark.parametrize("module", ["lpmphf"] + [
+    f"lpmphf.{m.name}" for m in pkgutil.iter_modules(lpmphf.__path__)])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing: {missing}"
+    exec(f"from {module} import *", {})
 
 
 def test_singleton_spss():

@@ -190,6 +190,30 @@ def test_build_and_gen_spss_reject_k_and_m_as_usage_errors(command, bad, workdir
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command", ["build", "gen-spss", "query"])
+def test_seed_outside_u64_is_a_usage_error(command, seed, workdir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = {"build": ["-i", str(workdir / "in.fa"), "-k", "31"],
+            "gen-spss": ["--length", "1000", "-k", "21"],
+            "query": ["-i", str(workdir / "f.lph"), "-q", str(workdir / "in.fa"),
+                      "--random"]}[command]
+    with pytest.raises(SystemExit) as e:
+        main([command, "-o", str(out), *argv, "--seed", seed])
+    assert e.value.code == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and "error" in cap.err
+    assert not out.exists()
+
+
+def test_build_largest_seed_saves_and_loads(workdir, tmp_path, capsys):
+    out = tmp_path / "s.lph"
+    code, _, _ = run(capsys, "build", "-i", str(workdir / "in.fa"), "-o", str(out),
+                     "-k", "31", "-m", "15", "--seed", str(2 ** 64 - 1))
+    assert code == 0
+    assert load_structure(out).scheme.seed == 2 ** 64 - 1
+
+
 def test_build_has_no_threads_option(workdir, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["build", "-i", str(workdir / "in.fa"), "-o", str(tmp_path / "t.lph"),

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpmphf import encode_kmer, hash_mmer, mix64
-from lpmphf.errors import InvalidBase, LengthOutOfRange, LpmphfError
+from lpmphf import Kmer, mix64
+from lpmphf.errors import InvalidBase, LengthOutOfRange
 from lpmphf.kmers import (_PACK_ROWS, decode_bases, encode_bases,
                           hash_mmer_array, hash_words, hash_words_array,
-                          kmer_words, kmer_words_at, window_values)
+                          kmer_words, kmer_words_at, seed_key, window_values)
 
 from oracles import all_kmers, pack_mmer, random_dna
 
@@ -17,43 +17,43 @@ dna = st.text(alphabet="ACGT", min_size=1, max_size=63)
 
 
 def test_single_a_packs_to_zero():
-    assert encode_kmer("A").value == 0
+    assert Kmer.from_string("A").value == 0
 
 
 def test_acgt_round_trip():
-    assert str(encode_kmer("ACGT")) == "ACGT"
-    assert encode_kmer("ACGT").value == 0b00011011
+    assert str(Kmer.from_string("ACGT")) == "ACGT"
+    assert Kmer.from_string("ACGT").value == 0b00011011
 
 
 @given(dna)
 def test_round_trip_identity(s):
-    assert str(encode_kmer(s)) == s
+    assert str(Kmer.from_string(s)) == s
 
 
 def test_encode_injective_on_all_length5_strings():
     seen = set()
     for t in itertools.product("ACGT", repeat=5):
-        seen.add(encode_kmer("".join(t)).value)
+        seen.add(Kmer.from_string("".join(t)).value)
     assert len(seen) == 4 ** 5
 
 
 def test_invalid_base_rejected():
     with pytest.raises(InvalidBase):
-        encode_kmer("ACGNA")
+        Kmer.from_string("ACGNA")
     with pytest.raises(InvalidBase):
         encode_bases("ACGU")
 
 
 def test_length_limits():
     with pytest.raises(LengthOutOfRange):
-        encode_kmer("")
+        Kmer.from_string("")
     with pytest.raises(LengthOutOfRange):
-        encode_kmer("A" * 64)
-    assert encode_kmer("A" * 63).k == 63
+        Kmer.from_string("A" * 64)
+    assert Kmer.from_string("A" * 63).k == 63
 
 
 def test_lowercase_accepted():
-    assert str(encode_kmer("acgt")) == "ACGT"
+    assert str(Kmer.from_string("acgt")) == "ACGT"
 
 
 def test_decode_encode_bases():
@@ -63,32 +63,15 @@ def test_decode_encode_bases():
 
 def test_kmer_hi_lo_split():
     s = "ACGT" * 12 + "GTC"   # k = 51
-    km = encode_kmer(s)
-    assert km.value == (km.hi << 64) | km.lo
-    assert km.hi >> (2 * (51 - 32)) == 0
-
-
-def test_mmer_at_matches_slice():
-    s = "ACGTTGCAACGTGGATC"
-    km = encode_kmer(s)
-    for m in (1, 3, 7):
-        for p in range(1, len(s) - m + 2):
-            assert km.mmer_at(p, m) == pack_mmer(s[p - 1:p + m - 1])
-
-
-@pytest.mark.parametrize("m", [1, 3, 17])
-def test_mmer_at_outside_window_raises_typed_error(m):
-    km = encode_kmer("ACGTTGCAACGTGGATC")
-    w = km.k - m + 1
-    for pos in (0, w + 1):
-        with pytest.raises(LpmphfError):
-            km.mmer_at(pos, m)
+    hi, lo = (int(x[0]) for x in kmer_words(encode_bases(s), 51))
+    assert Kmer.from_string(s).value == (hi << 64) | lo
+    assert hi >> (2 * (51 - 32)) == 0
 
 
 # --- hashing -------------------------------------------------------------------
 
 def test_hash_deterministic():
-    assert hash_mmer(12345, 7) == hash_mmer(12345, 7)
+    assert mix64(12345 ^ seed_key(7)) == mix64(12345 ^ seed_key(7))
 
 
 def test_mix64_bijective_sample():
@@ -99,7 +82,8 @@ def test_mix64_bijective_sample():
 def test_two_seeds_never_collide_on_sample():
     rng = np.random.default_rng(7)
     xs = rng.integers(0, 2 ** 60, size=10_000)
-    collisions = sum(hash_mmer(int(x), 1) == hash_mmer(int(x), 2) for x in xs)
+    collisions = sum(mix64(int(x) ^ seed_key(1)) == mix64(int(x) ^ seed_key(2))
+                     for x in xs)
     assert collisions == 0
 
 
@@ -119,7 +103,7 @@ def test_vector_hash_matches_scalar():
     xs = rng.integers(0, 2 ** 63, size=500, dtype=np.uint64)
     hv = hash_mmer_array(xs, seed=9)
     for i in range(0, 500, 37):
-        assert int(hv[i]) == hash_mmer(int(xs[i]), 9)
+        assert int(hv[i]) == mix64(int(xs[i]) ^ seed_key(9))
     his = rng.integers(0, 2 ** 63, size=100, dtype=np.uint64)
     los = rng.integers(0, 2 ** 63, size=100, dtype=np.uint64)
     hw = hash_words_array(his, los, seed=4)
@@ -153,8 +137,7 @@ def test_kmer_words_match_encode(k):
     s = random_dna(rng, 300)
     hi, lo = kmer_words(encode_bases(s), k)
     for i, sub in enumerate(all_kmers(s, k)):
-        km = encode_kmer(sub)
-        assert (int(hi[i]), int(lo[i])) == (km.hi, km.lo)
+        assert (int(hi[i]) << 64) | int(lo[i]) == Kmer.from_string(sub).value
 
 
 @pytest.mark.parametrize("k", [1, 5, 31, 32, 33, 63])

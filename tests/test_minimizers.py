@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmphf import (MinimizerScheme, census, default_minimizer_length,
-                    encode_kmer, minimizer, split_superkmers,
-                    spss_from_strings)
+from lpmphf import (Kmer, MinimizerScheme, census, default_minimizer_length,
+                    minimizer, spss_from_strings)
 from lpmphf.errors import LengthOutOfRange, StringShorterThanK
 from lpmphf._lookup import _BLOCK_ROWS, kmer_minimizers
-from lpmphf.kmers import BASES, encode_bases, hash_mmer, kmer_words
+from lpmphf.kmers import BASES, encode_bases, kmer_words, mix64, seed_key
 from lpmphf.minimizers import _window_argmin, scan_spss, scan_string
 
 from conftest import find_single_superkmer
@@ -19,7 +18,7 @@ from oracles import (brute_minimizer, brute_split, brute_window_argmin,
 
 
 def test_m_equals_k_trivial():
-    km = encode_kmer("ACGTTGACCAGTA")
+    km = Kmer.from_string("ACGTTGACCAGTA")
     hit = minimizer(km, MinimizerScheme(k=13, m=13, seed=1))
     assert hit.mmer == km.value and hit.pos == 1
 
@@ -66,36 +65,45 @@ def test_scheme_validation():
         MinimizerScheme(k=31, m=33)
     with pytest.raises(LengthOutOfRange):
         MinimizerScheme(k=10, m=11)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(LengthOutOfRange):
+            MinimizerScheme(k=31, m=15, seed=seed)
+    assert MinimizerScheme(k=31, m=15, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 # --- super-k-mer splitting -----------------------------------------------------
 
+def split(s, scheme):
+    """(minimizer, size, p1, first k-mer) per super-k-mer of `scan_string`."""
+    scan = scan_string(encode_bases(s), scheme)
+    return list(zip(scan.minvals.tolist(), scan.sizes.tolist(),
+                    scan.p1.tolist(), scan.kmer_base.tolist()))
+
+
 def test_single_kmer_string_single_record():
     scheme = MinimizerScheme(k=13, m=7, seed=0)
-    recs = split_superkmers("ACGTTGACCAGTA", scheme)
+    recs = split("ACGTTGACCAGTA", scheme)
     assert len(recs) == 1
-    assert recs[0].size == 1 and recs[0].start_offset == 0
+    assert recs[0][1] == 1 and recs[0][3] == 0
 
 
 def test_length16_superkmer_has_four_kmers():
     # a super-k-mer of length 16 with k=13, m=7 holds 16-13+1 = 4 k-mers
     s, scheme = find_single_superkmer(k=13, m=7, size=4)
-    recs = split_superkmers(s, scheme)
+    recs = split(s, scheme)
     assert len(recs) == 1
-    assert recs[0].size == len(s) - 13 + 1 == 4
+    assert recs[0][1] == len(s) - 13 + 1 == 4
 
 
 def test_split_shorter_than_k_raises():
     with pytest.raises(StringShorterThanK):
-        split_superkmers("ACGT", MinimizerScheme(k=13, m=7))
+        split("ACGT", MinimizerScheme(k=13, m=7))
 
 
 def test_split_matches_brute_force_oracle(rng):
     scheme = MinimizerScheme(k=31, m=15, seed=7)
     s = random_dna(rng, 10_000)
-    recs = split_superkmers(s, scheme)
-    oracle = brute_split(s, 31, 15, scheme.seed)
-    assert [(r.minimizer, r.size, r.p1, r.start_offset) for r in recs] == oracle
+    assert split(s, scheme) == brute_split(s, 31, 15, scheme.seed)
 
 
 @given(st.integers(0, 2 ** 32), st.integers(0, 3))
@@ -105,9 +113,7 @@ def test_split_matches_oracle_small_schemes(seed, which):
     rng = np.random.default_rng(seed)
     s = random_dna(rng, int(rng.integers(k, 6 * k)))
     scheme = MinimizerScheme(k=k, m=m, seed=5)
-    recs = split_superkmers(s, scheme)
-    assert [(r.minimizer, r.size, r.p1, r.start_offset) for r in recs] == \
-        brute_split(s, k, m, scheme.seed)
+    assert split(s, scheme) == brute_split(s, k, m, scheme.seed)
 
 
 def test_split_matches_isolated_window_oracle_at_1e5(medium_spss):
@@ -129,12 +135,11 @@ def test_split_matches_isolated_window_oracle_at_1e5(medium_spss):
 def test_records_tile_kmers_and_respect_property1(rng):
     scheme = MinimizerScheme(k=31, m=15, seed=11)
     s = random_dna(rng, 5000)
-    recs = split_superkmers(s, scheme)
     covered = 0
-    for r in recs:
-        assert r.start_offset == covered
-        assert 1 <= r.size <= r.p1 <= scheme.w
-        covered += r.size
+    for _, size, p1, start in split(s, scheme):
+        assert start == covered
+        assert 1 <= size <= p1 <= scheme.w
+        covered += size
     assert covered == len(s) - 31 + 1
 
 
@@ -147,7 +152,7 @@ def test_scan_spss_sums_to_n(medium_spss):
 def _boundary_pair(rng, k=13, m=5, seed=4):
     """Two strings where every window straddling their boundary holds the
     m-mer of smallest hash, which starts the second string."""
-    best = min((hash_mmer(v, seed), v) for v in range(4 ** m))[1]
+    best = min((mix64(v ^ seed_key(seed)), v) for v in range(4 ** m))[1]
     x = "".join(BASES[(best >> 2 * (m - 1 - i)) & 3] for i in range(m))
     a = random_dna(rng, k + 9)
     while x in a:
@@ -200,7 +205,8 @@ def test_ambiguous_kmer_words_equal_set_oracle(rng):
         spss = spss_from_strings(strings, k)
         scan = scan_spss(spss, MinimizerScheme(k, m, seed))
         cen = census_from_scan(scan)
-        amb = cen.counts[np.searchsorted(cen.distinct, scan.minvals)] > 1
+        assert np.array_equal(cen.inverse, np.searchsorted(cen.distinct, scan.minvals))
+        amb = cen.counts[cen.inverse] > 1
         hi, lo = ambiguous_kmer_words(spss, scan, amb)
         got = [(int(h) << 64) | int(x) for h, x in zip(hi, lo)]
         # per k-mer: is its minimizer value shared by two super-k-mers?
@@ -228,7 +234,7 @@ def test_census_all_distinct_minimizers():
     scheme = MinimizerScheme(k=13, m=7, seed=0)
     spss = spss_from_strings(["ACGTTGACCAGTA"], k=13)
     cen = census(spss, scheme)
-    assert cen.xi == 0.0 and cen.num_ambiguous == 0
+    assert cen.xi == 0.0 and np.all(cen.counts == 1)
 
 
 def test_census_repeated_block_is_ambiguous(rng):
@@ -242,9 +248,9 @@ def test_census_repeated_block_is_ambiguous(rng):
     dup_vals = [v for v, c, p, st_ in brute_split(s, 13, 7, scheme.seed)]
     repeated = {v for v in dup_vals if dup_vals.count(v) > 1}
     assert repeated, "fixture should repeat a minimizer"
+    counts = dict(zip(cen.distinct.tolist(), cen.counts.tolist()))
     for v in repeated:
-        assert cen.count(v) >= 2
-        assert cen.is_ambiguous(v)
+        assert counts[v] >= 2
     assert cen.xi > 0
 
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from lpmphf import (FlType, MinimizerScheme, SpssInput, SuperKmerRecord,
-                    build_basic, build_partitioned, census, classify,
-                    generate_spss, measure_epsilon, spss_from_strings,
-                    type_probabilities)
+from lpmphf import (FlType, MinimizerScheme, SpssInput, build_basic,
+                    build_partitioned, census, generate_spss, measure_epsilon,
+                    spss_from_strings, type_probabilities)
 from lpmphf._build import assemble_slots
-from lpmphf.kmers import kmer_words
-from lpmphf.minimizers import scan_spss, split_superkmers
+from lpmphf.kmers import encode_bases, kmer_words
+from lpmphf.minimizers import scan_spss, scan_string
 from lpmphf.partitioned import _classify_arrays
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
@@ -33,16 +32,18 @@ def stream_all(f, spss):
 
 # --- classification --------------------------------------------------------------
 
+def fl_type(size, p1, w):
+    return FlType(_classify_arrays(np.array([size]), np.array([p1]), w)[0])
+
+
 def test_classify_max_size_is_left_right_max():
     # size = w forces p1 = w and p_last = 1
     for w in (2, 5, 9):
-        rec = SuperKmerRecord(minimizer=0, size=w, p1=w)
-        assert classify(rec, w) == FlType.LEFT_RIGHT_MAX
+        assert fl_type(w, w, w) == FlType.LEFT_RIGHT_MAX
 
 
 def test_classify_size1_p1_1_is_left_max():
-    rec = SuperKmerRecord(minimizer=0, size=1, p1=1)
-    assert classify(rec, 5) == FlType.LEFT_MAX
+    assert fl_type(1, 1, 5) == FlType.LEFT_MAX
 
 
 def test_classify_exhaustive_partition():
@@ -57,10 +58,7 @@ def test_classify_exhaustive_partition():
                     (True, False): FlType.RIGHT_MAX,
                     (False, False): FlType.NON_MAX,
                 }[(p1 == w, last == 1)]
-                rec = SuperKmerRecord(minimizer=0, size=size, p1=p1)
-                assert classify(rec, w) == expected
-                arr = _classify_arrays(np.array([size]), np.array([p1]), w)
-                assert arr[0] == expected
+                assert fl_type(size, p1, w) == expected
 
 
 # --- build / lookup ---------------------------------------------------------------
@@ -71,8 +69,9 @@ def find_single_nonmax(k=13, m=7, seed=0):
     for length in (k + 2, k + 3):
         for _ in range(20_000):
             s = random_dna(rng, length)
-            recs = split_superkmers(s, scheme)
-            if len(recs) == 1 and classify(recs[0], scheme.w) == FlType.NON_MAX:
+            scan = scan_string(encode_bases(s), scheme)
+            if scan.num_superkmers == 1 and fl_type(
+                    scan.sizes[0], scan.p1[0], scheme.w) == FlType.NON_MAX:
                 return s, scheme
     raise AssertionError("no single non-max super-k-mer found")
 

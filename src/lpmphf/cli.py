@@ -93,7 +93,8 @@ def _build_parser():
 
     g = sub.add_parser("gen-spss", help="generate a random SPSS FASTA file")
     g.add_argument("-o", "--output", required=True)
-    g.add_argument("--length", type=int, required=True, help="total bases")
+    g.add_argument("--length", type=int, required=True,
+                   help="total bases, at least k")
     g.add_argument("-k", type=_number(int, 1, MAX_K), required=True)
     g.add_argument("--seed", type=_SEED, default=0)
 
@@ -258,10 +259,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "m", None) is not None and args.m > args.k:   # across two flags
         parser.error(f"argument -m: {args.m} exceeds k = {args.k}")
+    if getattr(args, "length", None) is not None and args.length < args.k:
+        parser.error(f"argument --length: {args.length} is below k = {args.k}")
     try:
         return _COMMANDS[args.command](args)
     except (LpmphfError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

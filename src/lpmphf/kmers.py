@@ -18,7 +18,7 @@ __all__ = [
     "MAX_K", "MAX_M", "BASES",
     "encode_bases", "decode_bases", "Kmer",
     "mix64", "mix64_inplace", "seed_key", "hash_mmer_array", "hash_words_array",
-    "window_values", "kmer_words", "kmer_words_at", "first_duplicate",
+    "window_values", "packed_windows", "kmer_words", "kmer_words_at", "first_duplicate",
 ]
 
 MAX_K = 63
@@ -122,7 +122,9 @@ def seed_key(seed):
 
 def hash_mmer_array(mmers, seed):
     """Hash of packed m-mers (m <= 32): mix64(x ^ seed_key(seed)) elementwise."""
-    return mix64_inplace(np.asarray(mmers, dtype=_U64) ^ _U64(seed_key(seed)))
+    x = np.array(mmers, dtype=_U64)   # a new array, widened in the same pass
+    x ^= _U64(seed_key(seed))
+    return mix64_inplace(x)
 
 
 def hash_words_array(hi, lo, seed):
@@ -142,19 +144,25 @@ def window_values(codes, width):
 
     Returns a uint64 array of length len(codes) - width + 1; width <= 32.
     """
+    return packed_windows(codes, width).astype(_U64, copy=False)
+
+
+def packed_windows(codes, width):
+    """`window_values` in the narrowest word that holds them: uint32 up to
+    width 16 (half the memory traffic per pass), else uint64."""
     if width > MAX_M:
         raise LengthOutOfRange(f"window width {width} > {MAX_M}")
-    n = codes.size - width + 1
-    if n <= 0:
-        return np.empty(0, dtype=_U64)
-    acc, used = codes.astype(_U64), 1   # acc[i]: the window of `used` bases at i
+    word = np.uint32 if width <= 16 else _U64
+    if codes.size < width:
+        return np.empty(0, dtype=word)
+    acc, used = codes.astype(word), 1   # acc[i]: the window of `used` bases at i
     for digit in bin(width)[3:]:  # width's binary digits after the leading 1
-        nxt = acc[:-used] << _U64(2 * used)   # double: join windows i, i + used
+        nxt = acc[:-used] << word(2 * used)   # double: join windows i, i + used
         nxt |= acc[used:]
         acc, used = nxt, 2 * used
         if digit == "1":                      # one more base, in place
             acc = acc[:-1]
-            acc <<= _U64(2)
+            acc <<= word(2)
             acc |= codes[used:]
             used += 1
     return acc

@@ -8,9 +8,24 @@ appears twice inside a window.
 
 The production scan is vectorized and makes one pass over the concatenated
 strings: hash every m-mer, take the leftmost argmin of every window of w
-m-mers in linear time, and keep the windows that are k-mers (none straddles
-two strings); runs restart at each string. The per-k-mer recomputation used
-by the test suite lives in the tests as an independent oracle.
+m-mers, and keep the windows that are k-mers (none straddles two strings);
+runs restart at each string. The per-k-mer recomputation used by the test
+suite lives in the tests as an independent oracle.
+
+The window argmin is event-driven. Let r = w - 1, m[i] = min h[i : i+r] and
+p(j) the leftmost argmin position of window j = h[j : j+w]. p never
+decreases: p(j-1) >= j is still in window j and still its leftmost minimum
+unless the entering value h[j+r] is strictly smaller. So p is the running
+maximum of three events:
+(a) h[j] <= m[j+1]: j is no larger than the rest of its window and
+    leftmost, so p(j) = j (`<=` keeps a tie at j);
+(b) h[j+r] < m[j]: the entering value beats every other, p(j) = j + r
+    (`<` leaves a tie to the earlier position);
+(c) p(j-1) = j-1 left the window ((a) held at j-1, or j = 0) and neither
+    (a) nor (b) holds: the argmin of window j, computed directly.
+m costs ceil(log2 r) `np.minimum` passes over contiguous slices, by
+doubling; the events cost O(1) passes more and the gathered argmin about
+n/w rows of w values, so a scan is O(n log w) with no per-window loop.
 """
 
 import math
@@ -20,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthOutOfRange, StringShorterThanK
-from .kmers import (MAX_K, MAX_M, Kmer, hash_mmer_array, mix64, seed_key,
-                    window_values)
+from .kmers import (MAX_K, MAX_M, Kmer, hash_mmer_array, mix64,
+                    packed_windows, seed_key)
 
 __all__ = [
     "MinimizerScheme", "MinimizerHit", "MinimizerCensus", "minimizer",
@@ -118,29 +133,56 @@ class SuperKmerScan:
         return self.sizes.size
 
 
+def _window_min(h, r):
+    """min h[i : i+r] for every i in [0, len(h) - r], r >= 1, by doubling:
+    spans 1, 2, 4, ... each the minimum of two halves, then one pass joining
+    two overlapping spans when r is not a power of two; every pass reads
+    contiguous slices and writes into one reused buffer."""
+    m, span, size = h, 1, h.size
+    buf = np.empty(size, h.dtype)
+    while 2 * span <= r:
+        size -= span
+        m = np.minimum(m[:size], m[span:span + size], out=buf[:size])
+        span *= 2
+    if span < r:
+        size -= r - span
+        m = np.minimum(m[:size], m[r - span:r - span + size], out=buf[:size])
+    return m
+
+
 def _window_argmin(h, w):
-    """Leftmost argmin offset of every length-w window of h in O(len(h))
-    (van Herk 1992; Gil & Werman 1993): window [i, i+w) is a suffix of i's
-    block of w plus a prefix of the next, so its minimum is the smaller of a
-    block-suffix and a block-prefix minimum, each carrying its leftmost
-    position, the suffix winning ties."""
-    n, nb = h.size, -(-h.size // w)
-    padded = np.full(nb * w, np.iinfo(h.dtype).max, dtype=h.dtype)
-    padded[:n] = h
-    blocks = padded.reshape(nb, w).T  # one row per offset in the block
-    pre = np.minimum.accumulate(blocks, axis=0).T.ravel()
-    suf = np.minimum.accumulate(blocks[::-1], axis=0)[::-1].T.ravel()
-    idx = np.arange(nb * w)
-    first = np.empty(nb * w, dtype=bool)
-    first[0] = True
-    np.less(pre[1:], pre[:-1], out=first[1:])
-    first[::w] = True
-    pre_arg = np.maximum.accumulate(idx * first)
-    suf_arg = np.minimum.accumulate(
-        np.where(padded == suf, idx, nb * w)[::-1])[::-1]
-    nwin = n - w + 1
-    return np.where(suf[:nwin] <= pre[w - 1:n], suf_arg[:nwin],
-                    pre_arg[w - 1:n]) - idx[:nwin]
+    """Leftmost argmin offset of every length-w window of h, event-driven.
+
+    With r = w - 1, m = `_window_min(h, r)` and p(j) the leftmost argmin
+    position of window j, p never decreases (see the module docstring), so
+    it is the running maximum of these events:
+    (a) h[j] <= m[j+1]: p(j) = j; ties go to j, the leftmost candidate;
+    (b) h[j+r] < m[j]: p(j) = j + r; a tie leaves p at the earlier position;
+    (c) neither, and j = 0 or (a) held at j-1: p(j) = j + the argmin of
+        window j, one gathered argmin over a strided view of those rows.
+    Anywhere else p(j) = p(j-1) >= j, so the event array can hold j there,
+    as it does for (a). Cost:
+    ceil(log2 r) contiguous `np.minimum` passes for m, O(1) passes for the
+    events, and about n/w gathered rows of w values for (c).
+    """
+    nwin = h.size - w + 1
+    if w == 1:
+        return np.zeros(nwin, dtype=np.int64)
+    r = w - 1
+    m = _window_min(h, r)
+    a = h[:nwin] <= m[1:]
+    b = h[r:] < m[:-1]
+    idx = np.arange(nwin)
+    ev = b * r
+    ev += idx
+    c = ~(a | b)
+    c[1:] &= a[:-1]
+    ci = np.flatnonzero(c)
+    rows = np.ndarray((nwin, w), h.dtype, h, strides=(h.itemsize,) * 2)
+    ev[ci] = ci + rows[ci].argmin(axis=1)
+    np.maximum.accumulate(ev, out=ev)
+    ev -= idx
+    return ev
 
 
 def _scan(codes, scheme, kmers=slice(None)):
@@ -152,12 +194,9 @@ def _scan(codes, scheme, kmers=slice(None)):
     one before, so their minimizer occurrences differ: the run restarts at
     every string start without further masking.
     """
-    mvals = window_values(codes, scheme.m)
+    mvals = packed_windows(codes, scheme.m)   # uint32 for m <= 16
     n_windows = codes.size - scheme.k + 1
-    if scheme.w == 1:
-        offset = np.zeros(n_windows, dtype=np.int64)
-    else:
-        offset = _window_argmin(hash_mmer_array(mvals, scheme.seed), scheme.w)
+    offset = _window_argmin(hash_mmer_array(mvals, scheme.seed), scheme.w)
     occ = (offset + np.arange(n_windows))[kmers]  # minimizer occurrence
     offset = offset[kmers]                        # its position in the k-mer
     n = occ.size
@@ -166,7 +205,8 @@ def _scan(codes, scheme, kmers=slice(None)):
     np.not_equal(occ[1:], occ[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     return SuperKmerScan(kmer_base=starts, sizes=np.diff(starts, append=n),
-                         p1=offset[starts] + 1, minvals=mvals[occ[starts]],
+                         p1=offset[starts] + 1,
+                         minvals=mvals[occ[starts]].astype(np.uint64),
                          n=n)
 
 

@@ -7,9 +7,9 @@ the samples for its word, then finds the bit inside it: the scalar path
 clears the lower set bits, the batch path runs a 32/16/8-bit popcount search
 and a byte table, O(1) passes over its input. The samples cost 64 bits per
 word in memory and none in a file. An Elias-Fano pair (L[i], L[i+1]) costs
-one select: L[i+1] is the next set bit after L[i]'s, found in the same word
-or by a second select. Its vector form `_ef_pairs` also decodes several
-sequences laid end to end in one pass.
+one select: L[i+1] is the next set bit after L[i]'s, found in the same word,
+in the next one, or by a second select. Its vector form `_ef_pairs` also
+decodes several sequences laid end to end in one pass.
 
 Serialization is little-endian: parameters and payload words only. Loading
 derives each bitvector's set-bit count and rank samples from its words in
@@ -156,21 +156,32 @@ class RankBitvector(_Serialized):
 
     def next1(self, p, j):
         """Position of the first set bit after p, the position of the
-        (j+1)-th set bit; `select1(j + 1)` when it is not in p's word."""
-        rest = int(self._words[p >> 6]) >> (p & 63) >> 1
+        (j+1)-th set bit: in p's word, else in the next word (the pad word
+        at the end is zero), else `select1(j + 1)`."""
+        wi = p >> 6
+        rest = int(self._words[wi]) >> (p & 63) >> 1
         if rest:
             return p + (rest ^ (rest - 1)).bit_count()
+        word = int(self._words[wi + 1])
+        if word:
+            return ((wi + 1) << 6) + (word ^ (word - 1)).bit_count() - 1
         return self.select1(j + 1)
 
     def next1_many(self, ps, js):
         """Vector `next1` over position/rank pairs."""
         ps = np.asarray(ps, dtype=np.int64)
         js = np.asarray(js, dtype=np.int64)
-        rest = self._words[ps >> 6] >> (ps & 63).astype(_U64) >> _U64(1)
+        wi = ps >> 6
+        rest = self._words[wi] >> (ps & 63).astype(_U64) >> _U64(1)
         out = ps + popcount(rest ^ (rest - _U64(1))).astype(np.int64)
-        miss = rest == 0
-        if np.any(miss):
-            out[miss] = self.select1_many(js[miss] + 1)
+        miss = np.flatnonzero(rest == 0)
+        if miss.size:
+            nxt = wi[miss] + 1
+            word = self._words[nxt]
+            out[miss] = (nxt << 6) - 1 + popcount(word ^ (word - _U64(1)))
+            far = miss[word == 0]
+            if far.size:
+                out[far] = self.select1_many(js[far] + 1)
         return out
 
     def to_bytes(self):

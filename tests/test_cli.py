@@ -190,6 +190,38 @@ def test_build_and_gen_spss_reject_k_and_m_as_usage_errors(command, bad, workdir
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", ["-3", "5", "30"])
+def test_gen_spss_length_below_k_is_a_usage_error(length, tmp_path, capsys):
+    out = tmp_path / "out.fa"
+    with pytest.raises(SystemExit) as e:
+        main(["gen-spss", "-o", str(out), "--length", length, "-k", "31"])
+    assert e.value.code == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and "--length" in cap.err
+    assert not out.exists()
+
+
+def test_gen_spss_length_equal_to_k_writes_one_kmer(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen-spss", "-o", str(tmp_path / "one.fa"),
+                       "--length", "31", "-k", "31")
+    assert code == 0 and "n=1 " in out
+
+
+def test_memory_error_exits_2_with_typed_message(tmp_path, capsys, monkeypatch):
+    import lpmphf.cli
+
+    def no_memory(length, k, seed=0):
+        raise MemoryError(f"Unable to allocate {length} bytes")
+
+    monkeypatch.setattr(lpmphf.cli, "generate_spss", no_memory)
+    out = tmp_path / "big.fa"
+    code, stdout, err = run(capsys, "gen-spss", "-o", str(out),
+                            "--length", "3000000000", "-k", "31")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: out of memory") and "internal error" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 @pytest.mark.parametrize("command", ["build", "gen-spss", "query"])
 def test_seed_outside_u64_is_a_usage_error(command, seed, workdir, tmp_path, capsys):

@@ -24,7 +24,7 @@ def test_m_equals_k_trivial():
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=300),
-       st.integers(1, 40))
+       st.integers(1, 64))
 @settings(max_examples=100, deadline=None)
 def test_window_argmin_tie_heavy(values, w):
     w = min(w, len(values))
@@ -33,7 +33,9 @@ def test_window_argmin_tie_heavy(values, w):
 
 
 @pytest.mark.parametrize("n,w", [(1, 1), (17, 17), (18, 17), (34, 17),
-                                 (35, 17), (1000, 17), (1000, 49), (999, 2)])
+                                 (35, 17), (1000, 17), (1000, 49), (999, 2),
+                                 (9, 9), (33, 33), (1000, 33),  # w - 1 = 2^i
+                                 (100, 3), (1000, 24), (1000, 63)])
 def test_window_argmin_matches_oracle(n, w, rng):
     for top in (2, 2 ** 64 - 1):  # all-tie pairs, then (nearly) distinct values
         h = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)

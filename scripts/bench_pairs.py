@@ -120,6 +120,8 @@ def main(argv=None):
                     help="pair i runs seed seed-start + i on both sides")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"argument --pairs: {args.pairs} is below 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_sha = git("rev-parse", args.parent)

@@ -132,13 +132,11 @@ class LpMphf:
         return self._values_of_scan(spss, scan_spss(spss, self.scheme))
 
     def _values_of_scan(self, spss, scan):
-        base, _, sizes, _ = self._slot_params(
-            self.fm.evaluate_many(scan.minvals))
-        amb = sizes != scan.sizes  # ambiguous slots carry size 0
+        base, _, _, fb = self._slot_params(self.fm.evaluate_many(scan.minvals))
         out = expand_ranges(base, scan.sizes)  # super-k-mers tile the k-mers
-        if np.any(amb):
-            hi, lo = ambiguous_kmer_words(spss, scan, amb)
-            out[np.repeat(amb, scan.sizes)] = (
+        if np.any(fb):
+            hi, lo = ambiguous_kmer_words(spss, scan, fb)
+            out[np.repeat(fb, scan.sizes)] = (
                 self.n_unambiguous + self.fallback.evaluate_many(lo, hi))
         return out
 

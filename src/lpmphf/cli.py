@@ -63,7 +63,7 @@ def _build_parser():
     q.add_argument("-i", "--input", required=True, help="structure file")
     q.add_argument("-q", "--queries", required=True, help="FASTA query file")
     q.add_argument("-o", "--output", default=None, help="write values here instead of stdout")
-    q.add_argument("-k", type=int, default=None,
+    q.add_argument("-k", type=_number(int, 1, MAX_K), default=None,
                    help="expected k (checked against the structure)")
     mode = q.add_mutually_exclusive_group()
     mode.add_argument("--streaming", action="store_true", default=True)

@@ -79,5 +79,9 @@ class KMismatch(LpmphfError):
     """Structure was built with a different k than requested."""
 
 
+class InputMismatch(LpmphfError):
+    """An SPSS given as a structure's build input has a different k-mer count."""
+
+
 class CorruptFile(LpmphfError):
     """Bad magic, version, or truncated structure file."""

@@ -6,10 +6,15 @@ minimizer *occurrence* (same m-mer at the same absolute offset), which is
 what makes the in-run position arithmetic sound even when one m-mer value
 appears twice inside a window.
 
-The production scan is vectorized and makes one pass over the concatenated
-strings: hash every m-mer, take the leftmost argmin of every window of w
-m-mers, and keep the windows that are k-mers (none straddles two strings);
-runs restart at each string. The per-k-mer recomputation used by the test
+The production scan is vectorized over the concatenated strings: pack every
+m-mer, hash them and take the leftmost argmin of every window of w m-mers,
+and keep the windows that are k-mers (none straddles two strings); runs
+restart at each string. Packing and run detection make one pass over the
+whole string; the hash and the argmin run per block of `_SCAN_BLOCK`
+windows, whose hashes (the block's m-mers plus the w - 1 that its last
+windows reach into) stay in cache across the argmin's passes. Every window
+lies entirely inside one block's hashes, so the offsets are those of one
+pass over the whole string. The per-k-mer recomputation used by the test
 suite lives in the tests as an independent oracle.
 
 The window argmin is event-driven. Let r = w - 1, m[i] = min h[i : i+r] and
@@ -114,6 +119,9 @@ def minimizer(x, scheme):
 
 # --- vectorized scan ------------------------------------------------------------
 
+_SCAN_BLOCK = 1 << 15   # windows per block of the hash and the window argmin
+
+
 @dataclass
 class SuperKmerScan:
     """Super-k-mer arrays of scanned strings, in input order.
@@ -195,16 +203,20 @@ def _scan(codes, scheme, kmers=slice(None)):
     every string start without further masking.
     """
     mvals = packed_windows(codes, scheme.m)   # uint32 for m <= 16
-    n_windows = codes.size - scheme.k + 1
-    offset = _window_argmin(hash_mmer_array(mvals, scheme.seed), scheme.w)
+    n_windows, w = codes.size - scheme.k + 1, scheme.w
+    offset = np.empty(n_windows, dtype=np.int64)
+    for s in range(0, n_windows, _SCAN_BLOCK):   # windows s .. s + block - 1
+        offset[s:s + _SCAN_BLOCK] = _window_argmin(
+            hash_mmer_array(mvals[s:s + _SCAN_BLOCK + w - 1], scheme.seed), w)
     occ = (offset + np.arange(n_windows))[kmers]  # minimizer occurrence
     offset = offset[kmers]                        # its position in the k-mer
     n = occ.size
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(occ[1:], occ[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    return SuperKmerScan(kmer_base=starts, sizes=np.diff(starts, append=n),
+    change = np.empty(n + 1, dtype=bool)   # run starts, and n to close the last
+    change[0] = change[n] = True
+    np.not_equal(occ[1:], occ[:-1], out=change[1:n])
+    bounds = np.flatnonzero(change)
+    starts = bounds[:-1]
+    return SuperKmerScan(kmer_base=starts, sizes=bounds[1:] - starts,
                          p1=offset[starts] + 1,
                          minvals=mvals[occ[starts]].astype(np.uint64),
                          n=n)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputMismatch
 from .minimizers import census_from_scan, scan_spss
 
 __all__ = ["density", "type_probabilities", "space_bound_basic",
@@ -147,6 +148,9 @@ def stats(spss, f, scan=None):
     from .basic import epsilon_of_values
     from .partitioned import _classify_arrays
 
+    if spss.n != f.n:
+        raise InputMismatch(
+            f"SPSS has {spss.n} k-mers, the structure {f.n}: not its build input")
     scan = scan_spss(spss, f.scheme) if scan is None else scan
     census = census_from_scan(scan)
     amb = census.counts[census.inverse] > 1

@@ -151,6 +151,34 @@ def test_verify_detects_wrong_input(workdir, tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_on_foreign_input_with_empty_fallback_reports_every_check(tmp_path,
+                                                                         capsys):
+    for name, seed, length in (("in.fa", 1, 2000), ("same_n.fa", 2, 2000),
+                               ("other_n.fa", 3, 5000)):
+        assert main(["gen-spss", "-o", str(tmp_path / name), "--length",
+                     str(length), "-k", "31", "--seed", str(seed)]) == 0
+    assert main(["build", "-i", str(tmp_path / "in.fa"), "-o", str(tmp_path / "f.lph"),
+                 "-k", "31", "-m", "12"]) == 0
+    assert load_structure(tmp_path / "f.lph").fallback.n_keys == 0
+    capsys.readouterr()
+    for other in ("same_n.fa", "other_n.fa"):
+        code, out, err = run(capsys, "verify", "-i", str(tmp_path / "f.lph"),
+                             "-s", str(tmp_path / other))
+        assert code == 2 and err == ""
+        assert "FAIL bijectivity" in out and "epsilon" in out.splitlines()[-1]
+        assert ("FAIL k-mer count" in out) == (other == "other_n.fa")
+
+
+def test_stats_rejects_spss_of_another_kmer_count(workdir, tmp_path, capsys):
+    assert main(["gen-spss", "-o", str(tmp_path / "other.fa"),
+                 "--length", "5000", "-k", "31", "--seed", "99"]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "stats", "-i", str(workdir / "f.lph"),
+                         "-s", str(tmp_path / "other.fa"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "k-mers" in err
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as e:
         main(["build"])   # missing required flags
@@ -175,13 +203,17 @@ def test_theory_rejects_n_below_1_and_xi_outside_unit_interval(bad, capsys):
 @pytest.mark.parametrize("command,bad", [
     ("build", ["-k", "64"]), ("build", ["-k", "0"]), ("build", ["-m", "0"]),
     ("build", ["-m", "40"]), ("build", ["-k", "13", "-m", "20"]),
-    ("gen-spss", ["-k", "64"]), ("gen-spss", ["-k", "0"])])
+    ("gen-spss", ["-k", "64"]), ("gen-spss", ["-k", "0"]),
+    ("query", ["-k", "0"]), ("query", ["-k", "-5"]), ("query", ["-k", "64"])])
 def test_build_and_gen_spss_reject_k_and_m_as_usage_errors(command, bad, workdir,
                                                            tmp_path, capsys):
     out = tmp_path / "out"
-    argv = (["build", "-i", str(workdir / "in.fa"), "-o", str(out), "-k", "31"]
-            if command == "build" else
-            ["gen-spss", "-o", str(out), "--length", "1000", "-k", "21"])
+    argv = {"build": ["build", "-i", str(workdir / "in.fa"), "-o", str(out),
+                      "-k", "31"],
+            "gen-spss": ["gen-spss", "-o", str(out), "--length", "1000",
+                         "-k", "21"],
+            "query": ["query", "-i", str(workdir / "f.lph"),
+                      "-q", str(workdir / "in.fa"), "-o", str(out)]}[command]
     with pytest.raises(SystemExit) as e:
         main(argv + bad)
     assert e.value.code == 1

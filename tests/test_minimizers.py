@@ -75,11 +75,14 @@ def test_scheme_validation():
 
 # --- super-k-mer splitting -----------------------------------------------------
 
-def split(s, scheme):
-    """(minimizer, size, p1, first k-mer) per super-k-mer of `scan_string`."""
-    scan = scan_string(encode_bases(s), scheme)
+def records(scan):
+    """(minimizer, size, p1, first k-mer) per super-k-mer of a scan."""
     return list(zip(scan.minvals.tolist(), scan.sizes.tolist(),
                     scan.p1.tolist(), scan.kmer_base.tolist()))
+
+
+def split(s, scheme):
+    return records(scan_string(encode_bases(s), scheme))
 
 
 def test_single_kmer_string_single_record():
@@ -194,10 +197,26 @@ def _brute_records(strings, k, m, seed):
 def test_scan_spss_equals_per_string_oracle(rng):
     for strings, k, m, seed in _multi_string_inputs(rng):
         scan = scan_spss(spss_from_strings(strings, k), MinimizerScheme(k, m, seed))
-        got = list(zip(scan.minvals.tolist(), scan.sizes.tolist(),
-                       scan.p1.tolist(), scan.kmer_base.tolist()))
-        assert got == _brute_records(strings, k, m, seed), (k, m)
+        assert records(scan) == _brute_records(strings, k, m, seed), (k, m)
         assert scan.n == sum(len(s) - k + 1 for s in strings)
+
+
+@pytest.mark.parametrize("block", [1, 2, "w - 1", "w", 64])
+def test_scan_blocks_equal_oracle(block, rng, monkeypatch):
+    # the hash and argmin run per block of _SCAN_BLOCK windows; blocks of
+    # every size around w must give the unblocked scan, across string ends
+    def use_block(w):
+        size = {"w - 1": max(1, w - 1), "w": w}.get(block, block)
+        monkeypatch.setattr("lpmphf.minimizers._SCAN_BLOCK", size)
+
+    for strings, k, m, seed in _multi_string_inputs(rng):
+        use_block(k - m + 1)
+        scan = scan_spss(spss_from_strings(strings, k), MinimizerScheme(k, m, seed))
+        assert records(scan) == _brute_records(strings, k, m, seed), (k, m)
+    k, m, seed = 21, 11, 5
+    use_block(k - m + 1)
+    s = random_dna(rng, 300) + "A" * 90 + "ACG" * 40 + random_dna(rng, 37)
+    assert split(s, MinimizerScheme(k, m, seed)) == brute_split(s, k, m, seed)
 
 
 def test_ambiguous_kmer_words_equal_set_oracle(rng):

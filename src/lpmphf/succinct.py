@@ -2,20 +2,26 @@
 the 4-symbol type sequence.
 
 RankBitvector keeps one rank sample per 64-bit word, the number of set bits
-before it, so rank is one sample plus one popcount. Select binary-searches
-the samples for its word, then finds the bit inside it: the scalar path
-clears the lower set bits, the batch path runs a 32/16/8-bit popcount search
-and a byte table, O(1) passes over its input. The samples cost 64 bits per
-word in memory and none in a file. An Elias-Fano pair (L[i], L[i+1]) costs
-one select: L[i+1] is the next set bit after L[i]'s, found in the same word,
-in the next one, or by a second select. Its vector form `_ef_pairs` also
-decodes several sequences laid end to end in one pass.
+before it, so rank is one sample plus one popcount. Select of rank j starts
+at the word of set bit 64 * (j >> 6), from a select sample derived on the
+first select, and steps at most _SELECT_STEPS words forward; only
+ranks still short of their word binary-search the rank samples, in sparse
+bitvectors (64 ones of an Elias-Fano high part span 2 to 3 words). Inside
+the word the scalar path clears the lower set bits, the batch path runs a
+32/16/8-bit popcount search and a byte table, O(1) passes over its input.
+The samples cost 64 bits per word and 1 bit per set bit in memory, and none
+in a file. An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is
+the next set bit after L[i]'s, found in the same word, in the next one, or
+by a second select. Its vector form `_ef_pairs` also decodes several
+sequences laid end to end in one pass.
 
 Serialization is little-endian: parameters and payload words only. Loading
 derives each bitvector's set-bit count and rank samples from its words in
 one `cumsum`, so the samples always agree with the words; the counts a
 structure's header implies are checked against the derived ones.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +35,8 @@ _U64 = np.uint64
 _FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 popcount = np.bitwise_count
+
+_SELECT_STEPS = 3   # words a select steps forward from its sampled word
 
 # position of the (r+1)-th set bit of byte b at index 8 * b + r, 255 when absent
 _SELECT_IN_BYTE = np.array([([i for i in range(8) if b >> i & 1] + [255] * 8)[:8]
@@ -76,7 +84,7 @@ class _Serialized:
 
 
 class RankBitvector(_Serialized):
-    """Static bitvector with O(1) rank1 and sample-searched select1."""
+    """Static bitvector with O(1) rank1 and sampled select1."""
 
     def __init__(self, nbits, words):
         """Over the first `nbits` bits of `words`; derives the rank samples."""
@@ -126,13 +134,24 @@ class RankBitvector(_Serialized):
         r = self._cum[wi] + popcount(word & ((_U64(1) << off) - _U64(1)))
         return ((word >> off) & _U64(1)).astype(bool), r
 
+    @cached_property
+    def _select_sample(self):
+        """The word of every 64th set bit; derived on the first select."""
+        return np.searchsorted(self._cum, np.arange(0, self.num_ones, 64),
+                               side="right") - 1
+
     def select1(self, j):
         """Position of the (j+1)-th set bit, 0-based; 0 <= j < num_ones."""
         if not 0 <= j < self.num_ones:
             raise IndexOutOfRange(f"select rank {j} outside [0, {self.num_ones})")
-        wi = int(np.searchsorted(self._cum, j, side="right")) - 1
+        cum, wi = self._cum, int(self._select_sample[j >> 6])
+        end = wi + _SELECT_STEPS
+        while wi < end and cum[wi + 1] <= j:
+            wi += 1
+        if cum[wi + 1] <= j:
+            wi = int(np.searchsorted(cum, j, side="right")) - 1
         word = int(self._words[wi])
-        for _ in range(j - int(self._cum[wi])):
+        for _ in range(j - int(cum[wi])):
             word &= word - 1
         return (wi << 6) + (word & -word).bit_length() - 1
 
@@ -141,8 +160,13 @@ class RankBitvector(_Serialized):
         js = np.asarray(js, dtype=np.int64)
         if js.size and not (0 <= js.min() and js.max() < self.num_ones):
             raise IndexOutOfRange(f"select rank outside [0, {self.num_ones})")
-        wi = np.searchsorted(self._cum, js, side="right") - 1
-        rem = js - self._cum[wi]
+        cum, wi = self._cum, self._select_sample[js >> 6]
+        for _ in range(_SELECT_STEPS):
+            wi += cum[wi + 1] <= js
+        far = np.flatnonzero(cum[wi + 1] <= js)
+        if far.size:
+            wi[far] = np.searchsorted(cum, js[far], side="right") - 1
+        rem = js - cum[wi]
         pos = wi << 6
         word = self._words[wi].view(np.int64)  # sign fill is masked off below
         for width in (32, 16, 8):

@@ -9,6 +9,7 @@ from lpmphf import (MinimizerScheme, SpssInput, build_basic,
 from lpmphf.errors import CorruptFile
 from lpmphf.kmers import kmer_words
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
+from lpmphf.succinct import RankBitvector
 
 from conftest import (basic_layout_patches, ef_header_patches,
                       layout_patches, reseal)
@@ -206,3 +207,78 @@ def test_flipped_elias_fano_high_word_raises_corrupt_file_on_lookup(
         structure_from_bytes(bytes(blob))
     with pytest.raises(CorruptFile, match="Elias-Fano high part"):
         structure_from_bytes(reseal(blob))
+
+
+def _bitvectors(obj, path="f", seen=None):
+    """(attribute path, RankBitvector) for every bitvector reachable from
+    `obj` through instance attributes (cached properties included), tuples
+    and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, RankBitvector):
+        yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from _bitvectors(item, f"{path}[{i}]", seen)
+    elif type(obj).__module__.startswith("lpmphf"):
+        for name, item in getattr(obj, "__dict__", {}).items():
+            yield from _bitvectors(item, f"{path}.{name}", seen)
+
+
+def _sampled(f):
+    return sorted(p for p, bv in _bitvectors(f) if "_select_sample" in vars(bv))
+
+
+@pytest.mark.filterwarnings(
+    "ignore::lpmphf.minimizers.MinimizerDensityWarning")
+@pytest.mark.parametrize("case", ["long", "unitigs"])
+@pytest.mark.parametrize("builder", [build_basic, build_partitioned])
+def test_select_sample_derived_only_by_bitvectors_that_select(case, builder,
+                                                              tmp_path):
+    # loading derives no select sample (load time does not pay for it); a
+    # batch lookup derives it on the one bitvector its slot decode selects on
+    spss, scheme = {"long": _golden_long, "unitigs": _golden_unitigs}[case]()
+    path = tmp_path / "f.lph"
+    save_structure(builder(spss, scheme), path)
+    f = load_structure(path)
+    paths = [p for p, _ in _bitvectors(f)]
+    layout = (["f.L._high"] if f.variant == "basic" else
+              ["f.R._b1", "f.R._b2", "f.L_l._high", "f.L_r._high", "f.L_n._high"])
+    assert paths == ["f.fm._bits", "f.fallback._bits"] + layout
+    assert _sampled(f) == []
+    f.lookup_words(*spss.kmer_word_arrays())
+    assert _sampled(f) == (["f.L._high"] if f.variant == "basic" else ["f._view[0]"])
+
+
+def _slot_decode(f):
+    """`_slot_params` and `_slot_param` of every slot, as two 4 x |M| arrays."""
+    slots = np.arange(f.num_minimizers)
+    return (np.array(f._slot_params(slots), dtype=np.int64),
+            np.array([f._slot_param(i) for i in slots.tolist()], dtype=np.int64).T)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::lpmphf.minimizers.MinimizerDensityWarning")
+@pytest.mark.parametrize("case", ["long", "unitigs"])
+@pytest.mark.parametrize("builder", [build_basic, build_partitioned])
+def test_slot_decode_equals_flatnonzero_select(case, builder, monkeypatch):
+    # every slot decodes as with a select that reads the set bits off the
+    # words with np.flatnonzero, before and after a reload
+    spss, scheme = {"long": _golden_long, "unitigs": _golden_unitigs}[case]()
+    f = builder(spss, scheme)
+
+    def ones(bv):
+        bits = np.unpackbits(bv._words.view(np.uint8), bitorder="little")
+        return np.flatnonzero(bits[:bv.nbits])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RankBitvector, "select1_many",
+                      lambda bv, js: ones(bv)[np.asarray(js, dtype=np.int64)])
+        patch.setattr(RankBitvector, "select1", lambda bv, j: int(ones(bv)[j]))
+        want = _slot_decode(f)
+    assert _sampled(f) == []   # the selects ran patched
+    for g in (f, structure_from_bytes(structure_to_bytes(f))):
+        got = _slot_decode(g)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

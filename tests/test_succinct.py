@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lpmphf import EliasFanoSeq, IntVector, RankBitvector, TypeSequence
 from lpmphf.errors import (CorruptFile, IndexOutOfRange, NotMonotone,
                            UniverseTooSmall)
+from lpmphf.succinct import _SELECT_STEPS
 
 from oracles import brute_select, naive_rank, naive_symbol_rank
 
@@ -180,6 +181,114 @@ def test_sparse_bits_and_full_last_word(nbits, full_last, rng):
     assert [bv.select1(int(j)) for j in js] == ones.tolist()
     assert np.array_equal(bv.next1_many(ones[:-1], js[:-1]), ones[1:])
     assert [bv.next1(int(p), j) for j, p in enumerate(ones[:-1])] == ones[1:].tolist()
+
+
+def _first_ones(bits, count):
+    """`bits` with only its first `count` set bits kept."""
+    out = bits.copy()
+    out[np.flatnonzero(bits)[count]:] = False
+    return out
+
+
+def _sampled_select_cases():
+    """Bit arrays for the select sample, by name: Elias-Fano-like density
+    (about 1/2), ones 10^3 words apart (past the step bound, so select
+    falls back to a search), one-counts on and off a multiple of 64, one set
+    bit in the last word, all ones, and a length off the 64-bit grid."""
+    rng = np.random.default_rng(21)
+    half = rng.random(64 * 1_000) < 0.5
+    sparse = np.zeros(64 * 10 ** 4 + 64, dtype=bool)
+    sparse[::64_000] = True
+    sparse[64_000 * 5 + 1:64_000 * 5 + 200] = True   # ranks found within the steps too
+    last = np.zeros(64 * 80 + 13, dtype=bool)
+    last[-1] = True
+    return {
+        "ef_density": half,
+        "ones_1000_words_apart": sparse,
+        "ones_multiple_of_64": _first_ones(half, 64 * 200),
+        "ones_not_multiple_of_64": _first_ones(half, 64 * 200 + 37),
+        "one_bit_in_last_word": last,
+        "all_ones": np.ones(64 * 50, dtype=bool),
+        "nbits_off_grid": rng.random(10_007) < 0.45,
+    }
+
+
+_SAMPLED_CASES = _sampled_select_cases()
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+@pytest.mark.parametrize("case", list(_SAMPLED_CASES))
+def test_sampled_select_matches_flatnonzero(case, reload, rng):
+    bits = _SAMPLED_CASES[case]
+    bv = RankBitvector.from_bools(bits)
+    if reload:
+        bv = RankBitvector.from_bytes(bv.to_bytes())
+    ones = np.flatnonzero(bits)
+    js = np.arange(ones.size)
+    shuffled = rng.permutation(ones.size)
+    assert np.array_equal(bv.select1_many(js), ones)
+    assert np.array_equal(bv.select1_many(shuffled), ones[shuffled])
+    assert [bv.select1(j) for j in js.tolist()] == ones.tolist()
+    assert np.array_equal(bv.next1_many(ones[:-1], js[:-1]), ones[1:])
+    assert [bv.next1(p, j) for j, p in enumerate(ones[:-1].tolist())] == \
+        ones[1:].tolist()
+    for bad in (-1, ones.size):
+        with pytest.raises(IndexOutOfRange):
+            bv.select1(bad)
+        with pytest.raises(IndexOutOfRange):
+            bv.select1_many([bad])
+
+
+@pytest.fixture
+def searchsorted_sizes(monkeypatch):
+    """The number of values of each `np.searchsorted` call from here on."""
+    sizes, real = [], np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    return sizes
+
+
+def test_select_searches_only_past_the_step_bound(searchsorted_sizes):
+    dense = RankBitvector.from_bools(_SAMPLED_CASES["ef_density"])
+    ones = np.flatnonzero(_SAMPLED_CASES["ef_density"])
+    dense.select1(0)
+    assert searchsorted_sizes == [-(-ones.size // 64)]   # deriving the sample
+    searchsorted_sizes.clear()
+    js = np.arange(ones.size)
+    dense.select1_many(js)
+    dense.next1_many(ones[:-1], js[:-1])
+    for j in range(0, ones.size, 7):
+        dense.select1(j)
+    assert searchsorted_sizes == []
+    # full words between empty ones: every next one after a word's last
+    # falls through to a select
+    gapped = np.tile(np.repeat([True, False], 64), 40)
+    ones = np.flatnonzero(gapped)
+    bv = RankBitvector.from_bools(gapped)
+    bv.select1(0)
+    searchsorted_sizes.clear()
+    ends = np.arange(63, ones.size - 1, 64)
+    assert np.array_equal(bv.next1_many(ones[ends], ends), ones[ends + 1])
+    assert [bv.next1(int(ones[j]), int(j)) for j in ends] == ones[ends + 1].tolist()
+    assert searchsorted_sizes == []
+    # ones 10^3 words apart: only ranks past the step bound search
+    bits = _SAMPLED_CASES["ones_1000_words_apart"]
+    sparse = RankBitvector.from_bools(bits)
+    ones = np.flatnonzero(bits)
+    js = np.arange(ones.size)
+    sparse.select1(0)
+    far = np.flatnonzero(sparse._select_sample[js >> 6] + _SELECT_STEPS < ones >> 6)
+    searchsorted_sizes.clear()
+    sparse.select1_many(js)
+    assert far.size and searchsorted_sizes == [far.size]
+    searchsorted_sizes.clear()
+    for j in js.tolist():
+        sparse.select1(j)
+    assert searchsorted_sizes == [1] * far.size
 
 
 def test_set_bit_past_length_rejected_on_load():

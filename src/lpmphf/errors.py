@@ -80,7 +80,8 @@ class KMismatch(LpmphfError):
 
 
 class InputMismatch(LpmphfError):
-    """An SPSS given as a structure's build input has a different k-mer count."""
+    """An SPSS given as a structure's build input has a different k-mer count,
+    or k-mers whose values are not a permutation of [0, n)."""
 
 
 class CorruptFile(LpmphfError):

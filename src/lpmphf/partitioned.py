@@ -17,11 +17,11 @@ block prefixes K_lr, K_l, K_r, K_n; within a block, k-mers are ordered by
 per-type slot rank then position. Ambiguous minimizers are stored as
 right-max entries with a zero-size increment in L_r, so the right-max path
 checks the size before trusting the implicit p1 = w. A batch of slots is
-decoded by one descent of R and one select over L_l, L_r, L_n end to end.
+decoded by one descent of R, then per type through that type's own
+sequence, as one slot is.
 """
 
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from ._lookup import kmer_minimizers, stream_plan  # noqa: F401
 from .basic import LpMphf
 from .errors import CorruptFile
 from .minimizers import scan_spss  # noqa: F401
-from .succinct import (EliasFanoSeq, IntVector, RankBitvector, TypeSequence,
-                       _ef_pairs)
+from .succinct import EliasFanoSeq, IntVector, TypeSequence
 
 __all__ = ["FlType", "LpMphfPartitioned", "build_partitioned"]
 
@@ -113,37 +112,18 @@ class LpMphfPartitioned(LpMphf):
                 np.count_nonzero(unamb[idx_r])), idx_n.size)),
         }
 
-    @cached_property
-    def _view(self):
-        """L_l, L_r, L_n end to end: high words as one RankBitvector, low words
-        (two spare), and the rows `_slot_params` takes per type (0: a dummy)."""
-        highs, lows, rows = [], [], [[0] * 6]
-        rank = hbit = lbit = 0
-        for ef, offset in self._blocks:
-            lw = ef.low_width
-            rows.append([rank, hbit - rank, lbit, lw, (1 << lw) - 1, offset])
-            highs.append(ef._high._words[:(ef._high.nbits + 63) // 64])
-            lows.append(ef._low._words[:(ef.length * lw + 63) // 64])
-            rank, hbit, lbit = (rank + ef.length, hbit + 64 * highs[-1].size,
-                                lbit + 64 * lows[-1].size)
-        high = RankBitvector(hbit, np.concatenate(highs))
-        return high, np.concatenate(lows + [np.zeros(2, np.uint64)]), np.array(rows).T
-
     def _slot_params(self, slot):
         w = self.scheme.w
         t, j = self.R.access_many(slot)
-        high, low, rows = self._view
-        first, shift, lbit, lw, mask, offset = np.take(rows, t, axis=1)
-        lrm = t == FlType.LEFT_RIGHT_MAX.value   # size and p1 both w
-        g = np.where(lrm, 0, first + j)
-        lo, hi = _ef_pairs(high, low, g, g + shift, lbit + j * lw, lw,
-                           mask.view(np.uint64))
-        sizes = np.where(lrm, w, hi - lo)
+        base, sizes = j * w, np.full(t.size, w)   # left-right-max: both w
+        for ty, (ef, offset) in enumerate(self._blocks, 1):
+            of = np.flatnonzero(t == ty)   # indexes three times: cheaper than a mask
+            lo, hi = ef.bounds_many(j[of])
+            base[of], sizes[of] = offset + lo, hi - lo
         p1s = np.where(t == FlType.LEFT_MAX.value, sizes, w)
         nm = t == FlType.NON_MAX.value
         p1s[nm] = self.P_n.get_many(j[nm])
-        return (np.where(lrm, j * w, offset + lo), p1s, sizes,
-                (t == FlType.RIGHT_MAX.value) & (sizes == 0))
+        return base, p1s, sizes, (t == FlType.RIGHT_MAX.value) & (sizes == 0)
 
     def _slot_param(self, slot):
         w = self.scheme.w

@@ -12,8 +12,7 @@ the word the scalar path clears the lower set bits, the batch path runs a
 The samples cost 64 bits per word and 1 bit per set bit in memory, and none
 in a file. An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is
 the next set bit after L[i]'s, found in the same word, in the next one, or
-by a second select. Its vector form `_ef_pairs` also decodes several
-sequences laid end to end in one pass.
+by a second select.
 
 Serialization is little-endian: parameters and payload words only. Loading
 derives each bitvector's set-bit count and rank samples from its words in
@@ -50,23 +49,6 @@ def _low_width(length, universe):
 
 def _width_mask(width):
     return _FULL64 if width >= 64 else _U64((1 << width) - 1)
-
-
-def _bits_at(words, off, mask):
-    """The `mask`ed field at each bit offset `off`; a spare word ends `words`."""
-    wi, sh = off >> 6, (off & 63).astype(_U64)
-    # (x << 1) << (63 - sh) is 0 at sh = 0, where the field ends in word wi
-    out = words[wi] >> sh | (words[wi + 1] << _U64(1)) << (_U64(63) - sh)
-    return (out & mask).view(np.int64)
-
-
-def _ef_pairs(high, low, g, d, off, lw, mask):
-    """(L[i], L[i+1]) by one select and a next-one scan. Per element: `g` is the
-    rank of L[i]'s bit in `high`, `d` its position - L[i] >> lw, `off` its low bits."""
-    p = high.select1_many(g)
-    q = high.next1_many(p, g)
-    lo = (p - d) << lw | _bits_at(low, off, mask)
-    return lo, (q - d - 1) << lw | _bits_at(low, off + lw, mask)
 
 
 class _Serialized:
@@ -230,7 +212,7 @@ class IntVector(_Serialized):
     def __init__(self, length, width, words=None):
         self.length = int(length)
         self.width = int(width)
-        nwords = (self.length * self.width + 63) // 64 + 2   # spares: `_bits_at`
+        nwords = (self.length * self.width + 63) // 64 + 2   # spares: `get_many`
         self._words = np.zeros(nwords, dtype=_U64)
         if words is not None:
             self._words[:words.size] = words
@@ -267,7 +249,10 @@ class IntVector(_Serialized):
 
     def get_many(self, idx):
         off = np.asarray(idx, dtype=np.int64) * self.width
-        return _bits_at(self._words, off, _width_mask(self.width))
+        wi, sh, words = off >> 6, (off & 63).astype(_U64), self._words
+        # (x << 1) << (63 - sh) is 0 at sh = 0, where the field ends in word wi
+        out = words[wi] >> sh | (words[wi + 1] << _U64(1)) << (_U64(63) - sh)
+        return (out & _width_mask(self.width)).view(np.int64)
 
     def __len__(self):
         return self.length
@@ -348,8 +333,9 @@ class EliasFanoSeq(_Serialized):
     def bounds_many(self, idx):
         """Vector `bounds`: (L[idx], L[idx + 1]), 0 <= idx < length - 1."""
         idx = np.asarray(idx, dtype=np.int64)
-        return _ef_pairs(self._high, self._low._words, idx, idx, idx * self.low_width,
-                         self.low_width, _width_mask(self.low_width))
+        lo = self.access_many(idx)
+        pos = self._high.next1_many((lo >> self.low_width) + idx, idx)
+        return lo, ((pos - idx - 1) << self.low_width) | self._low.get_many(idx + 1)
 
     def __len__(self):
         return self.length

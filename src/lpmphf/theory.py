@@ -159,7 +159,11 @@ def stats(spss, f, scan=None):
     measured = tuple(
         float(np.count_nonzero(types == t)) / n_unamb_skm if n_unamb_skm else 0.0
         for t in range(4))
-    eps = epsilon_of_values(f._values_of_scan(spss, scan), spss)
+    values = f._values_of_scan(spss, scan)   # >= 0, n of them
+    if not np.array_equal(np.bincount(values, minlength=f.n), np.ones(f.n)):
+        raise InputMismatch("the SPSS's k-mers do not take each value in "
+                            f"[0, {f.n}) once: not the structure's build input")
+    eps = epsilon_of_values(values, spss)
     params = TheoryParams(k=f.scheme.k, m=f.scheme.m,
                           b=max(f.fm.bits_per_key, LOG2_E + 1e-9))
     return StatsReport(

@@ -179,6 +179,24 @@ def test_stats_rejects_spss_of_another_kmer_count(workdir, tmp_path, capsys):
     assert err.startswith("error:") and "k-mers" in err
 
 
+@pytest.mark.parametrize("variant", ["basic", "partitioned"])
+@pytest.mark.parametrize("seeds", [(1, 2), (3, 4), (5, 6)])
+def test_stats_rejects_other_kmers_of_the_same_count(seeds, variant, tmp_path,
+                                                     capsys):
+    for seed in seeds:
+        assert main(["gen-spss", "-o", str(tmp_path / f"{seed}.fa"), "--length",
+                     "2000", "-k", "31", "--seed", str(seed)]) == 0
+    own, other = (str(tmp_path / f"{seed}.fa") for seed in seeds)
+    lph = str(tmp_path / "f.lph")
+    assert main(["build", "-i", own, "-o", lph, "-k", "31", "-m", "12",
+                 "--variant", variant]) == 0
+    capsys.readouterr()
+    assert run(capsys, "stats", "-i", lph, "-s", own)[0] == 0
+    code, out, err = run(capsys, "stats", "-i", lph, "-s", other)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not the structure's build input" in err
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as e:
         main(["build"])   # missing required flags

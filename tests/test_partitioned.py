@@ -114,6 +114,26 @@ def test_slot_param_equals_slot_params_after_reload(shape, build):
         assert f._slot_param(i) == tuple(col[i] for col in vector)
 
 
+@AMBIG
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+@pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=lambda s: s.__name__)
+def test_slot_params_of_one_type_or_none_equal_slot_param(shape, reload):
+    # the vector decode groups a batch by type: a batch of one type, or an
+    # empty one, leaves the other groups empty
+    f = build_partitioned(*shape())
+    f = reloaded(f) if reload else f
+    slots = np.arange(f.num_minimizers, dtype=np.int64)
+    types, _ = f.R.access_many(slots)
+    assert all(a.size == 0 for a in f._slot_params(slots[:0]))
+    for t in FlType:
+        subset = slots[types == t]
+        assert subset.size
+        vector = list(zip(*(a.tolist() for a in f._slot_params(subset))))
+        assert vector == [f._slot_param(i) for i in subset.tolist()]
+        if t == FlType.RIGHT_MAX and shape is pieces_k31_m5:
+            assert any(fb for *_, fb in vector)   # ambiguous slots included
+
+
 def test_bijectivity(built, small_spss):
     vals = stream_all(built, small_spss)
     assert np.array_equal(np.sort(vals), np.arange(built.n))

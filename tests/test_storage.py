@@ -238,7 +238,8 @@ def _sampled(f):
 def test_select_sample_derived_only_by_bitvectors_that_select(case, builder,
                                                               tmp_path):
     # loading derives no select sample (load time does not pay for it); a
-    # batch lookup derives it on the one bitvector its slot decode selects on
+    # batch lookup derives it on the Elias-Fano high parts its slot decode
+    # selects on, and no lookup makes a second copy of any bitvector
     spss, scheme = {"long": _golden_long, "unitigs": _golden_unitigs}[case]()
     path = tmp_path / "f.lph"
     save_structure(builder(spss, scheme), path)
@@ -249,7 +250,11 @@ def test_select_sample_derived_only_by_bitvectors_that_select(case, builder,
     assert paths == ["f.fm._bits", "f.fallback._bits"] + layout
     assert _sampled(f) == []
     f.lookup_words(*spss.kmer_word_arrays())
-    assert _sampled(f) == (["f.L._high"] if f.variant == "basic" else ["f._view[0]"])
+    assert _sampled(f) == (["f.L._high"] if f.variant == "basic" else
+                           ["f.L_l._high", "f.L_n._high", "f.L_r._high"])
+    for s in spss.strings:
+        f.stream_lookup(s)
+    assert [p for p, _ in _bitvectors(f)] == paths
 
 
 def _slot_decode(f):

@@ -21,7 +21,9 @@ Run from the repository root, for example:
 import argparse
 import io
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -49,13 +51,20 @@ def copy_tracked(dest):
 
 def run_side(root, seed):
     """One `bench/run.py --workload all` run at the benchmark's default
-    length: {workload: (result, meta)}."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "all", "--seed",
-         str(seed)],
-        cwd=root, capture_output=True, text=True, check=False)
+    length: {workload: (result, meta)}. The run and the workload processes it
+    starts form one process group, killed if this process is interrupted."""
+    with subprocess.Popen(
+            [sys.executable, "bench/run.py", "--workload", "all", "--seed",
+             str(seed)],
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, preexec_fn=os.setpgrp) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
     out, current = {}, None
-    for line in proc.stdout.splitlines():
+    for line in stdout.splitlines():
         if line.startswith("== "):
             current = line[3:].strip()
             out[current] = [None, None]
@@ -64,7 +73,7 @@ def run_side(root, seed):
         elif line.startswith("{") and current:
             out[current][0] = json.loads(line)
     if not out or any(res is None for res, _ in out.values()):
-        raise RuntimeError(f"bench/run.py failed in {root}:\n{proc.stderr}")
+        raise RuntimeError(f"bench/run.py failed in {root}:\n{stderr}")
     return out
 
 
@@ -123,6 +132,9 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error(f"argument --pairs: {args.pairs} is below 1")
 
+    # SIGTERM unwinds like an exception: the running benchmark is killed and
+    # the temporary trees are removed.
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_sha = git("rev-parse", args.parent)
     head_sha = git("rev-parse", "HEAD")

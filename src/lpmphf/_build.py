@@ -1,4 +1,4 @@
-"""Shared assembly and lookup plumbing for the two hash-structure variants.
+"""Shared assembly for the two hash-structure variants.
 
 Both variants hash every distinct minimizer (ambiguous ones included) with
 the same inner MPHF and lay their per-super-k-mer data out in that slot
@@ -84,28 +84,3 @@ def build_fallback(spss, scan, skm_ambiguous, seed):
     except DuplicateKey as e:
         raise DuplicateKmer(f"k-mer {Kmer(spss.k, e.key)} occurs more than "
                             "once in the input") from e
-
-
-def run_misses(p1s, sizes, p1, length=1):
-    """The miss rule: does a run of `length` k-mers from minimizer position p1
-    leave its slot's super-k-mer (a rank p1s - p1 + 1 + i outside [1, size])?"""
-    return (p1 > p1s) | (sizes - p1s + p1 < length)
-
-
-def finish_lookup(base, p1s, sizes, p, fb_mask, hi, lo, struct, checked):
-    """Combine slot parameters into final hash values.
-
-    base/p1s/sizes are per-element slot data, p the query minimizer position,
-    fb_mask the elements routed to the fallback MPHF, and hi/lo the packed
-    words of every element, of which those elements are read.
-    """
-    out = base + p1s - p
-    if np.any(fb_mask):
-        out[fb_mask] = struct.n_unambiguous + struct.fallback.evaluate_many(
-            lo[fb_mask], hi[fb_mask])
-    miss = ~fb_mask & run_misses(p1s, sizes, p)
-    if checked:
-        out[miss] = -1
-    elif np.any(miss):
-        np.clip(out, 0, struct.n - 1, out=out)
-    return out

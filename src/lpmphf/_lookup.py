@@ -1,17 +1,21 @@
-"""Query-side minimizers and streaming run expansion, shared by both layouts."""
+"""The batch lookup pipeline, shared by both layouts: a batch is a plan of
+runs of k-mers sharing a minimizer occurrence (a query string's from its
+minimizer scan, a random batch's of one k-mer each), `finish_lookup`
+resolves one slot per run and `StreamPlan.expand` derives values per run."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-# finish_lookup is unused here; bench/tracing.py wraps it here too.
-from ._build import expand_ranges, finish_lookup, run_misses  # noqa: F401
+from ._build import expand_ranges
 from .errors import KMismatch, QueryShorterThanK
 from .kmers import Kmer, encode_bases, kmer_words_at, mix64_inplace, seed_key
-from .minimizers import scan_string
+from .minimizers import SuperKmerScan, scan_string
 
 _U64 = np.uint64
 _BLOCK_ROWS = 1 << 10
+_SCALAR_RUNS = 13   # runs up to which one-at-a-time slot decode beats one vector pass
 
 
 def kmer_minimizers(hi, lo, scheme):
@@ -57,14 +61,19 @@ def resolve_kmer_input(x, k):
     return value
 
 
+def run_misses(p1s, sizes, p1, length=1):
+    """The miss rule: does a run of `length` k-mers from minimizer position p1
+    leave its slot's super-k-mer (a rank p1s - p1 + 1 + i outside [1, size])?"""
+    return (p1 > p1s) | (sizes - p1s + p1 < length)
+
+
 @dataclass
 class StreamPlan:
-    """Run decomposition of a query string: one slot resolution per run of
-    k-mers sharing a minimizer occurrence, values derived per run."""
+    """Runs of a batch, and `words(idx)`: the packed (hi, lo) words of the
+    batch's k-mers at `idx`."""
 
-    codes: np.ndarray
-    k: int
-    scan: object
+    scan: SuperKmerScan
+    words: object
 
     def expand(self, base, p1s, sizes, fb, struct, checked):
         """Values from per-run slot data: k-mer t of run j gets
@@ -76,7 +85,7 @@ class StreamPlan:
         out += np.arange(runs.n)
         if np.any(fb):
             idx = expand_ranges(first[fb], rl[fb])
-            hi, lo = kmer_words_at(self.codes, self.k, idx)
+            hi, lo = self.words(idx)
             out[idx] = struct.n_unambiguous + struct.fallback.evaluate_many(lo, hi)
         bad = ~fb & run_misses(p1s, sizes, runs.p1, rl)
         if not np.any(bad):
@@ -94,4 +103,26 @@ def stream_plan(q, scheme):
     if codes.size < scheme.k:
         raise QueryShorterThanK(
             f"query length {codes.size} < k={scheme.k}")
-    return StreamPlan(codes=codes, k=scheme.k, scan=scan_string(codes, scheme))
+    return StreamPlan(scan=scan_string(codes, scheme),
+                      words=partial(kmer_words_at, codes, scheme.k))
+
+
+def kmer_plan(hi, lo, mvals, p):
+    """Packed k-mers with minimizers `mvals` at positions `p`: one-k-mer runs."""
+    runs = SuperKmerScan(kmer_base=np.arange(p.size), sizes=np.ones_like(p),
+                         p1=p, minvals=mvals, n=p.size)
+    return StreamPlan(scan=runs, words=lambda idx: (hi[idx], lo[idx]))
+
+
+def finish_lookup(plan, struct, checked):
+    """Values of a plan's k-mers. Up to _SCALAR_RUNS runs resolve their slots
+    one at a time on Python ints (as `lookup` does), more in one vector pass;
+    fallback k-mers are always evaluated in one vector pass."""
+    mvals = plan.scan.minvals
+    if mvals.size <= _SCALAR_RUNS:
+        cols = np.array([struct._slot_param(struct.fm.evaluate(v))
+                         for v in mvals.tolist()], dtype=np.int64).reshape(-1, 4).T
+        base, p1s, sizes, fb = cols[0], cols[1], cols[2], cols[3] != 0
+    else:
+        base, p1s, sizes, fb = struct._slot_params(struct.fm.evaluate_many(mvals))
+    return plan.expand(base, p1s, sizes, fb, struct, checked)

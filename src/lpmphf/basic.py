@@ -11,6 +11,8 @@ n_unambiguous + fallback(x) instead; non-member queries return an arbitrary
 in-range value unless checked lookup detects an impossible minimizer
 position. The engine owns construction, every lookup path, diagnostics and
 serialization; a layout subclass only encodes and decodes the slot data.
+Scalar `lookup` works on Python ints; every batch (`stream_lookup`, and
+`lookup_words` as runs of one k-mer) goes through the `_lookup` pipeline.
 
 Basic layout: an Elias-Fano array L of length |M|+1 holding prefix sums of
 super-k-mer sizes in slot order (L[0]=0, ambiguous slots contribute 0), and
@@ -23,8 +25,9 @@ super-k-mer occupies [L[i], L[i+1]).
 import numpy as np
 
 from ._build import (ambiguous_kmer_words, assemble_slots, build_fallback,
-                     expand_ranges, finish_lookup)
-from ._lookup import kmer_minimizers, resolve_kmer_input, stream_plan
+                     expand_ranges)
+from ._lookup import (finish_lookup, kmer_minimizers, kmer_plan,
+                      resolve_kmer_input, run_misses, stream_plan)
 from .errors import CorruptFile, DefiniteMiss
 from .kmers import Kmer
 from .minimizers import (minimizer, scan_spss,
@@ -32,8 +35,6 @@ from .minimizers import (minimizer, scan_spss,
 from .succinct import EliasFanoSeq, IntVector
 
 __all__ = ["LpMphf", "LpMphfBasic", "build_basic", "measure_epsilon"]
-
-_SCALAR_RUNS = 13   # runs up to which one-at-a-time slot decode beats one vector pass
 
 
 class LpMphf:
@@ -77,11 +78,10 @@ class LpMphf:
     # --- lookup ---
 
     def lookup_words(self, hi, lo, checked=False):
-        """Vector lookup over packed k-mer word arrays."""
+        """Vector lookup over packed k-mer word arrays: a batch of runs of
+        one k-mer each, resolved as `stream_lookup` resolves a string."""
         mvals, p = kmer_minimizers(hi, lo, self.scheme)
-        slot = self.fm.evaluate_many(mvals)
-        base, p1s, sizes, fb = self._slot_params(slot)
-        return finish_lookup(base, p1s, sizes, p, fb, hi, lo, self, checked)
+        return finish_lookup(kmer_plan(hi, lo, mvals, p), self, checked)
 
     def lookup(self, x, checked=False):
         """Hash one k-mer (Kmer, DNA string, or packed int).
@@ -95,31 +95,19 @@ class LpMphf:
         base, p1, size, fb = self._slot_param(self.fm.evaluate(hit.mmer))
         if fb:
             return self.n_unambiguous + self.fallback.evaluate(value)
-        r = p1 - hit.pos + 1
-        if 1 <= r <= size:
-            return base + r - 1
+        if not run_misses(p1, size, hit.pos):
+            return base + p1 - hit.pos
         if checked:
             raise DefiniteMiss("k-mer cannot be in the indexed set")
-        return min(max(base + r - 1, 0), self.n - 1)
+        return min(max(base + p1 - hit.pos, 0), self.n - 1)
 
     def stream_lookup(self, q, checked=False):
         """One value per consecutive k-mer of a query string.
 
         Equal to per-k-mer lookups elementwise; slots, values and misses are
-        resolved once per run of k-mers sharing a minimizer occurrence. Up to
-        _SCALAR_RUNS runs are resolved one at a time on Python ints (as in
-        `lookup`), more in one vector pass; fallback k-mers are always
-        evaluated in one vector pass.
+        resolved once per run of k-mers sharing a minimizer occurrence.
         """
-        plan = stream_plan(q, self.scheme)
-        mvals = plan.scan.minvals
-        if mvals.size <= _SCALAR_RUNS:
-            cols = np.array([self._slot_param(self.fm.evaluate(v))
-                             for v in mvals.tolist()], dtype=np.int64).T
-            base, p1s, sizes, fb = cols[0], cols[1], cols[2], cols[3] != 0
-        else:
-            base, p1s, sizes, fb = self._slot_params(self.fm.evaluate_many(mvals))
-        return plan.expand(base, p1s, sizes, fb, self, checked)
+        return finish_lookup(stream_plan(q, self.scheme), self, checked)
 
     # --- diagnostics ---
 

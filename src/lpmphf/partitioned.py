@@ -27,8 +27,8 @@ import numpy as np
 
 from ._binio import Reader, Writer
 # The six F401 names are unused here; bench/tracing.py wraps them here too.
-from ._build import assemble_slots, build_fallback, finish_lookup  # noqa: F401
-from ._lookup import kmer_minimizers, stream_plan  # noqa: F401
+from ._build import assemble_slots, build_fallback  # noqa: F401
+from ._lookup import finish_lookup, kmer_minimizers, stream_plan  # noqa: F401
 from .basic import LpMphf
 from .errors import CorruptFile
 from .minimizers import scan_spss  # noqa: F401

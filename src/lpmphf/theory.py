@@ -9,7 +9,7 @@ derives rank samples on load).
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,6 +90,7 @@ def space_bound_partitioned(n, params, xi=0.0):
 class StatsReport:
     """Measured quantities of a built structure next to their predictions."""
 
+    variant: str
     n: int
     num_strings: int
     k: int
@@ -101,33 +102,19 @@ class StatsReport:
     num_superkmers: int
     epsilon: float
     epsilon_predicted: float
-    measured_proportions: tuple
-    computed_proportions: tuple
     bits_per_kmer: float
     predicted_bits_basic: float
     predicted_bits_partitioned: float
     mphf_bits_per_key: float
-    variant: str = "basic"
+    measured_proportions: tuple
+    computed_proportions: tuple
 
     _ORDER = ("lr", "l", "r", "n")
 
     def to_dict(self):
-        d = {
-            "variant": self.variant, "n": self.n,
-            "num_strings": self.num_strings,
-            "k": self.k, "m": self.m, "w": self.w,
-            "alpha": self.alpha, "xi": self.xi,
-            "num_minimizers": self.num_minimizers,
-            "num_superkmers": self.num_superkmers,
-            "epsilon": self.epsilon,
-            "epsilon_predicted": self.epsilon_predicted,
-            "bits_per_kmer": self.bits_per_kmer,
-            "predicted_bits_basic": self.predicted_bits_basic,
-            "predicted_bits_partitioned": self.predicted_bits_partitioned,
-            "mphf_bits_per_key": self.mphf_bits_per_key,
-        }
-        for name, mv, cv in zip(self._ORDER, self.measured_proportions,
-                                self.computed_proportions):
+        d = asdict(self)
+        for name, mv, cv in zip(self._ORDER, d.pop("measured_proportions"),
+                                d.pop("computed_proportions")):
             d[f"p_{name}_measured"] = mv
             d[f"p_{name}_computed"] = cv
         return d
@@ -167,6 +154,7 @@ def stats(spss, f, scan=None):
     params = TheoryParams(k=f.scheme.k, m=f.scheme.m,
                           b=max(f.fm.bits_per_key, LOG2_E + 1e-9))
     return StatsReport(
+        variant=f.variant,
         n=spss.n,
         num_strings=spss.num_strings,
         k=f.scheme.k, m=f.scheme.m, w=f.scheme.w,
@@ -183,5 +171,4 @@ def stats(spss, f, scan=None):
         predicted_bits_partitioned=space_bound_partitioned(
             spss.n, params, xi=census.xi) / spss.n,
         mphf_bits_per_key=f.fm.bits_per_key,
-        variant=f.variant,
     )

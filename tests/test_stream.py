@@ -6,7 +6,9 @@ codes; `lookup_words` does each per k-mer. The two must agree elementwise,
 checked and unchecked, on query shapes that put run boundaries, partial
 misses, fallback runs and two-word k-mers in play, each with queries on
 both sides of the run count at which `stream_lookup` switches from scalar
-to vector slot decoding.
+to vector slot decoding. A random batch is runs of one k-mer each, so it
+switches at the same count of k-mers; on both sides of it, `lookup_words`
+must equal the scalar `lookup`.
 """
 
 import functools
@@ -15,12 +17,13 @@ import numpy as np
 import pytest
 
 from lpmphf import MinimizerScheme, SpssInput, generate_spss
-from lpmphf.basic import _SCALAR_RUNS
+from lpmphf._lookup import _SCALAR_RUNS
+from lpmphf.errors import DefiniteMiss
 from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import scan_string
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
-from conftest import BUILDERS
+from conftest import BUILDERS, SCALAR_SHAPES
 
 AMBIG = pytest.mark.filterwarnings("ignore::lpmphf.minimizers.MinimizerDensityWarning")
 
@@ -147,3 +150,83 @@ def test_shapes_reach_what_they_are_for(build):
     for shape, share in ((unitigs_m8, 0.5), (two_words_k63, 0)):
         for side in by_side(shape, fallback):
             assert np.mean(side) > share
+
+
+BATCH_SHAPES = SCALAR_SHAPES + [substituted, unitigs_m8, two_words_k63]
+BATCH_SIZES = [0, 1, _SCALAR_RUNS, _SCALAR_RUNS + 1]
+
+
+@functools.cache
+def batch_case(shape, build):
+    """(structure, its reloaded copy, keys): 150 member k-mers, up to 150
+    k-mers of the shape's queries and 150 random k-mers, shuffled."""
+    spss, scheme, *queries = shape()
+    f = build(spss, scheme)
+    k, rng = scheme.k, np.random.default_rng(85)
+
+    def ints(strings):
+        return [(int(h) << 64) | int(x) for c in strings
+                for h, x in zip(*kmer_words(c, k))]
+
+    members = ints(spss.codes)
+    near = ints(queries[0]) if queries else []
+    keys = [*rng.choice(members, 150), *rng.choice(near, min(150, len(near)))]
+    keys += [int.from_bytes(rng.bytes(16), "little") % 4 ** k for _ in range(150)]
+    rng.shuffle(keys)
+    return f, structure_from_bytes(structure_to_bytes(f)), [int(x) for x in keys]
+
+
+def words(keys):
+    return (np.array([x >> 64 for x in keys], dtype=np.uint64),
+            np.array([x & (2 ** 64 - 1) for x in keys], dtype=np.uint64))
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=lambda s: s.__name__)
+def test_small_random_batches_equal_lookup(shape, build):
+    """Batches of 0, 1, _SCALAR_RUNS and _SCALAR_RUNS + 1 k-mers, members
+    and not, equal per-key `lookup`: checked, -1 exactly where `lookup`
+    raises DefiniteMiss."""
+    f, g, keys = batch_case(shape, build)
+    misses = 0
+    for h in (f, g):
+        for size in BATCH_SIZES:
+            for a in range(0, min(len(keys), 20 * size + 1), max(size, 1)):
+                batch = keys[a:a + size]
+                unchecked = h.lookup_words(*words(batch))
+                checked = h.lookup_words(*words(batch), checked=True)
+                assert unchecked.dtype == checked.dtype == np.int64
+                assert unchecked.tolist() == [h.lookup(x) for x in batch]
+                for x, c in zip(batch, checked.tolist()):
+                    if c < 0:
+                        with pytest.raises(DefiniteMiss):
+                            h.lookup(x, checked=True)
+                    else:
+                        assert h.lookup(x, checked=True) == c
+                misses += int(np.count_nonzero(checked < 0))
+    assert misses > 0
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+def test_random_batch_slot_decode_switches_at_scalar_runs(build, monkeypatch):
+    """A random batch of at most _SCALAR_RUNS k-mers decodes its slots one
+    at a time (`_slot_param`), a larger one in one vector pass
+    (`_slot_params`), never both."""
+    f, g, keys = batch_case(substituted, build)
+    calls = {}
+    for name in ("_slot_param", "_slot_params"):
+        def counted(self, slot, _name=name, _raw=getattr(type(f), name)):
+            calls[_name] += 1
+            return _raw(self, slot)
+        monkeypatch.setattr(type(f), name, counted)
+    for h in (f, g):
+        for size in BATCH_SIZES + [5 * _SCALAR_RUNS]:
+            for checked in (False, True):
+                calls.update({"_slot_param": 0, "_slot_params": 0})
+                h.lookup_words(*words(keys[:size]), checked=checked)
+                if size <= _SCALAR_RUNS:
+                    assert calls == {"_slot_param": size, "_slot_params": 0}
+                else:
+                    assert calls == {"_slot_param": 0, "_slot_params": 1}

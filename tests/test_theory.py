@@ -144,3 +144,27 @@ def test_stats_serialization_formats(small_spss):
     parsed = dict(line.split("\t") for line in lines)
     assert int(parsed["n"]) == small_spss.n
     assert "p_lr_measured" in parsed
+
+
+STATS_KEYS = [
+    "variant", "n", "num_strings", "k", "m", "w", "alpha", "xi",
+    "num_minimizers", "num_superkmers", "epsilon", "epsilon_predicted",
+    "bits_per_kmer", "predicted_bits_basic", "predicted_bits_partitioned",
+    "mphf_bits_per_key", "p_lr_measured", "p_lr_computed", "p_l_measured",
+    "p_l_computed", "p_r_measured", "p_r_computed", "p_n_measured",
+    "p_n_computed"]
+
+
+@pytest.mark.parametrize("build", [build_basic, build_partitioned])
+def test_stats_key_order(small_spss, build):
+    """`stats` output keeps one key order in the dict, the JSON and the TSV."""
+    rep = stats(small_spss, build(small_spss, MinimizerScheme(k=31, m=15, seed=1)))
+    d = rep.to_dict()
+    assert list(d) == STATS_KEYS
+    assert list(json.loads(rep.to_json())) == STATS_KEYS
+    assert [line.split("\t")[0] for line in rep.to_tsv().splitlines()] == STATS_KEYS
+    assert d["variant"] == rep.variant
+    assert [d[f"p_{t}_measured"] for t in ("lr", "l", "r", "n")] == list(
+        rep.measured_proportions)
+    assert [d[f"p_{t}_computed"] for t in ("lr", "l", "r", "n")] == list(
+        rep.computed_proportions)

@@ -29,8 +29,7 @@ from ._build import (ambiguous_kmer_words, assemble_slots, build_fallback,
 from ._lookup import (finish_lookup, kmer_minimizers, kmer_plan,
                       resolve_kmer_input, run_misses, stream_plan)
 from .errors import CorruptFile, DefiniteMiss
-from .kmers import Kmer
-from .minimizers import (minimizer, scan_spss,
+from .minimizers import (kmer_minimizer, scan_spss,
                          warn_if_density_condition_violated)
 from .succinct import EliasFanoSeq, IntVector
 
@@ -89,17 +88,16 @@ class LpMphf:
         The scalar form of `lookup_words`, on Python ints: one minimizer
         scan, one inner-MPHF evaluation and one slot decode.
         """
-        k = self.scheme.k
-        value = resolve_kmer_input(x, k)
-        hit = minimizer(Kmer(k, value), self.scheme)
-        base, p1, size, fb = self._slot_param(self.fm.evaluate(hit.mmer))
+        value = resolve_kmer_input(x, self.scheme.k)
+        mmer, pos = kmer_minimizer(value, self.scheme)
+        base, p1, size, fb = self._slot_param(self.fm.evaluate(mmer))
         if fb:
             return self.n_unambiguous + self.fallback.evaluate(value)
-        if not run_misses(p1, size, hit.pos):
-            return base + p1 - hit.pos
+        if not run_misses(p1, size, pos):
+            return base + p1 - pos
         if checked:
             raise DefiniteMiss("k-mer cannot be in the indexed set")
-        return min(max(base + p1 - hit.pos, 0), self.n - 1)
+        return min(max(base + p1 - pos, 0), self.n - 1)
 
     def stream_lookup(self, q, checked=False):
         """One value per consecutive k-mer of a query string.

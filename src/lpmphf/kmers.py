@@ -28,6 +28,8 @@ BASES = "ACGT"
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SEED_SALT = 0x9E3779B97F4A7C15
+# splitmix64's shifts and multipliers, for each form of it (scalar, array, lanes)
+MIX_S1, MIX_S2, MIX_S3, MIX_M1, MIX_M2 = 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _PACK_ROWS = 1 << 12   # k-mers per block of kmer_words_at
 
 # uppercase and lowercase accepted, everything else is a hard error
@@ -97,21 +99,21 @@ class Kmer:
 def mix64(x):
     """splitmix64 finalizer on a 64-bit value (scalar)."""
     x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
+    x ^= x >> MIX_S1
+    x = (x * MIX_M1) & _MASK64
+    x ^= x >> MIX_S2
+    x = (x * MIX_M2) & _MASK64
+    x ^= x >> MIX_S3
     return x
 
 
 def mix64_inplace(x):
     """splitmix64 finalizer over a uint64 array, in place (numpy wraps)."""
-    x ^= x >> _U64(30)
-    x *= _U64(0xBF58476D1CE4E5B9)
-    x ^= x >> _U64(27)
-    x *= _U64(0x94D049BB133111EB)
-    x ^= x >> _U64(31)
+    x ^= x >> _U64(MIX_S1)
+    x *= _U64(MIX_M1)
+    x ^= x >> _U64(MIX_S2)
+    x *= _U64(MIX_M2)
+    x ^= x >> _U64(MIX_S3)
     return x
 
 

@@ -31,17 +31,25 @@ maximum of three events:
 m costs ceil(log2 r) `np.minimum` passes over contiguous slices, by
 doubling; the events cost O(1) passes more and the gathered argmin about
 n/w rows of w values, so a scan is O(n log w) with no per-window loop.
+
+`kmer_minimizer` (scalar `lookup`) hashes all w m-mers in lanes of L = 128
+bits of one int: the k-mer times sum_i 2^((L + 2) i) holds non-overlapping
+copies (2k < L + 2), so shifted by 2(w - 1) lane i holds the m-mer at i + 1.
+Every shift is masked to 64 bits per lane, so each 64x64-bit splitmix64
+product stays below 2^L and never carries into the next lane.
 """
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import LengthOutOfRange, StringShorterThanK
-from .kmers import (MAX_K, MAX_M, Kmer, hash_mmer_array, mix64,
-                    packed_windows, seed_key)
+from .kmers import (_MASK64, MAX_K, MAX_M, MIX_M1, MIX_M2, MIX_S1, MIX_S2,
+                    MIX_S3, Kmer, hash_mmer_array, packed_windows, seed_key)
 
 __all__ = [
     "MinimizerScheme", "MinimizerHit", "MinimizerCensus", "minimizer",
@@ -78,6 +86,15 @@ class MinimizerScheme:
         """m > 3*log4(w+1), the regime where density ~ 2/(w+1)."""
         return self.m > 3 * math.log(self.w + 1, 4)
 
+    @cached_property
+    def _lanes(self):
+        """The constants of `kmer_minimizer`, in lanes of L = 128 bits."""
+        L, w, mask = 128, self.w, (1 << (2 * self.m)) - 1
+        ones = sum(1 << (L * i) for i in range(w))
+        spread = sum(1 << ((L + 2) * i) for i in range(w))
+        return (spread, 2 * (w - 1), ones * mask, ones * seed_key(self.seed),
+                ones * _MASK64, mask, struct.Struct("<" + "Q8x" * w))
+
 
 def default_minimizer_length(k, total_length):
     """Default m: max of ceil(log4(N)) and the density-condition threshold."""
@@ -100,26 +117,30 @@ class MinimizerHit:
 
 def minimizer(x, scheme):
     """Minimizer of a single k-mer: smallest hash, leftmost on ties."""
-    if isinstance(x, str):
-        x = Kmer.from_string(x)
+    x = Kmer.from_string(x) if isinstance(x, str) else x
     if x.k != scheme.k:
         raise LengthOutOfRange(f"k-mer length {x.k} != scheme k={scheme.k}")
-    key = seed_key(scheme.seed)
-    mask = (1 << (2 * scheme.m)) - 1
-    value, shift = x.value, 2 * (scheme.k - scheme.m)
-    best = None
-    for p in range(1, scheme.w + 1):
-        mm = (value >> shift) & mask
-        h = mix64(mm ^ key)
-        if best is None or h < best[0]:
-            best = (h, mm, p)
-        shift -= 2
-    return MinimizerHit(mmer=best[1], pos=best[2])
+    return MinimizerHit(*kmer_minimizer(x.value, scheme))
+
+
+def kmer_minimizer(value, scheme):
+    """(m-mer, 1-based position) of a packed k-mer's minimizer, in lanes."""
+    spread, shift, mmers, key, low64, mask, lanes = scheme._lanes
+    x = (value * spread >> shift & mmers) ^ key
+    x ^= x >> MIX_S1 & low64
+    x = x * MIX_M1 & low64
+    x ^= x >> MIX_S2 & low64
+    x = x * MIX_M2 & low64
+    x ^= x >> MIX_S3   # bits from the next lane land above the low word
+    hs = lanes.unpack(x.to_bytes(lanes.size, "little"))
+    i = hs.index(min(hs))
+    return value >> (shift - 2 * i) & mask, i + 1
 
 
 # --- vectorized scan ------------------------------------------------------------
 
 _SCAN_BLOCK = 1 << 15   # windows per block of the hash and the window argmin
+_DIRECT_ARGMIN = 512    # windows up to which one strided argmin beats the events
 
 
 @dataclass
@@ -174,6 +195,9 @@ def _window_argmin(h, w):
     events, and about n/w gathered rows of w values for (c).
     """
     nwin = h.size - w + 1
+    rows = np.ndarray((nwin, w), h.dtype, h, strides=(h.itemsize,) * 2)
+    if nwin <= _DIRECT_ARGMIN:
+        return rows.argmin(axis=1)
     if w == 1:
         return np.zeros(nwin, dtype=np.int64)
     r = w - 1
@@ -186,7 +210,6 @@ def _window_argmin(h, w):
     c = ~(a | b)
     c[1:] &= a[:-1]
     ci = np.flatnonzero(c)
-    rows = np.ndarray((nwin, w), h.dtype, h, strides=(h.itemsize,) * 2)
     ev[ci] = ci + rows[ci].argmin(axis=1)
     np.maximum.accumulate(ev, out=ev)
     ev -= idx

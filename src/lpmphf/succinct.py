@@ -96,13 +96,13 @@ class RankBitvector(_Serialized):
         if not 0 <= i <= self.nbits:
             raise IndexOutOfRange(f"rank position {i} outside [0, {self.nbits}]")
         mask = (1 << (i & 63)) - 1
-        return int(self._cum[i >> 6]) + (int(self._words[i >> 6]) & mask).bit_count()
+        return self._cum.item(i >> 6) + (self._words.item(i >> 6) & mask).bit_count()
 
     def probe(self, i):
         """(bit, rank1) at position i, from one read of its word; 0 <= i < nbits."""
         wi, off = i >> 6, i & 63
-        word = int(self._words[wi])
-        return word >> off & 1, int(self._cum[wi]) + (word & ((1 << off) - 1)).bit_count()
+        word = self._words.item(wi)
+        return word >> off & 1, self._cum.item(wi) + (word & ((1 << off) - 1)).bit_count()
 
     def rank1_many(self, idx):
         return self.probe_many(idx)[1]
@@ -126,14 +126,14 @@ class RankBitvector(_Serialized):
         """Position of the (j+1)-th set bit, 0-based; 0 <= j < num_ones."""
         if not 0 <= j < self.num_ones:
             raise IndexOutOfRange(f"select rank {j} outside [0, {self.num_ones})")
-        cum, wi = self._cum, int(self._select_sample[j >> 6])
+        cum, wi = self._cum.item, self._select_sample.item(j >> 6)
         end = wi + _SELECT_STEPS
-        while wi < end and cum[wi + 1] <= j:
+        while wi < end and cum(wi + 1) <= j:
             wi += 1
-        if cum[wi + 1] <= j:
-            wi = int(np.searchsorted(cum, j, side="right")) - 1
-        word = int(self._words[wi])
-        for _ in range(j - int(cum[wi])):
+        if cum(wi + 1) <= j:
+            wi = int(np.searchsorted(self._cum, j, side="right")) - 1
+        word = self._words.item(wi)
+        for _ in range(j - cum(wi)):
             word &= word - 1
         return (wi << 6) + (word & -word).bit_length() - 1
 
@@ -165,10 +165,10 @@ class RankBitvector(_Serialized):
         (j+1)-th set bit: in p's word, else in the next word (the pad word
         at the end is zero), else `select1(j + 1)`."""
         wi = p >> 6
-        rest = int(self._words[wi]) >> (p & 63) >> 1
+        rest = self._words.item(wi) >> (p & 63) >> 1
         if rest:
             return p + (rest ^ (rest - 1)).bit_count()
-        word = int(self._words[wi + 1])
+        word = self._words.item(wi + 1)
         if word:
             return ((wi + 1) << 6) + (word ^ (word - 1)).bit_count() - 1
         return self.select1(j + 1)
@@ -242,9 +242,9 @@ class IntVector(_Serialized):
             return 0
         off = i * self.width
         sh = off & 63
-        val = int(self._words[off >> 6]) >> sh
+        val = self._words.item(off >> 6) >> sh
         if sh + self.width > 64:
-            val |= int(self._words[(off >> 6) + 1]) << (64 - sh)
+            val |= self._words.item((off >> 6) + 1) << (64 - sh)
         return val & ((1 << self.width) - 1)
 
     def get_many(self, idx):
@@ -401,7 +401,7 @@ class TypeSequence(_Serialized):
         pos2 = self._count0 + r1 if c1 else i - r1
         c0, r2 = self._b2.probe(pos2)
         t = c1 << 1 | c0
-        return t, (r2 if c0 else pos2 - r2) - int(self._before[t])
+        return t, (r2 if c0 else pos2 - r2) - self._before.item(t)
 
     def access_many(self, idx):
         """(symbol, its occurrences before idx) per position; one probe per level."""

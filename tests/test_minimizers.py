@@ -10,7 +10,8 @@ from lpmphf import (Kmer, MinimizerScheme, census, default_minimizer_length,
 from lpmphf.errors import LengthOutOfRange, StringShorterThanK
 from lpmphf._lookup import _BLOCK_ROWS, kmer_minimizers
 from lpmphf.kmers import BASES, encode_bases, kmer_words, mix64, seed_key
-from lpmphf.minimizers import _window_argmin, scan_spss, scan_string
+from lpmphf.minimizers import (_DIRECT_ARGMIN, _window_argmin, scan_spss,
+                               scan_string)
 
 from conftest import find_single_superkmer
 from oracles import (brute_minimizer, brute_split, brute_window_argmin,
@@ -35,7 +36,12 @@ def test_window_argmin_tie_heavy(values, w):
 @pytest.mark.parametrize("n,w", [(1, 1), (17, 17), (18, 17), (34, 17),
                                  (35, 17), (1000, 17), (1000, 49), (999, 2),
                                  (9, 9), (33, 33), (1000, 33),  # w - 1 = 2^i
-                                 (100, 3), (1000, 24), (1000, 63)])
+                                 (100, 3), (1000, 24), (1000, 63),
+                                 # _DIRECT_ARGMIN windows take one direct
+                                 # argmin, one more window the events
+                                 *[(_DIRECT_ARGMIN + extra + w - 1, w)
+                                   for w in (1, 2, 17, 24, 49, 63)
+                                   for extra in (0, 1)]])
 def test_window_argmin_matches_oracle(n, w, rng):
     for top in (2, 2 ** 64 - 1):  # all-tie pairs, then (nearly) distinct values
         h = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)
@@ -58,6 +64,19 @@ def test_minimizer_matches_brute_force(rng):
             kmer = s[i:i + 31]
             hit = minimizer(kmer, scheme)
             assert (hit.mmer, hit.pos) == brute_minimizer(kmer, 15, scheme.seed)
+
+
+@pytest.mark.parametrize("k,m", [(33, 2), (33, 1), (63, 1), (63, 32), (1, 1),
+                                 (13, 13), (32, 32), (5, 2)])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_minimizer_lane_edges(k, m, seed, rng):
+    # the lane kernel at its edges: k = 33 with m = 2 and m = 1, where the
+    # shifted copies of the k-mer reach 128 and 130 bits into the lanes;
+    # w = 63 lanes; one lane (w = 1); homopolymers, whose m-mers all tie
+    scheme = MinimizerScheme(k=k, m=m, seed=seed)
+    for kmer in [b * k for b in BASES] + [random_dna(rng, k) for _ in range(100)]:
+        hit = minimizer(kmer, scheme)
+        assert (hit.mmer, hit.pos) == brute_minimizer(kmer, m, seed), kmer
 
 
 def test_scheme_validation():

@@ -43,8 +43,9 @@ class SlotAssembly:
 
 def assemble_slots(scan, seed):
     census = census_from_scan(scan)
-    fm = GeneralMphf.build(census.distinct, seed=mix64(seed ^ _FM_SALT))
-    slot_of_distinct = fm.evaluate_many(census.distinct)
+    slot_of_distinct = np.empty(census.distinct.size, dtype=np.int64)
+    fm = GeneralMphf.build(census.distinct, seed=mix64(seed ^ _FM_SALT),
+                           out=slot_of_distinct)
     fm_of_skm = slot_of_distinct[census.inverse]
     amb_distinct = census.counts > 1
     skm_ambiguous = amb_distinct[census.inverse]

@@ -208,8 +208,12 @@ def kmer_words_at(codes, k, positions):
 
 
 def first_duplicate(hi, lo):
-    """One two-word key that occurs more than once in (hi, lo), packed as
-    (hi << 64) | lo, or None when all keys are distinct."""
+    """The smallest (in (hi, lo) order) two-word key that occurs more than
+    once, packed as (hi << 64) | lo, or None; sorts the low words, and both
+    words of just the keys whose low word repeats."""
+    s = np.sort(lo)
+    cand = np.isin(lo, s[1:][s[1:] == s[:-1]])   # the keys whose low word repeats
+    hi, lo = hi[cand], lo[cand]
     order = np.lexsort((lo, hi))
     hi, lo = hi[order], lo[order]
     same = np.flatnonzero((hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1]))

@@ -6,6 +6,10 @@ bits, rounded up to whole words, and keeps the keys that land alone; levels
 are added until every key is placed (expected linear time, no retries). A
 build still holding keys after `MAX_LEVELS` levels raises LpmphfError: a
 safety cap, which 10^6 keys reach at gamma 0.5 but gamma 2 (13 levels) not.
+Copies of a repeated key hit the same bit at every level, so none is ever
+placed: only a level that places no key, or the cap, makes the build call
+`first_duplicate` on the unplaced keys, which hold every copy of every
+repeat. `build(..., out=)` writes each key's value, the rank of its set bit.
 
 Evaluation reads the levels, one after another, as one rank bitvector. A
 key's value is the rank of the first set bit it hits, which makes the
@@ -38,6 +42,7 @@ DEFAULT_GAMMA = 2.0
 MAX_LEVELS = 64
 _LEVEL_SALT = 0x9E3779B97F4A7C15
 _GROUP = 4096   # probes per grouped evaluation pass: pending keys x levels
+_CHUNK = 1 << 15   # keys hashed at a time in a build level
 
 
 def _level_seed(seed, level):
@@ -80,30 +85,37 @@ class GeneralMphf(_Serialized):
     # --- construction ---
 
     @classmethod
-    def build(cls, lo, hi=None, seed=0, gamma=DEFAULT_GAMMA):
-        """Build over distinct keys given as uint64 arrays (hi optional)."""
+    def build(cls, lo, hi=None, seed=0, gamma=DEFAULT_GAMMA, out=None):
+        """Build over distinct uint64 keys (hi optional); `out` gets their values."""
         hi, lo = _as_key_arrays(lo, hi)
-        dup = first_duplicate(hi, lo)
-        if dup is not None:
-            raise DuplicateKey(dup)
-        sizes, placed = [], []   # per level: bits, and its keys' set bits
-        cur_hi, cur_lo = hi, lo
-        while cur_lo.size:
+        sizes, levels, order, placed = [], [], [], []   # per level (last two: `out`)
+        idx = np.arange(lo.size)   # the keys no level has placed yet
+        while idx.size:
+            if len(sizes) == MAX_LEVELS or (levels and not levels[-1].any()):
+                dup = first_duplicate(hi[idx], lo[idx])
+                if dup is not None:
+                    raise DuplicateKey(dup)
             if len(sizes) == MAX_LEVELS:
-                raise LpmphfError(f"{cur_lo.size} of {lo.size} keys still "
+                raise LpmphfError(f"{idx.size} of {lo.size} keys still "
                                   f"collide after {MAX_LEVELS} MPHF levels "
                                   f"(gamma {gamma})")
-            nbits = max(64, ((int(np.ceil(gamma * cur_lo.size)) + 63) // 64) * 64)
-            h = (hash_words_array(cur_hi, cur_lo, _level_seed(seed, len(sizes)))
-                 % _U64(nbits)).astype(np.int64)
-            counts = np.bincount(h, minlength=nbits)
-            alone = counts[h] == 1
-            placed.append(h[alone] + sum(sizes))
+            nbits = max(64, ((int(np.ceil(gamma * idx.size)) + 63) // 64) * 64)
+            h, key = np.empty(idx.size, dtype=np.int64), _level_seed(seed, len(sizes))
+            for a in range(0, idx.size, _CHUNK):   # temporaries stay in cache
+                part = idx[a:a + _CHUNK]
+                np.remainder(hash_words_array(hi[part], lo[part], key),
+                             _U64(nbits), out=h[a:a + _CHUNK].view(_U64))
+            levels.append(np.bincount(h, minlength=nbits) == 1)   # bits hit once
+            alone = levels[-1][h]
+            if out is not None:
+                sel = np.flatnonzero(alone)
+                order.append(idx[sel])
+                placed.append(h[sel] + sum(sizes))
             sizes.append(nbits)
-            keep = ~alone
-            cur_hi, cur_lo = cur_hi[keep], cur_lo[keep]
-        bits = RankBitvector.from_positions(
-            sum(sizes), np.concatenate([np.zeros(0, np.int64), *placed]))
+            idx = idx[np.flatnonzero(~alone)]   # index gathers beat boolean masks
+        bits = RankBitvector.from_bools(np.concatenate([np.zeros(0, bool), *levels]))
+        if order:   # a key's value is the rank of its set bit
+            out[np.concatenate(order)] = bits.rank1_many(np.concatenate(placed))
         return cls(lo.size, seed, gamma, sizes, bits)
 
     # --- evaluation ---

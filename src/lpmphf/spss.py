@@ -79,7 +79,8 @@ class SpssInput:
         if len(self.codes) == 1:
             return slice(None) if g is None else g
         if g is None:
-            g = np.arange(self.n, dtype=np.int64)
+            return np.arange(self.n) + (self.k - 1) * np.repeat(
+                np.arange(len(self.codes)), np.diff(self.kmer_starts, append=self.n))
         string = np.searchsorted(self.kmer_starts, g, side="right") - 1
         return g + (self.k - 1) * string
 

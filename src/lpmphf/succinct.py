@@ -14,6 +14,9 @@ in a file. An Elias-Fano pair (L[i], L[i+1]) costs one select: L[i+1] is
 the next set bit after L[i]'s, found in the same word, in the next one, or
 by a second select.
 
+Construction uses no `ufunc.at`: a bitvector packs a bool array with
+`np.packbits`, and an IntVector ORs each word's fields with one `reduceat`.
+
 Serialization is little-endian: parameters and payload words only. Loading
 derives each bitvector's set-bit count and rank samples from its words in
 one `cumsum`, so the samples always agree with the words; the counts a
@@ -81,15 +84,15 @@ class RankBitvector(_Serialized):
 
     @classmethod
     def from_positions(cls, nbits, positions):
-        positions = np.asarray(positions, dtype=np.int64)
-        words = np.zeros((nbits + 63) // 64, dtype=_U64)
-        np.bitwise_or.at(words, positions >> 6,
-                         _U64(1) << (positions & 63).astype(_U64))
-        return cls(nbits, words)
+        """Bits set at `positions` (any order, repeats allowed)."""
+        bits = np.zeros(nbits, dtype=bool)
+        bits[positions] = True
+        return cls.from_bools(bits)
 
     @classmethod
     def from_bools(cls, bits):
-        return cls.from_positions(len(bits), np.flatnonzero(bits))
+        padded = np.pad(np.asarray(bits, dtype=bool), (0, -len(bits) % 64))
+        return cls(len(bits), np.packbits(padded, bitorder="little").view("<u8"))
 
     def rank1(self, i):
         """Number of set bits in [0, i); 0 <= i <= nbits."""
@@ -225,14 +228,13 @@ class IntVector(_Serialized):
             return iv
         v = values.astype(_U64) & _width_mask(width)
         off = np.arange(values.size, dtype=np.int64) * width
-        wi = off >> 6
         sh = (off & 63).astype(_U64)
-        with np.errstate(over="ignore"):
-            np.bitwise_or.at(iv._words, wi, v << sh)
-        spill = (off & 63) + width > 64
-        if np.any(spill):
-            np.bitwise_or.at(iv._words, wi[spill] + 1,
-                             v[spill] >> (_U64(64) - sh[spill]))
+        # width <= 64: each word up to the last field start holds field
+        # ceil(64 i / width) first, and at most one field spilling in
+        first = (np.arange((off[-1] >> 6) + 1) * 64 + width - 1) // width
+        iv._words[:first.size] = np.bitwise_or.reduceat(v << sh, first)
+        spill = np.flatnonzero((off & 63) + width > 64)
+        iv._words[(off[spill] >> 6) + 1] |= v[spill] >> (_U64(64) - sh[spill])
         return iv
 
     def get(self, i):

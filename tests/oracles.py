@@ -76,6 +76,28 @@ def all_kmers(s, k):
     return [s[i:i + k] for i in range(len(s) - k + 1)]
 
 
+def packed_int_words(values, width):
+    """The 64-bit words of `values` (Python ints, each cut to its low `width`
+    bits) laid end to end from bit 0, value i at bits [i*width, (i+1)*width),
+    built as one Python int."""
+    big = 0
+    for i, v in enumerate(values):
+        big |= (v & ((1 << width) - 1)) << (i * width)
+    return _words_of(big, len(values) * width)
+
+
+def packed_bit_words(nbits, positions):
+    """The 64-bit words of an nbits-long bitvector with `positions` set."""
+    big = 0
+    for p in positions:
+        big |= 1 << p
+    return _words_of(big, nbits)
+
+
+def _words_of(big, nbits):
+    return [big >> (64 * j) & 0xFFFFFFFFFFFFFFFF for j in range((nbits + 63) // 64)]
+
+
 def naive_rank(bits, i):
     return int(np.sum(bits[:i]))
 

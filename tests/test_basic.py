@@ -1,13 +1,18 @@
 import importlib
+import importlib.util
+import os
 import pkgutil
 import random
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import lpmphf
 from lpmphf import (Kmer, MinimizerScheme, SpssInput, build_basic,
-                    generate_spss, measure_epsilon, spss_from_strings)
+                    generate_spss, measure_epsilon, mphf, spss_from_strings)
 from lpmphf.errors import DefiniteMiss, KMismatch
 from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import MinimizerDensityWarning, scan_spss
@@ -273,3 +278,40 @@ def test_unitig_like_strings_stream_matches_assigned_values(build):
             assert np.array_equal(got, table[at:at + codes.size - 30])
             at += codes.size - 30
         assert at == n
+
+
+def bench_inputs(seed):
+    """(name, SpssInput, scheme) of each workload of bench/run.py at `seed`."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # run.py pins library thread counts in os.environ and imports its siblings
+    with mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "path", [str(bench), *sys.path]):
+        spec.loader.exec_module(run)
+    for name, wl in run.WORKLOADS.items():
+        base = generate_spss(wl.n + wl.k - 1, wl.k, seed=seed)
+        spss = SpssInput(k=wl.k, codes=run.cut_strings(base.codes, wl, seed))
+        yield name, spss, MinimizerScheme(k=wl.k, m=wl.m, seed=seed)
+
+
+def test_build_evaluates_no_key_and_sorts_no_key_set(monkeypatch):
+    # the inner MPHF hands its keys' values back, and a repeated key shows
+    # as a level that places nothing: a build over distinct k-mers needs
+    # neither an evaluation pass nor a distinctness sort
+    inputs = list(bench_inputs(seed=7))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mphf.GeneralMphf, "evaluate_many",
+                        counted(mphf.GeneralMphf.evaluate_many))
+    monkeypatch.setattr(mphf, "first_duplicate", counted(mphf.first_duplicate))
+    for name, spss, scheme in inputs:
+        for build in BUILDERS:
+            assert build(spss, scheme).n == spss.n
+            assert calls == [], (name, build.__name__)

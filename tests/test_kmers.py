@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from lpmphf import Kmer, mix64
 from lpmphf.errors import InvalidBase, LengthOutOfRange
 from lpmphf.kmers import (_PACK_ROWS, decode_bases, encode_bases,
-                          hash_mmer_array, hash_words, hash_words_array,
-                          kmer_words, kmer_words_at, seed_key, window_values)
+                          first_duplicate, hash_mmer_array, hash_words,
+                          hash_words_array, kmer_words, kmer_words_at,
+                          seed_key, window_values)
 
 from oracles import all_kmers, pack_mmer, random_dna
 
@@ -157,3 +159,24 @@ def test_kmer_words_at_positions(k):
             for word, want in ((hi, hi_all[pos]), (lo, lo_all[pos])):
                 assert word.dtype == np.uint64 and word.flags.c_contiguous
                 assert np.array_equal(word, want)
+
+
+# word values at the edges of uint64, so that few keys collide often
+WORDS = [0, 1, 2, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS)),
+                max_size=24))
+@example([])
+@example([(5, 9)])
+@example([(0, 7), (1, 7), (2, 7)])                  # differ only in hi
+@example([(1, 7), (0, 7), (1, 7), (2, 7), (0, 7)])  # equal lo, mixed hi
+@example([(2, 7), (2, 3), (1, 7), (2, 7), (2, 3)])
+def test_first_duplicate_matches_counter_oracle(keys):
+    counts = Counter(keys)
+    repeats = [key for key, c in counts.items() if c > 1]
+    want = (min(repeats)[0] << 64 | min(repeats)[1]) if repeats else None
+    hi = np.array([h for h, _ in keys], dtype=np.uint64)
+    lo = np.array([x for _, x in keys], dtype=np.uint64)
+    assert first_duplicate(hi, lo) == want

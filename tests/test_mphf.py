@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,70 @@ def test_duplicate_keys_rejected():
     with pytest.raises(DuplicateKey) as e:
         GeneralMphf.build(lo, np.array([2, 2], dtype=np.uint64))
     assert e.value.key == (2 << 64) | 7
+
+
+@pytest.mark.parametrize("two_words", [False, True])
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 10_000])
+def test_build_out_equals_evaluate_many(n, gamma, two_words, rng):
+    if two_words:   # few distinct low words, so keys differ mostly in hi
+        hi = distinct_keys(rng, n, bits=64)
+        lo = rng.integers(0, 3, size=n, dtype=np.uint64)
+    else:
+        hi, lo = None, distinct_keys(rng, n, bits=64)
+    out = np.full(n, -1, dtype=np.int64)
+    f = GeneralMphf.build(lo, hi, seed=n, gamma=gamma, out=out)
+    assert np.array_equal(out, f.evaluate_many(lo, hi))
+    assert np.array_equal(np.sort(out), np.arange(n))
+    assert f.to_bytes() == GeneralMphf.build(lo, hi, seed=n, gamma=gamma).to_bytes()
+
+
+def smallest_repeat(hi, lo):
+    """Oracle: the smallest (hi, lo) key counted more than once, packed."""
+    counts = Counter(zip(hi.tolist(), lo.tolist()))
+    h, low = min(key for key, c in counts.items() if c > 1)
+    return h << 64 | low
+
+
+@pytest.mark.parametrize("case", ["all_equal", "one_among_many", "triples",
+                                  "hi_only"])
+def test_duplicate_found_by_the_levels(case, rng, monkeypatch):
+    keys = distinct_keys(rng, 10_000, bits=64)
+    if case == "all_equal":
+        lo = np.full(1000, 77, dtype=np.uint64)
+    elif case == "one_among_many":
+        lo = np.append(keys, keys[4321])
+    elif case == "triples":   # 20 keys three times each
+        lo = np.concatenate([keys, keys[:20], keys[:20]])
+    if case == "hi_only":   # every low word equal: keys differ, and repeat, in hi
+        hi = np.concatenate([keys, keys[::1000]])
+        lo = np.zeros(hi.size, dtype=np.uint64)
+    else:
+        hi = np.zeros(lo.size, dtype=np.uint64)
+    order = rng.permutation(lo.size)
+    hi, lo = hi[order], lo[order]
+    levels = []   # the first level that places no key ends the build, not the cap
+    level_seed = mphf._level_seed
+
+    def counted(seed, level):
+        levels.append(level)
+        return level_seed(seed, level)
+
+    monkeypatch.setattr(mphf, "_level_seed", counted)
+    with pytest.raises(DuplicateKey) as e:
+        GeneralMphf.build(lo, hi, seed=11)
+    assert e.value.key == smallest_repeat(hi, lo)
+    assert len(levels) < mphf.MAX_LEVELS
+
+
+def test_level_cap_with_duplicates_raises_duplicate_key(rng, monkeypatch):
+    keys = distinct_keys(rng, 1000)
+    lo = np.concatenate([keys, keys[:3]])
+    assert GeneralMphf.build(keys, seed=3).num_levels > 1
+    monkeypatch.setattr(mphf, "MAX_LEVELS", 1)
+    with pytest.raises(DuplicateKey) as e:
+        GeneralMphf.build(lo, seed=3)
+    assert e.value.key == int(keys[:3].min())
 
 
 def test_deterministic_and_seed_sensitive(rng):

@@ -173,6 +173,26 @@ def test_kmer_positions_index_the_joined_codes(rng):
     assert not hi.any()
 
 
+@pytest.mark.parametrize("lengths", [[21, 21], [21, 40, 21, 22, 21],
+                                     [60, 21], [25, 33, 47]])
+def test_kmer_positions_of_every_kmer(lengths, rng):
+    k = 21
+    spss = spss_from_strings([random_dna(rng, n) for n in lengths], k)
+    starts = np.cumsum([0] + lengths[:-1])   # each string's first base
+    want = [s + j for s, n in zip(starts, lengths) for j in range(n - k + 1)]
+    g = np.arange(spss.n)
+    string = np.searchsorted(spss.kmer_starts, g, side="right") - 1
+    pos = spss.kmer_positions()
+    assert pos.tolist() == want
+    assert np.array_equal(pos, spss.kmer_positions(g))
+    assert np.array_equal(pos, g + (k - 1) * string)
+
+
+def test_kmer_positions_of_one_string_is_a_slice(rng):
+    spss = spss_from_strings([random_dna(rng, 50)], 21)
+    assert spss.kmer_positions() == slice(None)
+
+
 def test_fragmentation():
     spss = spss_from_strings(["ACGTA", "TTTTC", "GGGAC"], k=5)
     assert spss.fragmentation == (3 - 1) / 3

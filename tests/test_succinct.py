@@ -8,7 +8,8 @@ from lpmphf.errors import (CorruptFile, IndexOutOfRange, NotMonotone,
                            UniverseTooSmall)
 from lpmphf.succinct import _SELECT_STEPS
 
-from oracles import brute_select, naive_rank, naive_symbol_rank
+from oracles import (brute_select, naive_rank, naive_symbol_rank,
+                     packed_bit_words, packed_int_words)
 
 
 # --- RankBitvector ---------------------------------------------------------------
@@ -291,6 +292,25 @@ def test_select_searches_only_past_the_step_bound(searchsorted_sizes):
     assert searchsorted_sizes == [1] * far.size
 
 
+@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 1000, 4097])
+def test_constructors_match_python_packer(nbits, rng):
+    for count in (0, 1, nbits // 3, 2 * nbits):   # unsorted, with repeats
+        pos = rng.integers(0, max(nbits, 1), size=count if nbits else 0)
+        words = packed_bit_words(nbits, pos.tolist())
+        cum = np.cumsum([0] + [w.bit_count() for w in words]).tolist()
+        ones = set(pos.tolist())
+        flags = [i in ones for i in range(nbits)]
+        for bv in (RankBitvector.from_positions(nbits, pos),
+                   RankBitvector.from_bools(flags),
+                   RankBitvector.from_bools(np.array(flags, dtype=bool))):
+            nwords = len(words)
+            assert bv.nbits == nbits
+            assert bv._words[:nwords].tolist() == words
+            assert not bv._words[nwords:].any()
+            assert bv._cum.tolist() == cum + [cum[-1]]   # the pad word is zero
+            assert bv.num_ones == len(ones)
+
+
 def test_set_bit_past_length_rejected_on_load():
     blob = bytearray(RankBitvector.from_bools(np.ones(70, dtype=bool)).to_bytes())
     blob[8 + 8 + 0] |= 1 << 6   # bit 70, in the last word's padding
@@ -345,6 +365,40 @@ def test_intvector_round_trip(width, rng):
     back = IntVector.from_bytes(iv.to_bytes())
     assert np.array_equal(back.get_many(np.arange(1000)),
                           iv.get_many(np.arange(1000)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 1000])
+def test_intvector_words_match_python_packer(n, rng):
+    for width in range(65):
+        vals = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)  # cut to width
+        iv = IntVector.from_values(vals, width)
+        ndata = (n * width + 63) // 64
+        assert iv._words[:ndata].tolist() == packed_int_words(vals.tolist(), width)
+        assert not iv._words[ndata:].any()
+
+
+@pytest.mark.parametrize("n, width", [(2, 33), (3, 63), (66, 63)])
+def test_intvector_last_word_holds_only_a_spill(n, width, rng):
+    # no field starts in the last word: only the field before spills into it
+    assert (n * width + 63) // 64 == ((n - 1) * width >> 6) + 2
+    vals = rng.integers(0, 2 ** width, size=n, dtype=np.uint64)
+    iv = IntVector.from_values(vals, width)
+    assert iv._words[:(n * width + 63) // 64].tolist() == \
+        packed_int_words(vals.tolist(), width)
+    assert iv.get_many(np.arange(n)).view(np.uint64).tolist() == vals.tolist()
+
+
+def test_intvector_packs_negative_and_top_bit_values():
+    signed = np.array([-1, -2 ** 63, 0, 2 ** 63 - 1, -12345, 7], dtype=np.int64)
+    unsigned = np.array([2 ** 64 - 1, 2 ** 63, 2 ** 63 + 5, 0, 1], dtype=np.uint64)
+    for vals in (signed, unsigned):
+        for width in (64, 63, 33, 5):
+            iv = IntVector.from_values(vals, width)
+            ndata = (vals.size * width + 63) // 64
+            # Python ints cut to `width` bits: two's complement for negatives
+            assert iv._words[:ndata].tolist() == packed_int_words(vals.tolist(), width)
+            for i, v in enumerate(vals.tolist()):
+                assert iv.get(i) == v % (1 << width)
 
 
 def test_intvector_bounds():

@@ -49,6 +49,12 @@ def copy_tracked(dest):
             shutil.copy2(src, dest / name)
 
 
+def extract(rev, dest):
+    """Extract commit `rev` of this repository into `dest` (`git archive`)."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev, text=False))) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def run_side(root, seed):
     """One `bench/run.py --workload all` run at the benchmark's default
     length: {workload: (result, meta)}. The run and the workload processes it
@@ -141,9 +147,7 @@ def main(argv=None):
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        archive = io.BytesIO(git("archive", parent_sha, text=False))
-        with tarfile.open(fileobj=archive) as tar:
-            tar.extractall(trees["parent"], filter="data")
+        extract(parent_sha, trees["parent"])
         copy_tracked(trees["change"])
         runs = []
         for i in range(args.pairs):

@@ -13,8 +13,8 @@ from . import theory
 from .basic import LpMphfBasic, build_basic, measure_epsilon
 from .errors import *  # noqa: F401,F403
 from .kmers import Kmer, mix64
-from .minimizers import (MinimizerCensus, MinimizerHit, MinimizerScheme,
-                         census, default_minimizer_length, minimizer)
+from .minimizers import (MinimizerCensus, MinimizerScheme, census,
+                         default_minimizer_length)
 from .mphf import GeneralMphf
 from .partitioned import FlType, LpMphfPartitioned, build_partitioned
 from .spss import SpssInput, generate_spss, load_spss, spss_from_strings, write_fasta

@@ -36,7 +36,6 @@ class SlotAssembly:
     fm: GeneralMphf
     slot_sizes: np.ndarray       # super-k-mer size per slot, 0 when ambiguous
     slot_p1: np.ndarray          # first-k-mer minimizer position, 0 when ambiguous
-    slot_ambiguous: np.ndarray   # bool per slot
     skm_ambiguous: np.ndarray    # bool per super-k-mer
     n_unambiguous: int
 
@@ -47,20 +46,16 @@ def assemble_slots(scan, seed):
     fm = GeneralMphf.build(census.distinct, seed=mix64(seed ^ _FM_SALT),
                            out=slot_of_distinct)
     fm_of_skm = slot_of_distinct[census.inverse]
-    amb_distinct = census.counts > 1
-    skm_ambiguous = amb_distinct[census.inverse]
+    skm_ambiguous = (census.counts > 1)[census.inverse]
     m = census.distinct.size
     slot_sizes = np.zeros(m, dtype=np.int64)
     slot_p1 = np.zeros(m, dtype=np.int64)
     keep = ~skm_ambiguous
     slot_sizes[fm_of_skm[keep]] = scan.sizes[keep]
     slot_p1[fm_of_skm[keep]] = scan.p1[keep]
-    slot_ambiguous = np.zeros(m, dtype=bool)
-    slot_ambiguous[slot_of_distinct[amb_distinct]] = True
     return SlotAssembly(
         fm=fm, slot_sizes=slot_sizes, slot_p1=slot_p1,
-        slot_ambiguous=slot_ambiguous, skm_ambiguous=skm_ambiguous,
-        n_unambiguous=int(scan.sizes[keep].sum()))
+        skm_ambiguous=skm_ambiguous, n_unambiguous=int(scan.sizes[keep].sum()))
 
 
 def expand_ranges(starts, lengths):

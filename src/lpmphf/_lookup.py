@@ -3,13 +3,14 @@ runs of k-mers sharing a minimizer occurrence (a query string's from its
 minimizer scan, a random batch's of one k-mer each), `finish_lookup`
 resolves one slot per run and `StreamPlan.expand` derives values per run."""
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from ._build import expand_ranges
-from .errors import KMismatch, QueryShorterThanK
+from .errors import InvalidBase, KMismatch, QueryShorterThanK
 from .kmers import Kmer, encode_bases, kmer_words_at, mix64_inplace, seed_key
 from .minimizers import SuperKmerScan, scan_string
 
@@ -48,17 +49,30 @@ def kmer_minimizers(hi, lo, scheme):
 
 
 def resolve_kmer_input(x, k):
-    """Normalize a Kmer, DNA string, or packed int into one packed int."""
-    if isinstance(x, str):
+    """A Kmer, DNA str or bytes, or packed integer as one packed int."""
+    if isinstance(x, (str, bytes)):
         x = Kmer.from_string(x)
     if isinstance(x, Kmer):
         if x.k != k:
             raise KMismatch(f"k-mer length {x.k} != structure k={k}")
         return x.value
-    value = int(x)
+    try:
+        value = operator.index(x)
+    except TypeError:
+        raise KMismatch(f"a k-mer cannot be a {type(x).__name__}") from None
     if not 0 <= value < (1 << (2 * k)):
         raise KMismatch(f"packed value out of range for k={k}")
     return value
+
+
+def bounded_ints(x, top, dtype):
+    """x as a 1-D `dtype` array, or None unless it is empty or holds
+    integers in [0, top] (one `max` pass for unsigned input)."""
+    a = np.asarray(x)
+    if a.ndim == 1 and (not a.size or a.dtype.kind in "ui" and a.max() <= top
+                        and (a.dtype.kind == "u" or a.min() >= 0)):
+        return a.astype(dtype, copy=False)
+    return None
 
 
 def run_misses(p1s, sizes, p1, length=1):
@@ -75,11 +89,13 @@ class StreamPlan:
     scan: SuperKmerScan
     words: object
 
-    def expand(self, base, p1s, sizes, fb, struct, checked):
+    def expand(self, base, p1s, sizes, struct, checked):
         """Values from per-run slot data: k-mer t of run j gets
-        base_j + p1s_j - p1_j - kmer_base_j + t. Misses are found per run;
-        in checked mode, only runs that miss get a per-k-mer mask."""
+        base_j + p1s_j - p1_j - kmer_base_j + t, or n_unambiguous + fallback(x)
+        when its slot has size 0 (an ambiguous minimizer's). Misses are found
+        per run; in checked mode, only runs that miss get a per-k-mer mask."""
         runs = self.scan
+        fb = sizes == 0
         rl, first = runs.sizes, runs.kmer_base
         out = np.repeat(base + p1s - runs.p1 - first, rl)
         out += np.arange(runs.n)
@@ -99,10 +115,13 @@ class StreamPlan:
 
 
 def stream_plan(q, scheme):
-    codes = encode_bases(q) if isinstance(q, str) else q
+    """A query's plan: its bases as str or bytes, or integer codes in [0, 3]."""
+    codes = (encode_bases(q) if isinstance(q, (str, bytes))
+             else bounded_ints(q, 3, np.uint8))
+    if codes is None:
+        raise InvalidBase("query codes must be a 1-D integer array in [0, 3]")
     if codes.size < scheme.k:
-        raise QueryShorterThanK(
-            f"query length {codes.size} < k={scheme.k}")
+        raise QueryShorterThanK(f"query length {codes.size} < k={scheme.k}")
     return StreamPlan(scan=scan_string(codes, scheme),
                       words=partial(kmer_words_at, codes, scheme.k))
 
@@ -120,9 +139,8 @@ def finish_lookup(plan, struct, checked):
     fallback k-mers are always evaluated in one vector pass."""
     mvals = plan.scan.minvals
     if mvals.size <= _SCALAR_RUNS:
-        cols = np.array([struct._slot_param(struct.fm.evaluate(v))
-                         for v in mvals.tolist()], dtype=np.int64).reshape(-1, 4).T
-        base, p1s, sizes, fb = cols[0], cols[1], cols[2], cols[3] != 0
+        rows = [struct._slot_param(struct.fm.evaluate(v)) for v in mvals.tolist()]
+        base, p1s, sizes = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     else:
-        base, p1s, sizes, fb = struct._slot_params(struct.fm.evaluate_many(mvals))
-    return plan.expand(base, p1s, sizes, fb, struct, checked)
+        base, p1s, sizes = struct._slot_params(struct.fm.evaluate_many(mvals))
+    return plan.expand(base, p1s, sizes, struct, checked)

@@ -1,18 +1,19 @@
 """The locality-preserving MPHF engine, and its un-partitioned (basic) layout.
 
 Engine (`LpMphf`): an inner MPHF fm gives every distinct minimizer
-(ambiguous ones included) a slot. A layout resolves a slot to
-(base, p1, size): the first codomain value of the slot's super-k-mer, the
-minimizer position in its first k-mer, and its k-mer count. A k-mer with
-minimizer position p then hashes to base + p1 - p, so the k-mers of one
-super-k-mer get consecutive values in string order. K-mers whose minimizer
-is ambiguous (a slot the layout marks as fallback) hash to
-n_unambiguous + fallback(x) instead; non-member queries return an arbitrary
-in-range value unless checked lookup detects an impossible minimizer
-position. The engine owns construction, every lookup path, diagnostics and
-serialization; a layout subclass only encodes and decodes the slot data.
-Scalar `lookup` works on Python ints; every batch (`stream_lookup`, and
-`lookup_words` as runs of one k-mer) goes through the `_lookup` pipeline.
+(ambiguous ones included) a slot. A layout resolves a slot to (base, p1,
+size): the first codomain value of the slot's super-k-mer, the minimizer
+position in its first k-mer, and its k-mer count. A k-mer with minimizer
+position p then hashes to base + p1 - p, so the k-mers of one super-k-mer
+get consecutive values in string order. Unambiguous slots hold at least one
+k-mer, so size 0 marks an ambiguous minimizer's slot: there the engine
+hashes to n_unambiguous + fallback(x). Non-member queries return an
+arbitrary in-range value unless checked lookup detects an impossible
+minimizer position. The engine owns construction, every lookup path,
+diagnostics and serialization; a layout subclass only encodes and decodes
+the slot data. Scalar `lookup` works on Python ints; every batch
+(`stream_lookup`, and `lookup_words` as runs of one k-mer) goes through the
+`_lookup` pipeline.
 
 Basic layout: an Elias-Fano array L of length |M|+1 holding prefix sums of
 super-k-mer sizes in slot order (L[0]=0, ambiguous slots contribute 0), and
@@ -26,9 +27,9 @@ import numpy as np
 
 from ._build import (ambiguous_kmer_words, assemble_slots, build_fallback,
                      expand_ranges)
-from ._lookup import (finish_lookup, kmer_minimizers, kmer_plan,
+from ._lookup import (bounded_ints, finish_lookup, kmer_minimizers, kmer_plan,
                       resolve_kmer_input, run_misses, stream_plan)
-from .errors import CorruptFile, DefiniteMiss
+from .errors import CorruptFile, DefiniteMiss, KMismatch
 from .minimizers import (kmer_minimizer, scan_spss,
                          warn_if_density_condition_violated)
 from .succinct import EliasFanoSeq, IntVector
@@ -43,9 +44,9 @@ class LpMphf:
     file header), `SECTIONS` (its serialized components in file order, as
     (attribute, type with to_bytes/from_bytes) pairs), `_layout(slots, w)`
     building those components from a SlotAssembly, `_slot_params(slot)`
-    returning (base, p1, size, fallback mask) per slot of a slot array, and
-    `_slot_param(slot)` returning the same four for one slot as Python
-    values.
+    returning (base, p1, size) per slot of a slot array (size 0 on an
+    ambiguous slot), and `_slot_param(slot)` the same three for one slot as
+    Python values.
     """
 
     def __init__(self, scheme, n, n_unambiguous, fm, fallback, **sections):
@@ -78,7 +79,13 @@ class LpMphf:
 
     def lookup_words(self, hi, lo, checked=False):
         """Vector lookup over packed k-mer word arrays: a batch of runs of
-        one k-mer each, resolved as `stream_lookup` resolves a string."""
+        one k-mer each, resolved as `stream_lookup` resolves a string. The
+        words are 1-D integer arrays of one shape packing k-mers below 4^k."""
+        k = self.scheme.k
+        hi = bounded_ints(hi, (1 << max(2 * k - 64, 0)) - 1, np.uint64)
+        lo = bounded_ints(lo, (1 << min(2 * k, 64)) - 1, np.uint64)
+        if hi is None or lo is None or hi.shape != lo.shape:
+            raise KMismatch(f"k-mer words are not two arrays of packed {k}-mers")
         mvals, p = kmer_minimizers(hi, lo, self.scheme)
         return finish_lookup(kmer_plan(hi, lo, mvals, p), self, checked)
 
@@ -90,8 +97,8 @@ class LpMphf:
         """
         value = resolve_kmer_input(x, self.scheme.k)
         mmer, pos = kmer_minimizer(value, self.scheme)
-        base, p1, size, fb = self._slot_param(self.fm.evaluate(mmer))
-        if fb:
+        base, p1, size = self._slot_param(self.fm.evaluate(mmer))
+        if not size:
             return self.n_unambiguous + self.fallback.evaluate(value)
         if not run_misses(p1, size, pos):
             return base + p1 - pos
@@ -118,7 +125,8 @@ class LpMphf:
         return self._values_of_scan(spss, scan_spss(spss, self.scheme))
 
     def _values_of_scan(self, spss, scan):
-        base, _, _, fb = self._slot_params(self.fm.evaluate_many(scan.minvals))
+        base, _, sizes = self._slot_params(self.fm.evaluate_many(scan.minvals))
+        fb = sizes == 0
         out = expand_ranges(base, scan.sizes)  # super-k-mers tile the k-mers
         if np.any(fb):
             hi, lo = ambiguous_kmer_words(spss, scan, fb)
@@ -164,12 +172,11 @@ class LpMphfBasic(LpMphf):
 
     def _slot_params(self, slot):
         lo, hi = self.L.bounds_many(slot)
-        sizes = hi - lo
-        return lo, self.P.get_many(slot), sizes, sizes == 0
+        return lo, self.P.get_many(slot), hi - lo
 
     def _slot_param(self, slot):
         lo, hi = self.L.bounds(slot)
-        return lo, self.P.get(slot), hi - lo, hi == lo
+        return lo, self.P.get(slot), hi - lo
 
 
 def build_basic(spss, scheme, threads=1):

@@ -65,10 +65,8 @@ def _build_parser():
     q.add_argument("-o", "--output", default=None, help="write values here instead of stdout")
     q.add_argument("-k", type=_number(int, 1, MAX_K), default=None,
                    help="expected k (checked against the structure)")
-    mode = q.add_mutually_exclusive_group()
-    mode.add_argument("--streaming", action="store_true", default=True)
-    mode.add_argument("--random", dest="streaming", action="store_false",
-                      help="shuffle the k-mers and look each up independently")
+    q.add_argument("--random", action="store_true",
+                   help="shuffle the k-mers and look each up independently")
     q.add_argument("--checked", action="store_true",
                    help="report definite misses as '-'")
     q.add_argument("--seed", type=_SEED, default=0, help="shuffle seed for --random")
@@ -160,15 +158,15 @@ def _cmd_query(args):
     total = 0
     try:
         t0 = time.perf_counter()
-        if args.streaming:
-            results = [f.stream_lookup(c, checked=args.checked) for c in records]
-        else:
+        if args.random:
             words = [kmer_words(c, f.scheme.k) for c in records]
             hi = np.concatenate([w[0] for w in words]) if words else np.empty(0, np.uint64)
             lo = np.concatenate([w[1] for w in words]) if words else np.empty(0, np.uint64)
             rng = np.random.default_rng(args.seed)
             perm = rng.permutation(hi.size)
             results = [f.lookup_words(hi[perm], lo[perm], checked=args.checked)]
+        else:
+            results = [f.stream_lookup(c, checked=args.checked) for c in records]
         elapsed = time.perf_counter() - t0
         for vals in results:
             total += vals.size
@@ -178,7 +176,7 @@ def _cmd_query(args):
     finally:
         if args.output:
             out.close()
-    mode = "streaming" if args.streaming else "random"
+    mode = "random" if args.random else "streaming"
     ns = 1e9 * elapsed / total if total else 0.0
     print(f"timing: mode={mode} kmers={total} ns_per_kmer={ns:.1f}",
           file=sys.stderr)

@@ -18,7 +18,7 @@ __all__ = [
     "MAX_K", "MAX_M", "BASES",
     "encode_bases", "decode_bases", "Kmer",
     "mix64", "mix64_inplace", "seed_key", "hash_mmer_array", "hash_words_array",
-    "window_values", "packed_windows", "kmer_words", "kmer_words_at", "first_duplicate",
+    "packed_windows", "kmer_words", "kmer_words_at", "first_duplicate",
 ]
 
 MAX_K = 63
@@ -141,17 +141,11 @@ def hash_words(hi, lo, seed):
 
 # --- bulk packing over code arrays -------------------------------------------
 
-def window_values(codes, width):
-    """Packed base-4 values of every `width`-window of a code array.
-
-    Returns a uint64 array of length len(codes) - width + 1; width <= 32.
-    """
-    return packed_windows(codes, width).astype(_U64, copy=False)
-
-
 def packed_windows(codes, width):
-    """`window_values` in the narrowest word that holds them: uint32 up to
-    width 16 (half the memory traffic per pass), else uint64."""
+    """Packed base-4 values of every `width`-window of a code array, of
+    length len(codes) - width + 1 (width <= 32), in the narrowest word that
+    holds them: uint32 up to width 16 (half the memory traffic per pass),
+    else uint64."""
     if width > MAX_M:
         raise LengthOutOfRange(f"window width {width} > {MAX_M}")
     word = np.uint32 if width <= 16 else _U64
@@ -176,9 +170,9 @@ def kmer_words(codes, k):
     if n <= 0:
         return np.empty(0, dtype=_U64), np.empty(0, dtype=_U64)
     if k <= 32:
-        return np.zeros(n, dtype=_U64), window_values(codes, k)
-    hi = window_values(codes, k - 32)[:n]
-    lo = window_values(codes, 32)[k - 32:k - 32 + n]
+        return np.zeros(n, dtype=_U64), packed_windows(codes, k).astype(_U64, copy=False)
+    hi = packed_windows(codes, k - 32)[:n].astype(_U64, copy=False)
+    lo = packed_windows(codes, 32)[k - 32:k - 32 + n]
     return hi, lo
 
 

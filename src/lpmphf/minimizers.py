@@ -49,11 +49,11 @@ import numpy as np
 
 from .errors import LengthOutOfRange, StringShorterThanK
 from .kmers import (_MASK64, MAX_K, MAX_M, MIX_M1, MIX_M2, MIX_S1, MIX_S2,
-                    MIX_S3, Kmer, hash_mmer_array, packed_windows, seed_key)
+                    MIX_S3, hash_mmer_array, packed_windows, seed_key)
 
 __all__ = [
-    "MinimizerScheme", "MinimizerHit", "MinimizerCensus", "minimizer",
-    "census", "default_minimizer_length", "MinimizerDensityWarning",
+    "MinimizerScheme", "MinimizerCensus", "census", "default_minimizer_length",
+    "MinimizerDensityWarning",
 ]
 
 
@@ -105,22 +105,6 @@ def default_minimizer_length(k, total_length):
             m_d = m
             break
     return min(max(m_n, m_d), k, MAX_M)
-
-
-@dataclass(frozen=True)
-class MinimizerHit:
-    """Minimizer value and its 1-based start position within the k-mer."""
-
-    mmer: int
-    pos: int
-
-
-def minimizer(x, scheme):
-    """Minimizer of a single k-mer: smallest hash, leftmost on ties."""
-    x = Kmer.from_string(x) if isinstance(x, str) else x
-    if x.k != scheme.k:
-        raise LengthOutOfRange(f"k-mer length {x.k} != scheme k={scheme.k}")
-    return MinimizerHit(*kmer_minimizer(x.value, scheme))
 
 
 def kmer_minimizer(value, scheme):
@@ -275,7 +259,6 @@ class MinimizerCensus:
     counts: np.ndarray
     inverse: np.ndarray
     xi: float
-    n: int
 
     @property
     def num_minimizers(self):
@@ -288,7 +271,7 @@ def census_from_scan(scan):
     amb_skm = counts[inverse] > 1
     xi = float(scan.sizes[amb_skm].sum()) / scan.n if scan.n else 0.0
     return MinimizerCensus(distinct=distinct, counts=counts, inverse=inverse,
-                           xi=xi, n=scan.n)
+                           xi=xi)
 
 
 def census(spss, scheme):

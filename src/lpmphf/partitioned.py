@@ -14,9 +14,10 @@ per-type size-prefix arrays (L_l, L_r, L_n, compressed with Elias-Fano) and
 the non-max position array P_n. The codomain is arranged as
 [left-right-max | left-max | right-max | non-max | fallback] with k-mer-count
 block prefixes K_lr, K_l, K_r, K_n; within a block, k-mers are ordered by
-per-type slot rank then position. Ambiguous minimizers are stored as
-right-max entries with a zero-size increment in L_r, so the right-max path
-checks the size before trusting the implicit p1 = w. A batch of slots is
+per-type slot rank then position. An ambiguous minimizer is stored as a
+right-max entry with a zero-size increment in L_r; its slot decodes to size
+0, which the engine reads as the fallback, so the implicit p1 = w is never
+used there. A batch of slots is
 decoded by one descent of R, then per type through that type's own
 sequence, as one slot is.
 """
@@ -93,7 +94,7 @@ class LpMphfPartitioned(LpMphf):
 
     @staticmethod
     def _layout(slots, w):
-        unamb = ~slots.slot_ambiguous
+        unamb = slots.slot_sizes > 0
         slot_types = np.where(unamb, _classify_arrays(
             slots.slot_sizes, slots.slot_p1, w), FlType.RIGHT_MAX.value)
         idx_lr, idx_l, idx_r, idx_n = (np.flatnonzero(slot_types == t)
@@ -123,20 +124,18 @@ class LpMphfPartitioned(LpMphf):
         p1s = np.where(t == FlType.LEFT_MAX.value, sizes, w)
         nm = t == FlType.NON_MAX.value
         p1s[nm] = self.P_n.get_many(j[nm])
-        return base, p1s, sizes, (t == FlType.RIGHT_MAX.value) & (sizes == 0)
+        return base, p1s, sizes
 
     def _slot_param(self, slot):
         w = self.scheme.w
         t, j0 = self.R.access(slot)
         if t == FlType.LEFT_RIGHT_MAX:
-            return j0 * w, w, w, False
+            return j0 * w, w, w
         ef, offset = self._blocks[t - 1]
         lo, hi = ef.bounds(j0)
-        if t == FlType.LEFT_MAX:
-            return offset + lo, hi - lo, hi - lo, False
-        if t == FlType.RIGHT_MAX:
-            return offset + lo, w, hi - lo, hi == lo
-        return offset + lo, self.P_n.get(j0), hi - lo, False
+        p1 = (hi - lo if t == FlType.LEFT_MAX else w if t == FlType.RIGHT_MAX
+              else self.P_n.get(j0))
+        return offset + lo, p1, hi - lo
 
 
 def build_partitioned(spss, scheme, threads=1):

@@ -36,8 +36,8 @@ class SpssInput:
 
     k: int
     codes: list = field(repr=False)
-    n: int = 0
-    total_length: int = 0
+    n: int = field(init=False)
+    total_length: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:

@@ -98,8 +98,7 @@ class RankBitvector(_Serialized):
         """Number of set bits in [0, i); 0 <= i <= nbits."""
         if not 0 <= i <= self.nbits:
             raise IndexOutOfRange(f"rank position {i} outside [0, {self.nbits}]")
-        mask = (1 << (i & 63)) - 1
-        return self._cum.item(i >> 6) + (self._words.item(i >> 6) & mask).bit_count()
+        return self.probe(i)[1]   # at i = nbits, probe reads the zero pad word
 
     def probe(self, i):
         """(bit, rank1) at position i, from one read of its word; 0 <= i < nbits."""
@@ -415,17 +414,12 @@ class TypeSequence(_Serialized):
         return symbols, np.where(c0, r2, pos2 - r2) - self._before[symbols]
 
     def rank(self, t, i):
-        """Occurrences of symbol t in the first i positions (0 <= i <= length)."""
-        if not 0 <= i <= self.length:
-            raise IndexOutOfRange(f"rank position {i} outside [0, {self.length}]")
-        c1, c0 = (t >> 1) & 1, t & 1
-        n1 = self._b1.rank1(i)
-        if c1 == 0:
-            n, ones = i - n1, self._b2.rank1(i - n1)
-        else:
-            n = n1
-            ones = self._b2.rank1(self._count0 + n1) - self._b2.rank1(self._count0)
-        return ones if c0 else n - ones
+        """Occurrences of symbol t in [0, 3] in the first i positions
+        (0 <= i <= length)."""
+        if not (0 <= t <= 3 and 0 <= i <= self.length):
+            raise IndexOutOfRange(f"rank of symbol {t} at {i} outside "
+                                  f"[0, 3] x [0, {self.length}]")
+        return int(self.rank_many([t], [i])[0])
 
     def rank_many(self, ts, idx):
         """Vector rank for per-element (symbol, position) pairs."""

@@ -229,12 +229,16 @@ def test_scalar_lookup_equals_vector(shape, build):
     for x, u, c in zip(keys, unchecked, checked):
         km = Kmer(k, x)
         assert f.lookup(x) == f.lookup(km) == f.lookup(str(km)) == u
+        assert f.lookup(str(km).encode()) == u
+        assert x >> 63 or f.lookup(np.int64(x)) == u
         if c < 0:
             with pytest.raises(DefiniteMiss):
                 f.lookup(x, checked=True)
         else:
             assert f.lookup(x, checked=True) == c
-    for bad in ("A" * (k - 1), Kmer(k - 1, 0), 4 ** k, -1):
+    # a packed value is an integer, never a float
+    for bad in ("A" * (k - 1), b"A" * (k - 1), Kmer(k - 1, 0), 4 ** k, -1,
+                3.7, 3.0, np.float64(3), None, [3]):
         with pytest.raises(KMismatch):
             f.lookup(bad)
 

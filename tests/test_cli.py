@@ -106,6 +106,17 @@ def test_query_streaming_faster_than_random(workdir, capsys):
     assert stream_ns < random_ns
 
 
+@pytest.mark.parametrize("mode", [[], ["--random"]])
+def test_query_record_shorter_than_k_exit_2(mode, workdir, tmp_path, capsys):
+    """A query record shorter than k is a QueryShorterThanK: exit 2."""
+    short = tmp_path / "short.fa"
+    short.write_text(">long\n" + "ACGT" * 10 + "\n>short\nACGTACGT\n")
+    code, out, err = run(capsys, "query", "-i", str(workdir / "f.lph"),
+                         "-q", str(short), *mode)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "length 8 < k=31" in err
+
+
 def test_query_k_mismatch(workdir, capsys):
     code, _, err = run(capsys, "query", "-i", str(workdir / "f.lph"),
                        "-q", str(workdir / "in.fa"), "-k", "33")

@@ -11,7 +11,7 @@ from lpmphf.errors import InvalidBase, LengthOutOfRange
 from lpmphf.kmers import (_PACK_ROWS, decode_bases, encode_bases,
                           first_duplicate, hash_mmer_array, hash_words,
                           hash_words_array, kmer_words, kmer_words_at,
-                          seed_key, window_values)
+                          packed_windows, seed_key)
 
 from oracles import all_kmers, pack_mmer, random_dna
 
@@ -120,14 +120,14 @@ def test_vector_hash_matches_scalar():
 @example(seed=2, length=31)
 @example(seed=3, length=32)
 @settings(max_examples=25, deadline=None)
-def test_window_values_match_packing(seed, length):
+def test_packed_windows_match_packing(seed, length):
     # every width 1..32: widths above the length give no window, and
     # width == length exactly one
     rng = np.random.default_rng(seed)
     s = random_dna(rng, length)
     codes = encode_bases(s)
     for width in range(1, 33):
-        vals = window_values(codes, width)
+        vals = packed_windows(codes, width)
         assert vals.size == max(0, length - width + 1)
         assert vals.tolist() == [pack_mmer(s[i:i + width])
                                  for i in range(vals.size)]

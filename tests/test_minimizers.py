@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpmphf import (Kmer, MinimizerScheme, census, default_minimizer_length,
-                    minimizer, spss_from_strings)
+                    spss_from_strings)
 from lpmphf.errors import LengthOutOfRange, StringShorterThanK
 from lpmphf._lookup import _BLOCK_ROWS, kmer_minimizers
 from lpmphf.kmers import BASES, encode_bases, kmer_words, mix64, seed_key
-from lpmphf.minimizers import (_DIRECT_ARGMIN, _window_argmin, scan_spss,
-                               scan_string)
+from lpmphf.minimizers import (_DIRECT_ARGMIN, _window_argmin, kmer_minimizer,
+                               scan_spss, scan_string)
 
 from conftest import find_single_superkmer
 from oracles import (brute_minimizer, brute_split, brute_window_argmin,
@@ -20,8 +20,7 @@ from oracles import (brute_minimizer, brute_split, brute_window_argmin,
 
 def test_m_equals_k_trivial():
     km = Kmer.from_string("ACGTTGACCAGTA")
-    hit = minimizer(km, MinimizerScheme(k=13, m=13, seed=1))
-    assert hit.mmer == km.value and hit.pos == 1
+    assert kmer_minimizer(km.value, MinimizerScheme(k=13, m=13, seed=1)) == (km.value, 1)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=300),
@@ -52,8 +51,8 @@ def test_pos_in_window_range(rng):
     scheme = MinimizerScheme(k=13, m=7, seed=2)
     assert scheme.w == 7
     for _ in range(200):
-        hit = minimizer(random_dna(rng, 13), scheme)
-        assert 1 <= hit.pos <= 7
+        _, pos = kmer_minimizer(Kmer.from_string(random_dna(rng, 13)).value, scheme)
+        assert 1 <= pos <= 7
 
 
 def test_minimizer_matches_brute_force(rng):
@@ -62,8 +61,8 @@ def test_minimizer_matches_brute_force(rng):
         s = random_dna(rng, 31 + 49)
         for i in range(0, 50, 1):
             kmer = s[i:i + 31]
-            hit = minimizer(kmer, scheme)
-            assert (hit.mmer, hit.pos) == brute_minimizer(kmer, 15, scheme.seed)
+            assert kmer_minimizer(Kmer.from_string(kmer).value, scheme) == \
+                brute_minimizer(kmer, 15, scheme.seed)
 
 
 @pytest.mark.parametrize("k,m", [(33, 2), (33, 1), (63, 1), (63, 32), (1, 1),
@@ -75,8 +74,8 @@ def test_minimizer_lane_edges(k, m, seed, rng):
     # w = 63 lanes; one lane (w = 1); homopolymers, whose m-mers all tie
     scheme = MinimizerScheme(k=k, m=m, seed=seed)
     for kmer in [b * k for b in BASES] + [random_dna(rng, k) for _ in range(100)]:
-        hit = minimizer(kmer, scheme)
-        assert (hit.mmer, hit.pos) == brute_minimizer(kmer, m, seed), kmer
+        assert kmer_minimizer(Kmer.from_string(kmer).value, scheme) == \
+            brute_minimizer(kmer, m, seed), kmer
 
 
 def test_scheme_validation():
@@ -144,10 +143,10 @@ def test_split_matches_isolated_window_oracle_at_1e5(medium_spss):
     # recompute each k-mer's minimizer occurrence in isolation (no shared
     # sliding state), then group; must equal the streaming decomposition
     scheme = MinimizerScheme(k=31, m=15, seed=13)
-    from lpmphf.kmers import hash_mmer_array, window_values
+    from lpmphf.kmers import hash_mmer_array, packed_windows
     for codes in medium_spss.codes:
         nk = codes.size - scheme.k + 1
-        h = hash_mmer_array(window_values(codes, scheme.m), scheme.seed)
+        h = hash_mmer_array(packed_windows(codes, scheme.m), scheme.seed)
         occ = np.array([i + int(np.argmin(h[i:i + scheme.w]))
                         for i in range(nk)], dtype=np.int64)
         starts = np.flatnonzero(np.concatenate([[True], occ[1:] != occ[:-1]]))

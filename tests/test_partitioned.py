@@ -273,22 +273,26 @@ DECODE_SHAPES = SCALAR_SHAPES + [unitigs_k31_m8, pieces_k31(4), pieces_k31(3),
 @pytest.mark.parametrize("shape", DECODE_SHAPES, ids=lambda s: s.__name__)
 def test_slot_decode_matches_slot_assembly(shape, reload):
     spss, scheme = shape()
-    f = build_partitioned(spss, scheme)
     table = assemble_slots(scan_spss(spss, scheme), scheme.seed)
-    assert table.fm.to_bytes() == f.fm.to_bytes()   # the same slot order
-    f = reloaded(f) if reload else f
-    base, p1s, sizes, fallback = f._slot_params(
-        np.arange(f.num_minimizers, dtype=np.int64))
-    amb = table.slot_ambiguous
-    assert np.array_equal(fallback, amb)
-    assert np.array_equal(sizes, table.slot_sizes)     # 0 on ambiguous slots
-    # left-right-max slots hold (w, w) in the table too
-    assert np.array_equal(p1s[~amb], table.slot_p1[~amb])
-    # the unambiguous super-k-mers tile [0, n_unambiguous) in base order
-    order = np.argsort(base[~amb], kind="stable")
-    starts, lengths = base[~amb][order], sizes[~amb][order]
-    assert np.array_equal(starts, np.cumsum(lengths) - lengths)
-    assert int(lengths.sum()) == f.n_unambiguous
+    cen = census(spss, scheme)
+    for build in BUILDERS:
+        f = build(spss, scheme)
+        assert table.fm.to_bytes() == f.fm.to_bytes()   # the same slot order
+        f = reloaded(f) if reload else f
+        base, p1s, sizes = f._slot_params(np.arange(f.num_minimizers, dtype=np.int64))
+        # the fallback rule: size 0 on exactly the slots of the minimizers
+        # that own more than one super-k-mer
+        amb = np.zeros(f.num_minimizers, dtype=bool)
+        amb[f.fm.evaluate_many(cen.distinct[cen.counts > 1])] = True
+        assert np.array_equal(sizes == 0, amb)
+        assert np.array_equal(sizes, table.slot_sizes)
+        # left-right-max slots hold (w, w) in the table too
+        assert np.array_equal(p1s[~amb], table.slot_p1[~amb])
+        # the unambiguous super-k-mers tile [0, n_unambiguous) in base order
+        order = np.argsort(base[~amb], kind="stable")
+        starts, lengths = base[~amb][order], sizes[~amb][order]
+        assert np.array_equal(starts, np.cumsum(lengths) - lengths)
+        assert int(lengths.sum()) == f.n_unambiguous
 
 
 @AMBIG

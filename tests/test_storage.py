@@ -258,7 +258,7 @@ def test_select_sample_derived_only_by_bitvectors_that_select(case, builder,
 
 
 def _slot_decode(f):
-    """`_slot_params` and `_slot_param` of every slot, as two 4 x |M| arrays."""
+    """`_slot_params` and `_slot_param` of every slot, as two 3 x |M| arrays."""
     slots = np.arange(f.num_minimizers)
     return (np.array(f._slot_params(slots), dtype=np.int64),
             np.array([f._slot_param(i) for i in slots.tolist()], dtype=np.int64).T)

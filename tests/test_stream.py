@@ -18,8 +18,9 @@ import pytest
 
 from lpmphf import MinimizerScheme, SpssInput, generate_spss
 from lpmphf._lookup import _SCALAR_RUNS
-from lpmphf.errors import DefiniteMiss
-from lpmphf.kmers import kmer_words
+from lpmphf.errors import (DefiniteMiss, InvalidBase, KMismatch,
+                           QueryShorterThanK)
+from lpmphf.kmers import decode_bases, kmer_words
 from lpmphf.minimizers import scan_string
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
@@ -230,3 +231,58 @@ def test_random_batch_slot_decode_switches_at_scalar_runs(build, monkeypatch):
                     assert calls == {"_slot_param": size, "_slot_params": 0}
                 else:
                     assert calls == {"_slot_param": 0, "_slot_params": 1}
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("shape", [substituted, two_words_k63])
+def test_stream_lookup_takes_bases_or_codes_in_0_3(shape, build):
+    """A query is its bases as str or bytes, or integer codes in [0, 3] of
+    any integer type; any other code raises InvalidBase, and fewer than k
+    bases raise QueryShorterThanK."""
+    f, _, queries = built(shape, build)
+    for q in queries[:5]:
+        want = f.stream_lookup(decode_bases(q))
+        for same in (q, decode_bases(q).encode(), q.tolist(), q.astype(np.int64),
+                     q.astype(np.uint64)):
+            assert np.array_equal(f.stream_lookup(same), want)
+    q = queries[0]
+    for bad in (np.where(np.arange(q.size) == 7, 4, q),
+                np.where(np.arange(q.size) == 7, -1, q.astype(np.int64)),
+                q.astype(np.float64), q.reshape(1, -1), decode_bases(q) + "N"):
+        with pytest.raises(InvalidBase):
+            f.stream_lookup(bad)
+    k = f.scheme.k
+    for short in (decode_bases(q[:k - 1]), q[:k - 1], []):
+        with pytest.raises(QueryShorterThanK):
+            f.stream_lookup(short)
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("shape", [substituted, two_words_k63])
+def test_lookup_words_takes_integer_words_below_4_to_the_k(shape, build):
+    """`lookup_words` takes 1-D integer word arrays of one shape that pack
+    values below 4^k, as `lookup` takes packed ints in [0, 4^k); anything
+    else raises KMismatch."""
+    f, _, keys = batch_case(shape, build)
+    hi, lo = words(keys)
+    k, want = f.scheme.k, f.lookup_words(hi, lo)
+    assert np.array_equal(f.lookup_words(hi.astype(np.int64), lo), want)
+    if k < 32:   # lo < 2^62: int64 arrays and lists of ints hold it
+        assert np.array_equal(f.lookup_words(hi.tolist(), lo.tolist()), want)
+        assert np.array_equal(f.lookup_words(hi, lo.astype(np.int64)), want)
+
+    def at0(a, v):
+        a = a.copy()
+        a[0] = v
+        return a
+    big = 4 ** k   # the smallest packed value out of range
+    bad = [(at0(hi, big >> 64), at0(lo, big & (2 ** 64 - 1))),
+           (at0(hi.astype(np.int64), -1), lo), (hi, at0(lo.astype(np.int64), -1)),
+           (hi.astype(np.float64), lo), (hi[:-1], lo), (hi[None], lo[None])]
+    if k < 32:
+        bad += [(at0(hi, 1), lo), (hi, at0(lo, 2 ** 63))]
+    for h, x in bad:
+        with pytest.raises(KMismatch):
+            f.lookup_words(h, x)

@@ -494,6 +494,9 @@ def test_type_sequence_uniform():
     ts = TypeSequence.from_symbols(np.zeros(7, dtype=np.uint8))
     assert ts.rank(0, 7) == 7
     assert ts.rank(1, 7) == 0
+    for t, i in ((4, 0), (-1, 0), (0, -1), (0, 8)):
+        with pytest.raises(IndexOutOfRange):
+            ts.rank(t, i)
 
 
 def test_type_sequence_matches_naive(rng):

@@ -4,9 +4,10 @@ import math
 import pytest
 
 from lpmphf import (MinimizerScheme, TheoryParams, build_basic,
-                    build_partitioned, density, space_bound_basic,
+                    build_partitioned, density, generate_spss, space_bound_basic,
                     space_bound_partitioned, spss_from_strings, stats,
                     type_probabilities)
+from lpmphf.errors import InputMismatch
 
 from conftest import find_single_superkmer
 
@@ -103,6 +104,19 @@ def test_theory_params_validation():
 
 
 # --- stats -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [build_basic, build_partitioned])
+def test_stats_rejects_a_foreign_spss(build):
+    # one of another k-mer count, and one of the same count whose k-mers
+    # do not take each value once
+    own, same_n, fewer = (generate_spss(n, 31, seed=s)
+                          for n, s in ((2000, 1), (2000, 2), (1500, 1)))
+    f = build(own, MinimizerScheme(k=31, m=12, seed=3))
+    assert stats(own, f).n == same_n.n == f.n != fewer.n
+    for foreign in (same_n, fewer):
+        with pytest.raises(InputMismatch):
+            stats(foreign, f)
+
 
 def test_stats_single_superkmer():
     s, scheme = find_single_superkmer(k=13, m=7, size=5)

@@ -5,13 +5,14 @@ Extracts the parent commit and copies this checkout's tracked files, as they
 are in the working tree, into two temporary directories, as
 `scripts/bench_pairs.py` does. In each, one child process imports lpmphf
 from that tree's `src/` and builds both layouts on the two benchmark
-workloads (`bench/run.py`'s WORKLOADS and `cut_strings`, seed 7) and on a
-k = 63 shape. Per shape and layout it prints the SHA-256 of `to_bytes()`, of
-unchecked and checked stream values (every string, then a copy of it with
-about one base in 40 substituted), of unchecked and checked values of a
-random batch (10^4 members and 10^4 random k-mers, shuffled) and of 200
-scalar lookups of that batch's first keys, unchecked then checked (-1 for
-a definite miss). Prints every row, marked `same` or `DIFFERS`, and exits 1
+workloads (`bench/run.py`'s WORKLOADS and `cut_strings`, seed 7) and on two
+k = 63 shapes: m = 12 cut into short strings, and m = 21 in one string of
+more than 2^15 windows, whose scan spans several blocks. Per shape and
+layout it prints the SHA-256 of `to_bytes()`, of unchecked and checked
+stream values (every string, then a copy of it with about one base in 40
+substituted), of unchecked and checked values of a random batch (10^4
+members and 10^4 random k-mers, shuffled) and of 200 scalar lookups of that
+batch's first keys, unchecked then checked (-1 for a definite miss). Prints every row, marked `same` or `DIFFERS`, and exits 1
 when any row differs.
 
 Run from the repository root:
@@ -57,7 +58,9 @@ def tree_rows(tree):
             return -1
 
     k63 = run.Workload("k63-m12", k=63, m=12, n=20_000, mean_string_kmers=70)
-    for wl in (*run.WORKLOADS.values(), k63):
+    k63_long = run.Workload("k63-m21-long", k=63, m=21, n=40_000,
+                            mean_string_kmers=0)   # more than 2^15 windows
+    for wl in (*run.WORKLOADS.values(), k63, k63_long):
         base = lp.generate_spss(wl.n + wl.k - 1, wl.k, seed=SEED)
         spss = lp.SpssInput(k=wl.k, codes=run.cut_strings(base.codes, wl, SEED))
         scheme = lp.MinimizerScheme(k=wl.k, m=wl.m, seed=SEED)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBase, LengthOutOfRange
+from .errors import InvalidBase, KMismatch, LengthOutOfRange
 
 __all__ = [
     "MAX_K", "MAX_M", "BASES",
@@ -75,7 +75,7 @@ class Kmer:
         if not 1 <= self.k <= MAX_K:
             raise LengthOutOfRange(f"k={self.k} outside [1, {MAX_K}]")
         if not 0 <= self.value < (1 << (2 * self.k)):
-            raise ValueError(f"packed value out of range for k={self.k}")
+            raise KMismatch(f"packed value out of range for k={self.k}")
 
     @classmethod
     def from_string(cls, s):

@@ -7,30 +7,30 @@ what makes the in-run position arithmetic sound even when one m-mer value
 appears twice inside a window.
 
 The production scan is vectorized over the concatenated strings: pack every
-m-mer, hash them and take the leftmost argmin of every window of w m-mers,
-and keep the windows that are k-mers (none straddles two strings); runs
-restart at each string. Packing and run detection make one pass over the
-whole string; the hash and the argmin run per block of `_SCAN_BLOCK`
-windows, whose hashes (the block's m-mers plus the w - 1 that its last
-windows reach into) stay in cache across the argmin's passes. Every window
-lies entirely inside one block's hashes, so the offsets are those of one
-pass over the whole string. The per-k-mer recomputation used by the test
-suite lives in the tests as an independent oracle.
+m-mer, hash them, and find the runs of consecutive windows of w m-mers that
+share their leftmost argmin. A k-mer starts a super-k-mer where its window
+starts a run or it is its string's first k-mer (a window straddling two
+strings is no k-mer). The hash and the runs are computed per block of
+`_SCAN_BLOCK` windows, whose hashes (the block's m-mers plus the w - 1 that
+its last windows reach into) stay in cache across the passes; a block's
+first window starts a run only if it leaves the run before the block. The
+per-k-mer recomputation used by the tests is an independent oracle.
 
-The window argmin is event-driven. Let r = w - 1, m[i] = min h[i : i+r] and
-p(j) the leftmost argmin position of window j = h[j : j+w]. p never
-decreases: p(j-1) >= j is still in window j and still its leftmost minimum
-unless the entering value h[j+r] is strictly smaller. So p is the running
-maximum of three events:
-(a) h[j] <= m[j+1]: j is no larger than the rest of its window and
-    leftmost, so p(j) = j (`<=` keeps a tie at j);
-(b) h[j+r] < m[j]: the entering value beats every other, p(j) = j + r
-    (`<` leaves a tie to the earlier position);
-(c) p(j-1) = j-1 left the window ((a) held at j-1, or j = 0) and neither
-    (a) nor (b) holds: the argmin of window j, computed directly.
-m costs ceil(log2 r) `np.minimum` passes over contiguous slices, by
-doubling; the events cost O(1) passes more and the gathered argmin about
-n/w rows of w values, so a scan is O(n log w) with no per-window loop.
+The runs are event-driven. Let r = w - 1, m[i] = min h[i : i+r] and p(j)
+the leftmost argmin position of window j = h[j : j+w]. Two events:
+(a) h[j] <= m[j+1]: p(j) = j, leftmost on a tie;
+(b) h[j+r] < m[j]: the entering value beats every other, p(j) = j + r.
+They never hold at one j, since r >= 1 (h[j+r] < m[j] <= h[j] <= m[j+1] <=
+h[j+r] would follow). p never decreases, and p(j) != p(j-1) exactly when
+(b) holds at j or (a) held at j-1: (a) at j-1 means p(j-1) = j-1, which has
+left window j; (b) at j puts p(j) = j + r, past p(j-1); otherwise p(j-1) >=
+j is still in window j and nothing smaller has entered, so p(j) = p(j-1).
+So runs start at j = 0 and wherever (b) holds at j or (a) at j-1, and a run
+starting at j has p(j) = j + r under (b), j under (a), and otherwise j plus
+the argmin of window j, computed directly. m costs ceil(log2 r)
+`np.minimum` passes over contiguous slices, by doubling; the events cost
+O(1) passes more and the gathered argmin about n/w rows of w values, so a
+scan is O(n log w), with no per-window loop and no per-window position.
 
 `kmer_minimizer` (scalar `lookup`) hashes all w m-mers in lanes of L = 128
 bits of one int: the k-mer times sum_i 2^((L + 2) i) holds non-overlapping
@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LengthOutOfRange, StringShorterThanK
+from .errors import LengthOutOfRange
 from .kmers import (_MASK64, MAX_K, MAX_M, MIX_M1, MIX_M2, MIX_S1, MIX_S2,
                     MIX_S3, hash_mmer_array, packed_windows, seed_key)
 
@@ -163,84 +163,83 @@ def _window_min(h, r):
     return m
 
 
-def _window_argmin(h, w):
-    """Leftmost argmin offset of every length-w window of h, event-driven.
-
-    With r = w - 1, m = `_window_min(h, r)` and p(j) the leftmost argmin
-    position of window j, p never decreases (see the module docstring), so
-    it is the running maximum of these events:
-    (a) h[j] <= m[j+1]: p(j) = j; ties go to j, the leftmost candidate;
-    (b) h[j+r] < m[j]: p(j) = j + r; a tie leaves p at the earlier position;
-    (c) neither, and j = 0 or (a) held at j-1: p(j) = j + the argmin of
-        window j, one gathered argmin over a strided view of those rows.
-    Anywhere else p(j) = p(j-1) >= j, so the event array can hold j there,
-    as it does for (a). Cost:
-    ceil(log2 r) contiguous `np.minimum` passes for m, O(1) passes for the
-    events, and about n/w gathered rows of w values for (c).
-    """
-    nwin = h.size - w + 1
+def _window_runs(h, w):
+    """(bounds, occ): run i of the length-w windows of h covers windows
+    bounds[i] .. bounds[i+1] - 1 (bounds ends with the window count) and has
+    leftmost argmin position occ[i]. Found by the module docstring's events,
+    or by one strided argmin up to `_DIRECT_ARGMIN` windows or at w = 1."""
+    nwin, r = h.size - w + 1, w - 1
     rows = np.ndarray((nwin, w), h.dtype, h, strides=(h.itemsize,) * 2)
-    if nwin <= _DIRECT_ARGMIN:
-        return rows.argmin(axis=1)
-    if w == 1:
-        return np.zeros(nwin, dtype=np.int64)
-    r = w - 1
+    st = np.empty(nwin + 1, dtype=bool)   # run starts, and nwin to close the last
+    st[0] = st[nwin] = True
+    if nwin <= _DIRECT_ARGMIN or w == 1:
+        offset = rows.argmin(axis=1)   # p(j) = j + offset[j]
+        np.not_equal(offset[1:] + 1, offset[:-1], out=st[1:nwin])
+        bounds = np.flatnonzero(st)
+        return bounds, bounds[:-1] + offset[bounds[:-1]]
     m = _window_min(h, r)
     a = h[:nwin] <= m[1:]
     b = h[r:] < m[:-1]
-    idx = np.arange(nwin)
-    ev = b * r
-    ev += idx
-    c = ~(a | b)
-    c[1:] &= a[:-1]
-    ci = np.flatnonzero(c)
-    ev[ci] = ci + rows[ci].argmin(axis=1)
-    np.maximum.accumulate(ev, out=ev)
-    ev -= idx
-    return ev
-
-
-def _scan(codes, scheme, kmers=slice(None)):
-    """The scan kernel: super-k-mers of the k-length windows of `codes`
-    selected by `kmers` (an index into the windows; all of them by default).
-
-    A selected window of one string never reaches into the next, and the
-    first k-mer of a string starts k positions past the last k-mer of the
-    one before, so their minimizer occurrences differ: the run restarts at
-    every string start without further masking.
-    """
-    mvals = packed_windows(codes, scheme.m)   # uint32 for m <= 16
-    n_windows, w = codes.size - scheme.k + 1, scheme.w
-    offset = np.empty(n_windows, dtype=np.int64)
-    for s in range(0, n_windows, _SCAN_BLOCK):   # windows s .. s + block - 1
-        offset[s:s + _SCAN_BLOCK] = _window_argmin(
-            hash_mmer_array(mvals[s:s + _SCAN_BLOCK + w - 1], scheme.seed), w)
-    occ = (offset + np.arange(n_windows))[kmers]  # minimizer occurrence
-    offset = offset[kmers]                        # its position in the k-mer
-    n = occ.size
-    change = np.empty(n + 1, dtype=bool)   # run starts, and n to close the last
-    change[0] = change[n] = True
-    np.not_equal(occ[1:], occ[:-1], out=change[1:n])
-    bounds = np.flatnonzero(change)
+    np.logical_or(b[1:], a[:-1], out=st[1:nwin])
+    bounds = np.flatnonzero(st)
     starts = bounds[:-1]
+    bs = b[starts]
+    occ = starts + r * bs
+    c = ~(bs | a[starts])   # neither event: p(j) = j + the argmin of window j
+    occ[c] += rows[starts[c]].argmin(axis=1)
+    return bounds, occ
+
+
+def _runs(codes, scheme):
+    """(bounds, occ, mvals): `_window_runs` over the k-windows of `codes` per
+    block, and the m-mers. A block's window 0 starts no run if it continues
+    the last one (`last`, kept apart: a block can lie inside one run)."""
+    mvals = packed_windows(codes, scheme.m)   # uint32 for m <= 16
+    n, w, seed = codes.size - scheme.k + 1, scheme.w, scheme.seed
+    if n <= _SCAN_BLOCK:
+        return (*_window_runs(hash_mmer_array(mvals, seed), w), mvals)
+    starts, occs, last = [], [], -1
+    for s in range(0, n, _SCAN_BLOCK):   # windows s .. s + block - 1
+        bounds, occ = _window_runs(
+            hash_mmer_array(mvals[s:s + _SCAN_BLOCK + w - 1], seed), w)
+        occ += s
+        cut, last = int(occ[0] == last), occ[-1]
+        starts.append(bounds[cut:-1] + s)
+        occs.append(occ[cut:])
+    return np.concatenate([*starts, [n]]), np.concatenate(occs), mvals
+
+
+def _superkmers(bounds, occ, mvals, first=None):
+    """Super-k-mers starting at k-mers bounds[:-1] (closed by the k-mer count)
+    and windows `first` (default: the same), their minimizers at `occ`."""
+    starts = bounds[:-1]
+    first = starts if first is None else first
     return SuperKmerScan(kmer_base=starts, sizes=bounds[1:] - starts,
-                         p1=offset[starts] + 1,
-                         minvals=mvals[occ[starts]].astype(np.uint64),
-                         n=n)
+                         p1=occ - first + 1,
+                         minvals=mvals[occ].astype(np.uint64), n=int(bounds[-1]))
 
 
 def scan_string(codes, scheme):
-    """Decompose one encoded string into super-k-mer arrays."""
-    if codes.size < scheme.k:
-        raise StringShorterThanK(f"string length {codes.size} < k={scheme.k}")
-    return _scan(codes, scheme)
+    """Decompose one encoded string (of length >= k) into super-k-mer arrays."""
+    return _superkmers(*_runs(codes, scheme))
 
 
 def scan_spss(spss, scheme):
     """Decompose every string of the SPSS in one pass over its joined codes."""
     if scheme.k != spss.k:
         raise LengthOutOfRange(f"scheme k={scheme.k} != SPSS k={spss.k}")
-    return _scan(spss.joined_codes, scheme, spss.kmer_positions())
+    bounds, occ, mvals = _runs(spss.joined_codes, scheme)
+    if spss.num_strings == 1:
+        return _superkmers(bounds, occ, mvals)
+    kmers = spss.kmer_positions()
+    start = np.zeros(bounds[-1], dtype=bool)
+    start[bounds[:-1]] = True
+    start = start[kmers]
+    start[spss.kmer_starts] = True
+    first = np.flatnonzero(start)
+    windows = kmers[first]   # the occurrence is that of the run holding each
+    occ = occ[np.searchsorted(bounds, windows, side="right") - 1]
+    return _superkmers(np.append(first, spss.n), occ, mvals, windows)
 
 
 # --- census ---------------------------------------------------------------------

@@ -385,9 +385,10 @@ class TypeSequence(_Serialized):
 
     @classmethod
     def from_symbols(cls, symbols):
-        symbols = np.asarray(symbols, dtype=np.uint8)
-        if symbols.size and int(symbols.max()) > 3:
-            raise ValueError("symbols must be in [0, 3]")
+        symbols = np.asarray(symbols)
+        if symbols.size and not 0 <= symbols.min() <= symbols.max() <= 3:
+            raise IndexOutOfRange("symbols must be in [0, 3]")
+        symbols = symbols.astype(np.uint8)
         hi = symbols >> 1
         b1 = RankBitvector.from_bools(hi == 1)
         order = np.concatenate([np.flatnonzero(hi == 0), np.flatnonzero(hi == 1)])

@@ -67,6 +67,16 @@ def brute_window_argmin(values, w):
     return out
 
 
+def brute_window_runs(values, w):
+    """(start, position) pairs of the windows where the leftmost argmin
+    position j + offset (`brute_window_argmin`) changes, window 0 included."""
+    out = []
+    for j, offset in enumerate(brute_window_argmin(values, w)):
+        if not out or out[-1][1] != j + offset:
+            out.append((j, j + offset))
+    return out
+
+
 def brute_select(bits, j):
     """Position of the (j+1)-th set bit."""
     return int(np.flatnonzero(bits)[j])

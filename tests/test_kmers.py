@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpmphf import Kmer, mix64
-from lpmphf.errors import InvalidBase, LengthOutOfRange
+from lpmphf.errors import InvalidBase, KMismatch, LengthOutOfRange, LpmphfError
 from lpmphf.kmers import (_PACK_ROWS, decode_bases, encode_bases,
                           first_duplicate, hash_mmer_array, hash_words,
                           hash_words_array, kmer_words, kmer_words_at,
@@ -52,6 +52,15 @@ def test_length_limits():
     with pytest.raises(LengthOutOfRange):
         Kmer.from_string("A" * 64)
     assert Kmer.from_string("A" * 63).k == 63
+
+
+@pytest.mark.parametrize("value", [64, -1])
+def test_kmer_value_out_of_range_is_typed(value):
+    # the error resolve_kmer_input raises for the same condition
+    with pytest.raises(KMismatch) as err:
+        Kmer(3, value)
+    assert isinstance(err.value, LpmphfError)
+    assert Kmer(3, 63).value == 63
 
 
 def test_lowercase_accepted():

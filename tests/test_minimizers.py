@@ -5,22 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmphf import (Kmer, MinimizerScheme, census, default_minimizer_length,
+from lpmphf import (Kmer, MinimizerScheme, build_basic, build_partitioned,
+                    census, default_minimizer_length, generate_spss,
                     spss_from_strings)
-from lpmphf.errors import LengthOutOfRange, StringShorterThanK
+from lpmphf.errors import LengthOutOfRange, QueryShorterThanK
 from lpmphf._lookup import _BLOCK_ROWS, kmer_minimizers
 from lpmphf.kmers import BASES, encode_bases, kmer_words, mix64, seed_key
-from lpmphf.minimizers import (_DIRECT_ARGMIN, _window_argmin, kmer_minimizer,
+from lpmphf.minimizers import (_DIRECT_ARGMIN, _window_runs, kmer_minimizer,
                                scan_spss, scan_string)
 
 from conftest import find_single_superkmer
-from oracles import (brute_minimizer, brute_split, brute_window_argmin,
-                     pack_mmer, random_dna)
+from oracles import (brute_minimizer, brute_occurrences, brute_split,
+                     brute_window_runs, pack_mmer, random_dna)
 
 
 def test_m_equals_k_trivial():
     km = Kmer.from_string("ACGTTGACCAGTA")
     assert kmer_minimizer(km.value, MinimizerScheme(k=13, m=13, seed=1)) == (km.value, 1)
+
+
+def window_runs(h, w):
+    """(start, position) per run of `_window_runs`, which must close its
+    bounds with the window count."""
+    bounds, occ = _window_runs(h, w)
+    assert bounds[-1] == h.size - w + 1 and bounds.size == occ.size + 1
+    return list(zip(bounds[:-1].tolist(), occ.tolist()))
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=300),
@@ -29,7 +38,7 @@ def test_m_equals_k_trivial():
 def test_window_argmin_tie_heavy(values, w):
     w = min(w, len(values))
     h = np.array(values, dtype=np.uint64)
-    assert _window_argmin(h, w).tolist() == brute_window_argmin(h, w)
+    assert window_runs(h, w) == brute_window_runs(h, w)
 
 
 @pytest.mark.parametrize("n,w", [(1, 1), (17, 17), (18, 17), (34, 17),
@@ -37,14 +46,14 @@ def test_window_argmin_tie_heavy(values, w):
                                  (9, 9), (33, 33), (1000, 33),  # w - 1 = 2^i
                                  (100, 3), (1000, 24), (1000, 63),
                                  # _DIRECT_ARGMIN windows take one direct
-                                 # argmin, one more window the events
+                                 # argmin, one more window the run events
                                  *[(_DIRECT_ARGMIN + extra + w - 1, w)
                                    for w in (1, 2, 17, 24, 49, 63)
                                    for extra in (0, 1)]])
 def test_window_argmin_matches_oracle(n, w, rng):
     for top in (2, 2 ** 64 - 1):  # all-tie pairs, then (nearly) distinct values
         h = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)
-        assert _window_argmin(h, w).tolist() == brute_window_argmin(h, w)
+        assert window_runs(h, w) == brute_window_runs(h, w)
 
 
 def test_pos_in_window_range(rng):
@@ -119,8 +128,13 @@ def test_length16_superkmer_has_four_kmers():
 
 
 def test_split_shorter_than_k_raises():
-    with pytest.raises(StringShorterThanK):
-        split("ACGT", MinimizerScheme(k=13, m=7))
+    # a query shorter than k stops at stream_lookup, before the scan
+    spss = generate_spss(60, 13, seed=3)
+    for build in (build_basic, build_partitioned):
+        f = build(spss, MinimizerScheme(k=13, m=7))
+        for q in ("ACGT", np.zeros(12, dtype=np.uint8)):
+            with pytest.raises(QueryShorterThanK):
+                f.stream_lookup(q)
 
 
 def test_split_matches_brute_force_oracle(rng):
@@ -172,11 +186,17 @@ def test_scan_spss_sums_to_n(medium_spss):
     assert int(scan.sizes.sum()) == medium_spss.n == scan.n
 
 
+def _smallest_mmer(m, seed):
+    """The m-mer of smallest hash under `seed`, as bases."""
+    best = min((mix64(v ^ seed_key(seed)), v) for v in range(4 ** m))[1]
+    return "".join(BASES[(best >> 2 * (m - 1 - i)) & 3] for i in range(m))
+
+
 def _boundary_pair(rng, k=13, m=5, seed=4):
     """Two strings where every window straddling their boundary holds the
     m-mer of smallest hash, which starts the second string."""
-    best = min((mix64(v ^ seed_key(seed)), v) for v in range(4 ** m))[1]
-    x = "".join(BASES[(best >> 2 * (m - 1 - i)) & 3] for i in range(m))
+    x = _smallest_mmer(m, seed)
+    best = pack_mmer(x)
     a = random_dna(rng, k + 9)
     while x in a:
         a = random_dna(rng, k + 9)
@@ -221,20 +241,52 @@ def test_scan_spss_equals_per_string_oracle(rng):
 
 @pytest.mark.parametrize("block", [1, 2, "w - 1", "w", 64])
 def test_scan_blocks_equal_oracle(block, rng, monkeypatch):
-    # the hash and argmin run per block of _SCAN_BLOCK windows; blocks of
-    # every size around w must give the unblocked scan, across string ends
+    # the hash and the runs are computed per block of _SCAN_BLOCK windows;
+    # blocks of every size around w must give the unblocked scan, across
+    # string ends, with the direct argmin and with the run events
     def use_block(w):
         size = {"w - 1": max(1, w - 1), "w": w}.get(block, block)
         monkeypatch.setattr("lpmphf.minimizers._SCAN_BLOCK", size)
+        return size
+
+    def check(strings, k, m, seed):
+        use_block(k - m + 1)
+        for direct in (_DIRECT_ARGMIN, 0):
+            monkeypatch.setattr("lpmphf.minimizers._DIRECT_ARGMIN", direct)
+            scan = scan_spss(spss_from_strings(strings, k),
+                             MinimizerScheme(k, m, seed))
+            assert records(scan) == _brute_records(strings, k, m, seed), (k, m)
 
     for strings, k, m, seed in _multi_string_inputs(rng):
-        use_block(k - m + 1)
-        scan = scan_spss(spss_from_strings(strings, k), MinimizerScheme(k, m, seed))
-        assert records(scan) == _brute_records(strings, k, m, seed), (k, m)
+        check(strings, k, m, seed)
     k, m, seed = 21, 11, 5
-    use_block(k - m + 1)
-    s = random_dna(rng, 300) + "A" * 90 + "ACG" * 40 + random_dna(rng, 37)
-    assert split(s, MinimizerScheme(k, m, seed)) == brute_split(s, k, m, seed)
+    check([random_dna(rng, 300) + "A" * 90 + "ACG" * 40 + random_dna(rng, 37)],
+          k, m, seed)
+
+    # the m-mer of smallest hash, then a homopolymer: the run of that
+    # occurrence holds the w windows that contain it, and the first of them
+    # starts a block, so a block of at most w windows lies inside one run
+    k, m, seed = 21, 5, 4
+    w, x = k - m + 1, _smallest_mmer(m, seed)
+    size = use_block(w)
+    first = size * (100 // size + 1)   # the first window holding x
+    s = random_dna(rng, first + w - 1)
+    while x in s:
+        s = random_dna(rng, first + w - 1)
+    s += x + next(b for b in "ACGT" if b * m != x) * 40 + random_dna(rng, 30)
+    check([s], k, m, seed)
+    occ = brute_occurrences(s, k, m, seed)
+    assert size > w or len(set(occ[first:first + size])) == 1
+
+    # a joined-codes run that starts on a window straddling two strings;
+    # the second string's first k-mer lies inside it and still starts its
+    # own super-k-mer
+    strings, k, m, seed = _boundary_pair(rng)
+    check(strings, k, m, seed)
+    occ = brute_occurrences("".join(strings), k, m, seed)
+    second = len(strings[0])   # the window of the second string's first k-mer
+    assert any(occ[j] != occ[j - 1] for j in range(second - k + 1, second))
+    assert occ[second] == occ[second - 1]
 
 
 def test_ambiguous_kmer_words_equal_set_oracle(rng):

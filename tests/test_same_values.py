@@ -7,7 +7,7 @@ import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("long-k31", "unitigs-k31", "k63-m12")
+WORKLOADS = ("long-k31", "unitigs-k31", "k63-m12", "k63-m21-long")
 
 
 def load_script():

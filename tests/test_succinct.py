@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpmphf import EliasFanoSeq, IntVector, RankBitvector, TypeSequence
-from lpmphf.errors import (CorruptFile, IndexOutOfRange, NotMonotone,
-                           UniverseTooSmall)
+from lpmphf.errors import (CorruptFile, IndexOutOfRange, LpmphfError,
+                           NotMonotone, UniverseTooSmall)
 from lpmphf.succinct import _SELECT_STEPS
 
 from oracles import (brute_select, naive_rank, naive_symbol_rank,
@@ -497,6 +497,14 @@ def test_type_sequence_uniform():
     for t, i in ((4, 0), (-1, 0), (0, -1), (0, 8)):
         with pytest.raises(IndexOutOfRange):
             ts.rank(t, i)
+
+
+@pytest.mark.parametrize("symbols", [[5], [0, 4], [-1]])
+def test_type_sequence_rejects_symbols_outside_0_3(symbols):
+    # the error rank raises for a symbol t outside [0, 3]
+    with pytest.raises(IndexOutOfRange) as err:
+        TypeSequence.from_symbols(symbols)
+    assert isinstance(err.value, LpmphfError)
 
 
 def test_type_sequence_matches_naive(rng):

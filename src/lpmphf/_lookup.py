@@ -11,7 +11,8 @@ import numpy as np
 
 from ._build import expand_ranges
 from .errors import InvalidBase, KMismatch, QueryShorterThanK
-from .kmers import Kmer, encode_bases, kmer_words_at, mix64_inplace, seed_key
+from .kmers import (Kmer, bounded_ints, encode_bases, kmer_words_at,
+                    mix64_inplace, seed_key)
 from .minimizers import SuperKmerScan, scan_string
 
 _U64 = np.uint64
@@ -63,16 +64,6 @@ def resolve_kmer_input(x, k):
     if not 0 <= value < (1 << (2 * k)):
         raise KMismatch(f"packed value out of range for k={k}")
     return value
-
-
-def bounded_ints(x, top, dtype):
-    """x as a 1-D `dtype` array, or None unless it is empty or holds
-    integers in [0, top] (one `max` pass for unsigned input)."""
-    a = np.asarray(x)
-    if a.ndim == 1 and (not a.size or a.dtype.kind in "ui" and a.max() <= top
-                        and (a.dtype.kind == "u" or a.min() >= 0)):
-        return a.astype(dtype, copy=False)
-    return None
 
 
 def run_misses(p1s, sizes, p1, length=1):

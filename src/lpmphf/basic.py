@@ -27,9 +27,10 @@ import numpy as np
 
 from ._build import (ambiguous_kmer_words, assemble_slots, build_fallback,
                      expand_ranges)
-from ._lookup import (bounded_ints, finish_lookup, kmer_minimizers, kmer_plan,
+from ._lookup import (finish_lookup, kmer_minimizers, kmer_plan,
                       resolve_kmer_input, run_misses, stream_plan)
 from .errors import CorruptFile, DefiniteMiss, KMismatch
+from .kmers import bounded_ints
 from .minimizers import (kmer_minimizer, scan_spss,
                          warn_if_density_condition_violated)
 from .succinct import EliasFanoSeq, IntVector

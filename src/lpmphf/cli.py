@@ -92,7 +92,7 @@ def _build_parser():
     g = sub.add_parser("gen-spss", help="generate a random SPSS FASTA file")
     g.add_argument("-o", "--output", required=True)
     g.add_argument("--length", type=int, required=True,
-                   help="total bases, at least k")
+                   help="bases drawn, at least k")
     g.add_argument("-k", type=_number(int, 1, MAX_K), required=True)
     g.add_argument("--seed", type=_SEED, default=0)
 

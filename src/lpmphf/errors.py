@@ -38,7 +38,7 @@ class QueryShorterThanK(LpmphfError):
 
 
 class GenerationFailure(LpmphfError):
-    """The test-data generator could not produce all-distinct k-mers."""
+    """A generator length not an integer in [k, 4^k + k - 1] (distinct k-mers)."""
 
 
 # --- succinct structures ---

@@ -8,6 +8,8 @@ xor-folding a pre-mixed seed into the input; for a fixed seed the mixer is a
 bijection on 64-bit values.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ __all__ = [
     "MAX_K", "MAX_M", "BASES",
     "encode_bases", "decode_bases", "Kmer",
     "mix64", "mix64_inplace", "seed_key", "hash_mmer_array", "hash_words_array",
-    "packed_windows", "kmer_words", "kmer_words_at", "first_duplicate",
+    "packed_windows", "kmer_words", "kmer_words_at", "repeats",
 ]
 
 MAX_K = 63
@@ -79,9 +81,7 @@ class Kmer:
 
     @classmethod
     def from_string(cls, s):
-        codes = encode_bases(s)
-        if not 1 <= codes.size <= MAX_K:
-            raise LengthOutOfRange(f"k={codes.size} outside [1, {MAX_K}]")
+        codes = encode_bases(s)   # the constructor checks k
         value = 0
         for c in codes:
             value = (value << 2) | int(c)
@@ -201,16 +201,33 @@ def kmer_words_at(codes, k, positions):
     return hi, lo
 
 
-def first_duplicate(hi, lo):
-    """The smallest (in (hi, lo) order) two-word key that occurs more than
-    once, packed as (hi << 64) | lo, or None; sorts the low words, and both
-    words of just the keys whose low word repeats."""
+def repeats(hi, lo):
+    """Ascending indices of the two-word keys (hi, lo) that equal a key at a
+    smaller index; sorts the low words, and both words of just the keys
+    whose low word repeats."""
     s = np.sort(lo)
-    cand = np.isin(lo, s[1:][s[1:] == s[:-1]])   # the keys whose low word repeats
-    hi, lo = hi[cand], lo[cand]
-    order = np.lexsort((lo, hi))
-    hi, lo = hi[order], lo[order]
-    same = np.flatnonzero((hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1]))
-    if not same.size:
-        return None
-    return (int(hi[same[0]]) << 64) | int(lo[same[0]])
+    cand = np.flatnonzero(np.isin(lo, s[1:][s[1:] == s[:-1]]))
+    cand = cand[np.lexsort((lo[cand], hi[cand]))]   # stable: equal keys by index
+    same = (hi[cand[1:]] == hi[cand[:-1]]) & (lo[cand[1:]] == lo[cand[:-1]])
+    return np.sort(cand[1:][same])
+
+
+def bounded_ints(x, top, dtype):
+    """x as a 1-D `dtype` array, or None unless it is empty or holds
+    integers in [0, top] (one `max` pass for unsigned input)."""
+    a = np.asarray(x)
+    if a.ndim == 1 and (not a.size or a.dtype.kind in "ui" and a.max() <= top
+                        and (a.dtype.kind == "u" or a.min() >= 0)):
+        return a.astype(dtype, copy=False)
+    return None
+
+
+def int_in(name, x, lo=-math.inf, hi=math.inf, error=LengthOutOfRange):
+    """x as a Python int in [lo, hi], or `error`: integers only, no floats."""
+    try:
+        v = operator.index(x)
+    except TypeError:
+        v = None
+    if v is None or not lo <= v <= hi:
+        raise error(f"{name}={x} is not an integer in [{lo}, {hi}]")
+    return v

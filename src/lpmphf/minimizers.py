@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import LengthOutOfRange
 from .kmers import (_MASK64, MAX_K, MAX_M, MIX_M1, MIX_M2, MIX_S1, MIX_S2,
-                    MIX_S3, hash_mmer_array, packed_windows, seed_key)
+                    MIX_S3, hash_mmer_array, int_in, packed_windows, seed_key)
 
 __all__ = [
     "MinimizerScheme", "MinimizerCensus", "census", "default_minimizer_length",
@@ -70,13 +70,10 @@ class MinimizerScheme:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise LengthOutOfRange(f"k={self.k} outside [1, {MAX_K}]")
-        if not 1 <= self.m <= min(self.k, MAX_M):
-            raise LengthOutOfRange(
-                f"m={self.m} outside [1, min(k, {MAX_M})] for k={self.k}")
-        if not 0 <= self.seed < 1 << 64:
-            raise LengthOutOfRange(f"seed={self.seed} outside [0, 2^64)")
+        k = int_in("k", self.k, 1, MAX_K)
+        object.__setattr__(self, "k", k)   # frozen: stored as Python ints
+        object.__setattr__(self, "m", int_in("m", self.m, 1, min(k, MAX_M)))
+        object.__setattr__(self, "seed", int_in("seed", self.seed, 0, 2 ** 64 - 1))
 
     @property
     def w(self):

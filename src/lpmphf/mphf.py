@@ -8,8 +8,9 @@ build still holding keys after `MAX_LEVELS` levels raises LpmphfError: a
 safety cap, which 10^6 keys reach at gamma 0.5 but gamma 2 (13 levels) not.
 Copies of a repeated key hit the same bit at every level, so none is ever
 placed: only a level that places no key, or the cap, makes the build call
-`first_duplicate` on the unplaced keys, which hold every copy of every
-repeat. `build(..., out=)` writes each key's value, the rank of its set bit.
+`kmers.repeats` on the unplaced keys, which hold every copy of every
+repeat, and raise DuplicateKey on the smallest repeated key.
+`build(..., out=)` writes each key's value, the rank of its set bit.
 
 Evaluation reads the levels, one after another, as one rank bitvector. A
 key's value is the rank of the first set bit it hits, which makes the
@@ -31,8 +32,8 @@ import numpy as np
 
 from ._binio import Writer
 from .errors import CorruptFile, DuplicateKey, EmptyFunction, LpmphfError
-from .kmers import (first_duplicate, hash_words, hash_words_array, mix64,
-                    mix64_inplace, seed_key)
+from .kmers import (hash_words, hash_words_array, mix64, mix64_inplace,
+                    repeats, seed_key)
 from .succinct import RankBitvector, _Serialized
 
 __all__ = ["GeneralMphf", "DEFAULT_GAMMA", "MAX_LEVELS"]
@@ -92,9 +93,10 @@ class GeneralMphf(_Serialized):
         idx = np.arange(lo.size)   # the keys no level has placed yet
         while idx.size:
             if len(sizes) == MAX_LEVELS or (levels and not levels[-1].any()):
-                dup = first_duplicate(hi[idx], lo[idx])
-                if dup is not None:
-                    raise DuplicateKey(dup)
+                rep = idx[repeats(hi[idx], lo[idx])]
+                if rep.size:   # name the smallest repeated key
+                    r = rep[np.lexsort((lo[rep], hi[rep]))[0]]
+                    raise DuplicateKey(int(hi[r]) << 64 | int(lo[r]))
             if len(sizes) == MAX_LEVELS:
                 raise LpmphfError(f"{idx.size} of {lo.size} keys still "
                                   f"collide after {MAX_LEVELS} MPHF levels "

@@ -7,14 +7,13 @@ structure over the set raises DuplicateKmer on a repeated k-mer.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (GenerationFailure, LengthOutOfRange, MalformedFasta,
+from .errors import (GenerationFailure, InvalidBase, MalformedFasta,
                      StringShorterThanK)
-from .kmers import (MAX_K, decode_bases, encode_bases, first_duplicate,
-                    kmer_words)
+from .kmers import (MAX_K, bounded_ints, decode_bases, encode_bases, int_in,
+                    kmer_words, repeats)
 
 __all__ = ["SpssInput", "load_spss", "spss_from_strings", "generate_spss", "write_fasta"]
 
@@ -40,19 +39,24 @@ class SpssInput:
     total_length: int = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise LengthOutOfRange(f"k={self.k} outside [1, {MAX_K}]")
+        self.k = int_in("k", self.k, 1, MAX_K)
         if not self.codes:
             raise MalformedFasta("an SPSS needs at least one string")
-        for i, c in enumerate(self.codes):
-            if c.size < self.k:
-                raise StringShorterThanK(
-                    f"string {i} has length {c.size} < k={self.k}")
-        kmers = np.array([c.size - self.k + 1 for c in self.codes],
-                         dtype=np.int64)
+        try:   # one check over all bases, the rule a query's codes meet
+            joined = bounded_ints(np.concatenate(self.codes), 3, np.uint8)
+        except ValueError:   # strings of unequal dimensions
+            joined = None
+        if joined is None:
+            raise InvalidBase("SPSS strings must be 1-D integer arrays in [0, 3]")
+        self.joined_codes = joined   # every string, concatenated in input order
+        kmers = np.array([len(c) for c in self.codes], dtype=np.int64) - self.k + 1
+        if kmers.min() < 1:
+            i = int(np.argmax(kmers < 1))
+            raise StringShorterThanK(
+                f"string {i} has length {kmers[i] + self.k - 1} < k={self.k}")
         self.kmer_starts = np.cumsum(kmers) - kmers
         self.n = int(kmers.sum())
-        self.total_length = sum(c.size for c in self.codes)
+        self.total_length = joined.size
 
     @property
     def num_strings(self):
@@ -67,11 +71,6 @@ class SpssInput:
     def fragmentation(self):
         """alpha = (|S| - 1) / n."""
         return (len(self.codes) - 1) / self.n
-
-    @cached_property
-    def joined_codes(self):
-        """The codes of every string, concatenated in input order."""
-        return self.codes[0] if len(self.codes) == 1 else np.concatenate(self.codes)
 
     def kmer_positions(self, g=None):
         """Start positions in `joined_codes` of the k-mers with indices g
@@ -157,68 +156,23 @@ def write_fasta(spss, path, width=80):
 # --- test-data generation ------------------------------------------------------
 
 def generate_spss(length, k, seed=0):
-    """Generate a random SPSS of the given total length with all-distinct k-mers.
+    """Generate a random SPSS from one uniform draw of `length` bases.
 
-    A single uniform draw is kept when its k-mers are distinct; otherwise
-    greedy per-position re-draw on duplicates, and when a position cannot be
-    fixed the sequence is split into a new record (consuming k-1 bases for a
-    fresh prefix). Deterministic for a fixed seed.
+    The draw is cut wherever a k-mer repeats one before it: each record
+    holds the k-mers between two such repeats, so every k-mer is distinct.
+    A draw with no repeat is one record of exactly `length` bases; with
+    repeats (about length^2 / (2 * 4^k) of them: 0.1 at k = 21 and 10^6
+    bases) the records overlap by up to k - 2 bases at each cut and hold
+    more bases than were drawn. Deterministic for a fixed seed.
     """
-    if length < k:
-        raise GenerationFailure(f"length {length} < k={k}")
+    k = int_in("k", k, 1, MAX_K)
+    seed = int_in("seed", seed, 0, 2 ** 64 - 1)
+    length = int_in("length", length, k, error=GenerationFailure)
     if length - k + 1 > 4 ** k:
         raise GenerationFailure(
             f"cannot fit {length - k + 1} distinct {k}-mers in an alphabet of 4^{k}")
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, 4, size=length, dtype=np.uint8)
-
-    # fast path: one draw of the whole sequence is usually already duplicate-free
-    if first_duplicate(*kmer_words(codes, k)) is None:
-        return SpssInput(k=k, codes=[codes])
-
-    records = []
-    seen = set()
-
-    def kmer_of(tail):
-        v = 0
-        for c in tail:
-            v = (v << 2) | int(c)
-        return v
-
-    def start_record():
-        # fresh k-1 prefix, re-drawn if it would extend the previous record
-        for _ in range(64):
-            prefix = rng.integers(0, 4, size=k - 1, dtype=np.uint8).tolist()
-            if not records or prefix != records[-1][-(k - 1):]:
-                return prefix
-        raise GenerationFailure("could not draw a fresh record prefix")
-
-    budget = length
-    cur = start_record() if k > 1 else []
-    budget -= len(cur)
-    stuck = 0
-    while budget > 0:
-        placed = False
-        for b in rng.permutation(4):
-            cand = kmer_of(cur[-(k - 1):] + [int(b)]) if k > 1 else int(b)
-            if cand not in seen:
-                seen.add(cand)
-                cur.append(int(b))
-                budget -= 1
-                placed = True
-                stuck = 0
-                break
-        if not placed:
-            stuck += 1
-            if stuck > 4 * k or budget < k:
-                break
-            if len(cur) >= k:
-                records.append(cur)
-            prefix = start_record()
-            cur = prefix
-            budget -= len(prefix)
-    if len(cur) >= k:
-        records.append(cur)
-    if not records:
-        raise GenerationFailure("generation produced no record of length >= k")
-    return SpssInput(k=k, codes=[np.array(r, dtype=np.uint8) for r in records])
+    codes = np.random.default_rng(seed).integers(0, 4, size=length, dtype=np.uint8)
+    rep = repeats(*kmer_words(codes, k)).tolist()
+    # records hold k-mers a .. b-1, from after one repeat to the next
+    return SpssInput(k=k, codes=[codes[a:b + k - 1] for a, b in zip(
+        [0] + [r + 1 for r in rep], rep + [length - k + 1]) if a < b])

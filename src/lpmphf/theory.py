@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputMismatch
-from .minimizers import census_from_scan, scan_spss
+from .minimizers import scan_spss
 
 __all__ = ["density", "type_probabilities", "space_bound_basic",
            "space_bound_partitioned", "TheoryParams", "StatsReport", "stats"]
@@ -139,18 +139,15 @@ def stats(spss, f, scan=None):
         raise InputMismatch(
             f"SPSS has {spss.n} k-mers, the structure {f.n}: not its build input")
     scan = scan_spss(spss, f.scheme) if scan is None else scan
-    census = census_from_scan(scan)
-    amb = census.counts[census.inverse] > 1
-    types = _classify_arrays(scan.sizes[~amb], scan.p1[~amb], f.scheme.w)
-    n_unamb_skm = types.size
-    measured = tuple(
-        float(np.count_nonzero(types == t)) / n_unamb_skm if n_unamb_skm else 0.0
-        for t in range(4))
     values = f._values_of_scan(spss, scan)   # >= 0, n of them
     if not np.array_equal(np.bincount(values, minlength=f.n), np.ones(f.n)):
         raise InputMismatch("the SPSS's k-mers do not take each value in "
                             f"[0, {f.n}) once: not the structure's build input")
     eps = epsilon_of_values(values, spss)
+    xi = (f.n - f.n_unambiguous) / f.n   # fallback values lie at n_unambiguous up
+    unamb = values[scan.kmer_base] < f.n_unambiguous
+    types = _classify_arrays(scan.sizes[unamb], scan.p1[unamb], f.scheme.w)
+    measured = tuple((np.bincount(types, minlength=4) / max(types.size, 1)).tolist())
     params = TheoryParams(k=f.scheme.k, m=f.scheme.m,
                           b=max(f.fm.bits_per_key, LOG2_E + 1e-9))
     return StatsReport(
@@ -159,16 +156,16 @@ def stats(spss, f, scan=None):
         num_strings=spss.num_strings,
         k=f.scheme.k, m=f.scheme.m, w=f.scheme.w,
         alpha=spss.fragmentation,
-        xi=census.xi,
-        num_minimizers=census.num_minimizers,
+        xi=xi,
+        num_minimizers=f.num_minimizers,
         num_superkmers=scan.num_superkmers,
         epsilon=eps,
-        epsilon_predicted=density(f.scheme.w) + census.xi + spss.fragmentation,
+        epsilon_predicted=density(f.scheme.w) + xi + spss.fragmentation,
         measured_proportions=measured,
         computed_proportions=type_probabilities(f.scheme.w),
         bits_per_kmer=f.bits_per_kmer(),
-        predicted_bits_basic=space_bound_basic(spss.n, params, xi=census.xi) / spss.n,
+        predicted_bits_basic=space_bound_basic(spss.n, params, xi=xi) / spss.n,
         predicted_bits_partitioned=space_bound_partitioned(
-            spss.n, params, xi=census.xi) / spss.n,
+            spss.n, params, xi=xi) / spss.n,
         mphf_bits_per_key=f.fm.bits_per_key,
     )

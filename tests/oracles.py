@@ -149,3 +149,23 @@ def brute_mphf_value(n_keys, seed, levels, key):
             return before + (bits & ((1 << pos) - 1)).bit_count()
         before += bits.bit_count()
     return mix64(mix64(lo ^ seed_key(seed)) ^ hi) % n_keys
+
+
+def brute_spss_records(codes, k):
+    """A draw cut at repeated k-mers, walked k-mer by k-mer with a set: a
+    k-mer seen before ends the current record and is dropped, the next new
+    k-mer opens a record with its k bases, and later new k-mers add a base."""
+    codes = [int(c) for c in codes]
+    seen, records, cur = set(), [], None
+    for i in range(len(codes) - k + 1):
+        kmer = tuple(codes[i:i + k])
+        if kmer in seen:
+            cur = None
+        elif cur is None:
+            seen.add(kmer)
+            cur = list(kmer)
+            records.append(cur)
+        else:
+            seen.add(kmer)
+            cur.append(kmer[-1])
+    return records

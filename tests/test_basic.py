@@ -314,7 +314,7 @@ def test_build_evaluates_no_key_and_sorts_no_key_set(monkeypatch):
 
     monkeypatch.setattr(mphf.GeneralMphf, "evaluate_many",
                         counted(mphf.GeneralMphf.evaluate_many))
-    monkeypatch.setattr(mphf, "first_duplicate", counted(mphf.first_duplicate))
+    monkeypatch.setattr(mphf, "repeats", counted(mphf.repeats))
     for name, spss, scheme in inputs:
         for build in BUILDERS:
             assert build(spss, scheme).n == spss.n

@@ -1,5 +1,4 @@
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 from lpmphf import Kmer, mix64
 from lpmphf.errors import InvalidBase, KMismatch, LengthOutOfRange, LpmphfError
 from lpmphf.kmers import (_PACK_ROWS, decode_bases, encode_bases,
-                          first_duplicate, hash_mmer_array, hash_words,
-                          hash_words_array, kmer_words, kmer_words_at,
-                          packed_windows, seed_key)
+                          hash_mmer_array, hash_words, hash_words_array,
+                          kmer_words, kmer_words_at, packed_windows, repeats,
+                          seed_key)
 
 from oracles import all_kmers, pack_mmer, random_dna
 
@@ -182,10 +181,8 @@ WORDS = [0, 1, 2, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
 @example([(0, 7), (1, 7), (2, 7)])                  # differ only in hi
 @example([(1, 7), (0, 7), (1, 7), (2, 7), (0, 7)])  # equal lo, mixed hi
 @example([(2, 7), (2, 3), (1, 7), (2, 7), (2, 3)])
-def test_first_duplicate_matches_counter_oracle(keys):
-    counts = Counter(keys)
-    repeats = [key for key, c in counts.items() if c > 1]
-    want = (min(repeats)[0] << 64 | min(repeats)[1]) if repeats else None
+def test_repeats_matches_index_oracle(keys):
+    want = [i for i, key in enumerate(keys) if key in keys[:i]]
     hi = np.array([h for h, _ in keys], dtype=np.uint64)
     lo = np.array([x for _, x in keys], dtype=np.uint64)
-    assert first_duplicate(hi, lo) == want
+    assert repeats(hi, lo).tolist() == want

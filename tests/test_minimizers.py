@@ -100,6 +100,22 @@ def test_scheme_validation():
     assert MinimizerScheme(k=31, m=15, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
+@pytest.mark.parametrize("args", [(31, 15, 1.5), (31.0, 15, 0), (31, 15.0, 0),
+                                  (31, "15", 0)])
+def test_scheme_parameters_must_be_integers(args):
+    with pytest.raises(LengthOutOfRange):
+        MinimizerScheme(*args)
+
+
+def test_scheme_takes_numpy_integers_as_python_ints():
+    spss = generate_spss(2000 + 30, 31, seed=5)
+    want = MinimizerScheme(31, 15, seed=2 ** 63 + 5)
+    got = MinimizerScheme(np.int64(31), np.uint8(15), seed=np.uint64(2 ** 63 + 5))
+    assert got == want and type(got.seed) is int
+    for build in (build_basic, build_partitioned):
+        assert build(spss, got).to_bytes() == build(spss, want).to_bytes()
+
+
 # --- super-k-mer splitting -----------------------------------------------------
 
 def records(scan):

@@ -2,15 +2,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpmphf import (Kmer, MinimizerScheme, SpssInput, generate_spss,
                     load_spss, spss_from_strings, write_fasta)
 from lpmphf.errors import (DuplicateKmer, GenerationFailure, InvalidBase,
-                           MalformedFasta, StringShorterThanK)
+                           LengthOutOfRange, MalformedFasta, StringShorterThanK)
 from lpmphf.kmers import decode_bases
 
 from conftest import BUILDERS
-from oracles import all_kmers, random_dna
+from oracles import all_kmers, brute_spss_records, random_dna
 
 AMBIG = pytest.mark.filterwarnings("ignore::lpmphf.minimizers.MinimizerDensityWarning")
 
@@ -136,11 +138,68 @@ def test_generate_small_k_splits_and_validates():
     assert all(len(s) >= 5 for s in spss.strings)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(k, min(300, 4 ** k + k - 1)), st.integers(0, 2 ** 32))))
+@example((1, 4, 0))
+@example((5, 400, 4))
+def test_generate_cuts_the_draw_at_repeats_like_the_set_oracle(case):
+    k, length, seed = case
+    draw = np.random.default_rng(seed).integers(0, 4, length, dtype=np.uint8)
+    spss = generate_spss(length, k, seed=seed)
+    assert [c.tolist() for c in spss.codes] == brute_spss_records(draw, k)
+
+
+@pytest.mark.parametrize("n", [20_000, 250_000])
+def test_benchmark_inputs_are_one_draw_as_one_record(n):
+    # the benchmark workloads' k and sizes draw no repeated k-mer
+    for seed in range(1, 13):
+        spss = generate_spss(n + 30, 31, seed)
+        draw = np.random.default_rng(seed).integers(0, 4, n + 30, dtype=np.uint8)
+        assert spss.num_strings == 1 and np.array_equal(spss.codes[0], draw)
+
+
 def test_generate_impossible_length_fails():
     with pytest.raises(GenerationFailure):
         generate_spss(2000, 5, seed=0)       # 1996 distinct 5-mers > 4^5
     with pytest.raises(GenerationFailure):
         generate_spss(10, 15, seed=0)        # shorter than k
+    with pytest.raises(GenerationFailure):
+        generate_spss(2000.5, 31)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "1"])
+def test_generate_seed_out_of_range_or_not_an_integer(seed):
+    with pytest.raises(LengthOutOfRange):
+        generate_spss(2000, 31, seed=seed)
+
+
+def test_generate_takes_numpy_integers():
+    a = generate_spss(np.int64(2000), np.int64(21), seed=np.uint64(9))
+    b = generate_spss(2000, 21, seed=9)
+    assert a.k == b.k and np.array_equal(a.joined_codes, b.joined_codes)
+
+
+@AMBIG
+def test_code_lists_build_the_bytes_of_code_arrays():
+    arrays = generate_spss(3000, 17, seed=5).codes
+    lists = SpssInput(k=17, codes=[c.tolist() for c in arrays])
+    assert np.array_equal(lists.joined_codes, np.concatenate(arrays))
+    scheme = MinimizerScheme(k=17, m=9, seed=2)
+    for build in BUILDERS:
+        assert (build(lists, scheme).to_bytes()
+                == build(SpssInput(k=17, codes=arrays), scheme).to_bytes())
+
+
+@pytest.mark.parametrize("bad", [
+    [0, 1, 4, 2], [0, -1, 2, 3], [0.0, 1.0, 2.0, 3.0],
+    np.array([0, 1, 7, 2], dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8)])
+def test_codes_outside_the_alphabet_are_invalid_bases(bad):
+    # the rule a query's codes meet, so what builds can be looked up
+    with pytest.raises(InvalidBase):
+        SpssInput(k=2, codes=[bad])
+    with pytest.raises(InvalidBase):
+        SpssInput(k=2, codes=[np.array([0, 1, 2, 3], dtype=np.uint8), bad])
 
 
 def test_fasta_round_trip(tmp_path):

@@ -12,7 +12,10 @@ layout it prints the SHA-256 of `to_bytes()`, of unchecked and checked
 stream values (every string, then a copy of it with about one base in 40
 substituted), of unchecked and checked values of a random batch (10^4
 members and 10^4 random k-mers, shuffled) and of 200 scalar lookups of that
-batch's first keys, unchecked then checked (-1 for a definite miss). Prints every row, marked `same` or `DIFFERS`, and exits 1
+batch's first keys, unchecked then checked (-1 for a definite miss). Per
+shape it also prints the SHA-256 of the FASTA file `write_fasta` writes of
+the SPSS, and of the `joined_codes` and string lengths `load_spss` reads
+back from it. Prints every row, marked `same` or `DIFFERS`, and exits 1
 when any row differs.
 
 Run from the repository root:
@@ -63,6 +66,14 @@ def tree_rows(tree):
     for wl in (*run.WORKLOADS.values(), k63, k63_long):
         base = lp.generate_spss(wl.n + wl.k - 1, wl.k, seed=SEED)
         spss = lp.SpssInput(k=wl.k, codes=run.cut_strings(base.codes, wl, SEED))
+        with tempfile.TemporaryDirectory() as tmp:
+            fasta = Path(tmp) / "spss.fa"
+            lp.write_fasta(spss, fasta)
+            loaded = lp.load_spss(fasta, wl.k)
+            yield f"{wl.name} spss fasta", sha(fasta.read_bytes())
+            lengths = np.array([len(c) for c in loaded.codes], dtype="<i8")
+            yield f"{wl.name} spss loaded", sha(
+                loaded.joined_codes.tobytes() + lengths.tobytes())
         scheme = lp.MinimizerScheme(k=wl.k, m=wl.m, seed=SEED)
         rng = np.random.default_rng(SEED)
         mutated = []

@@ -3,7 +3,6 @@ runs of k-mers sharing a minimizer occurrence (a query string's from its
 minimizer scan, a random batch's of one k-mer each), `finish_lookup`
 resolves one slot per run and `StreamPlan.expand` derives values per run."""
 
-import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from ._build import expand_ranges
 from .errors import InvalidBase, KMismatch, QueryShorterThanK
-from .kmers import (Kmer, bounded_ints, encode_bases, kmer_words_at,
+from .kmers import (Kmer, bounded_ints, encode_bases, int_in, kmer_words_at,
                     mix64_inplace, seed_key)
 from .minimizers import SuperKmerScan, scan_string
 
@@ -57,13 +56,7 @@ def resolve_kmer_input(x, k):
         if x.k != k:
             raise KMismatch(f"k-mer length {x.k} != structure k={k}")
         return x.value
-    try:
-        value = operator.index(x)
-    except TypeError:
-        raise KMismatch(f"a k-mer cannot be a {type(x).__name__}") from None
-    if not 0 <= value < (1 << (2 * k)):
-        raise KMismatch(f"packed value out of range for k={k}")
-    return value
+    return int_in("packed value", x, 0, 4 ** k - 1, error=KMismatch)   # Kmer's rule
 
 
 def run_misses(p1s, sizes, p1, length=1):

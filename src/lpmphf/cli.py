@@ -16,7 +16,7 @@ from .errors import KMismatch, LpmphfError, QueryShorterThanK
 from .kmers import MAX_K, MAX_M, kmer_words
 from .minimizers import MinimizerScheme, default_minimizer_length, scan_spss
 from .partitioned import LpMphfPartitioned
-from .spss import generate_spss, load_spss, write_fasta
+from .spss import generate_spss, load_spss, read_records, write_fasta
 from .storage import load_structure, save_structure
 from .theory import (LOG2_E, TheoryParams, density, space_bound_basic,
                      space_bound_partitioned, stats, type_probabilities)
@@ -47,7 +47,7 @@ def _build_parser():
                 description="locality-preserving minimal perfect hashing of k-mers")
     sub = p.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("build", parents=[], help="build a structure from a FASTA SPSS")
+    b = sub.add_parser("build", help="build a structure from a FASTA SPSS")
     b.add_argument("-i", "--input", required=True, help="SPSS file")
     b.add_argument("-o", "--output", required=True, help="structure file to write")
     b.add_argument("-k", type=_number(int, 1, MAX_K), required=True,
@@ -134,22 +134,11 @@ def _cmd_build(args):
     return 0
 
 
-def _load_queries(path):
-    """Query records as code arrays; an empty file is zero queries, not an error."""
-    from .kmers import encode_bases
-    from .spss import _read_fasta
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not any(line.strip() for line in lines):
-        return []
-    return [encode_bases(s) for s in _read_fasta(lines)]
-
-
 def _cmd_query(args):
     f = load_structure(args.input)
     if args.k is not None and args.k != f.scheme.k:
         raise KMismatch(f"structure k={f.scheme.k}, requested k={args.k}")
-    records = _load_queries(args.queries)
+    records = read_records(args.queries)   # a file of no record: zero queries
     for c in records:
         if c.size < f.scheme.k:
             raise QueryShorterThanK(

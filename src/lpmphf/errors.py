@@ -16,7 +16,7 @@ class InvalidBase(LpmphfError):
 
 
 class LengthOutOfRange(LpmphfError):
-    """A k, m or seed value outside the supported range."""
+    """A length, count or numeric parameter outside its range."""
 
 
 # --- input ingestion ---

@@ -10,6 +10,7 @@ bijection on 64-bit values.
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,31 +35,35 @@ _SEED_SALT = 0x9E3779B97F4A7C15
 MIX_S1, MIX_S2, MIX_S3, MIX_M1, MIX_M2 = 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _PACK_ROWS = 1 << 12   # k-mers per block of kmer_words_at
 
-# uppercase and lowercase accepted, everything else is a hard error
-_CODE_LUT = np.full(256, 255, dtype=np.uint8)
+# tables for bytes.translate. Byte -> code: upper and lower case accepted,
+# every other byte is 255, a hard error. Code -> base: a code above 3 gives
+# a byte that is not ASCII, and fails to decode.
+_CODE_TABLE = bytearray(b"\xff" * 256)
 for _i, _b in enumerate(BASES):
-    _CODE_LUT[ord(_b)] = _i
-    _CODE_LUT[ord(_b.lower())] = _i
-
-_BASE_LUT = np.frombuffer(BASES.encode(), dtype=np.uint8)
+    _CODE_TABLE[ord(_b)] = _CODE_TABLE[ord(_b.lower())] = _i
+_BASE_TABLE = BASES.encode().ljust(256, b"\xff")
 
 
-def encode_bases(s):
-    """Encode a DNA string (str or bytes) into a uint8 code array."""
+def encode_bases(s, ends=None):
+    """Encode a DNA string (str or bytes) into a uint8 code array. With
+    `ends`, the ascending end offsets of the records joined in s, an
+    invalid base is named by its record and its offset in that record."""
     if isinstance(s, str):
         s = s.encode("ascii", errors="replace")
-    raw = np.frombuffer(s, dtype=np.uint8)
-    codes = _CODE_LUT[raw]
-    bad = np.flatnonzero(codes == 255)
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidBase(f"invalid base {chr(raw[i])!r} at position {i}")
-    return codes
+    codes = bytearray(s).translate(_CODE_TABLE)   # a writable copy
+    i = where = codes.find(255)
+    if i >= 0:
+        if ends is not None:
+            r = bisect_right(ends, i)
+            where = f"{i - (ends[r - 1] if r else 0)} of record {r}"
+        raise InvalidBase(f"invalid base {ascii(chr(s[i]))} at position {where}")
+    return np.frombuffer(codes, dtype=np.uint8)
 
 
 def decode_bases(codes):
     """Inverse of encode_bases."""
-    return _BASE_LUT[np.asarray(codes, dtype=np.uint8)].tobytes().decode("ascii")
+    raw = np.asarray(codes, dtype=np.uint8).tobytes()
+    return raw.translate(_BASE_TABLE).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -73,11 +78,11 @@ class Kmer:
     k: int
     value: int
 
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise LengthOutOfRange(f"k={self.k} outside [1, {MAX_K}]")
-        if not 0 <= self.value < (1 << (2 * self.k)):
-            raise KMismatch(f"packed value out of range for k={self.k}")
+    def __post_init__(self):   # numpy integers become ints, floats are errors
+        k = int_in("k", self.k, 1, MAX_K)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "value", int_in(
+            "packed value", self.value, 0, 4 ** k - 1, error=KMismatch))
 
     @classmethod
     def from_string(cls, s):

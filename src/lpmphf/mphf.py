@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from ._binio import Writer
-from .errors import CorruptFile, DuplicateKey, EmptyFunction, LpmphfError
+from .errors import (CorruptFile, DuplicateKey, EmptyFunction, LengthOutOfRange,
+                     LpmphfError)
 from .kmers import (hash_words, hash_words_array, mix64, mix64_inplace,
                     repeats, seed_key)
 from .succinct import RankBitvector, _Serialized
@@ -57,7 +58,7 @@ def _as_key_arrays(lo, hi):
     else:
         hi = np.ascontiguousarray(hi, dtype=_U64)
     if hi.size != lo.size:
-        raise ValueError("hi and lo arrays must have equal length")
+        raise LengthOutOfRange(f"hi has {hi.size} keys, lo {lo.size}: not equal")
     return hi, lo
 
 

@@ -7,6 +7,7 @@ structure over the set raises DuplicateKmer on a repeated k-mer.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -15,7 +16,8 @@ from .errors import (GenerationFailure, InvalidBase, MalformedFasta,
 from .kmers import (MAX_K, bounded_ints, decode_bases, encode_bases, int_in,
                     kmer_words, repeats)
 
-__all__ = ["SpssInput", "load_spss", "spss_from_strings", "generate_spss", "write_fasta"]
+__all__ = ["SpssInput", "load_spss", "read_records", "spss_from_strings",
+           "generate_spss", "write_fasta"]
 
 
 @dataclass
@@ -91,66 +93,66 @@ class SpssInput:
 
 
 def spss_from_strings(strings, k):
-    """Build an SpssInput from in-memory DNA strings."""
-    return SpssInput(k=k, codes=[encode_bases(s) for s in strings])
+    """Build an SpssInput from in-memory DNA strings (str or bytes)."""
+    return SpssInput(k=k, codes=_encode_records(strings))
 
 
-def _read_fasta(stream):
-    records = []
-    header_seen = False
-    parts = []
-    for lineno, line in enumerate(stream, 1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        if line.startswith(">"):
-            if header_seen:
-                if not parts:
-                    raise MalformedFasta(f"empty record before line {lineno}")
-                records.append("".join(parts))
-                parts = []
-            header_seen = True
-        else:
-            if not header_seen:
-                raise MalformedFasta(f"sequence before first '>' at line {lineno}")
-            parts.append(line)
-    if header_seen:
-        if not parts:
-            raise MalformedFasta("empty record at end of file")
-        records.append("".join(parts))
-    if not records:
-        raise MalformedFasta("no records found")
-    return records
+def _encode_records(seqs):
+    """Code arrays of DNA strings: views cut from one encode_bases call over
+    their join, which names the record of an invalid base."""
+    seqs = [s.encode("ascii", errors="replace") if isinstance(s, str) else s
+            for s in seqs]
+    ends = list(accumulate(map(len, seqs)))
+    codes = encode_bases(b"".join(seqs), ends)
+    return [codes[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _read_lines(stream):
-    records = [line.rstrip("\r\n") for line in stream if line.strip()]
-    if not records:
-        raise MalformedFasta("no sequences found")
-    return records
+def read_records(path, fmt="fasta"):
+    """The records of a FASTA file (fmt='lines': one per non-blank line) as
+    uint8 code arrays, [] for a file of none.
+
+    The file is read as bytes; a line ends at \\n, \\r\\n or \\r. A FASTA
+    record is a line-initial '>' header, not decoded, and every following
+    line up to the next header joined into its sequence; empty lines are
+    skipped. Text before the first header and a header with no sequence
+    are MalformedFasta.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if b"\r" in text:   # \r\n or a lone \r ends a line, as in text mode
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if fmt == "lines":
+        return _encode_records([line for line in text.split(b"\n") if line])
+    if fmt != "fasta":
+        raise ValueError(f"unknown input format {fmt!r}")
+    before, *records = (b"\n" + text).split(b"\n>")
+    if before.strip(b"\n"):
+        line = len(before) - len(before.lstrip(b"\n"))
+        raise MalformedFasta(f"sequence before first '>' at line {line}")
+    seqs = [r.partition(b"\n")[2].replace(b"\n", b"") for r in records]
+    if not all(seqs):
+        i = seqs.index(b"")
+        line = b"\n>".join([before, *records[:i]]).count(b"\n") + 1
+        raise MalformedFasta(f"record {i} (header at line {line}) has no sequence")
+    return _encode_records(seqs)
 
 
 def load_spss(path, k, fmt="fasta"):
-    """Load an SPSS from a FASTA file (or one-sequence-per-line with fmt='lines')."""
-    with open(path, "r", encoding="ascii") as fh:
-        if fmt == "fasta":
-            strings = _read_fasta(fh)
-        elif fmt == "lines":
-            strings = _read_lines(fh)
-        else:
-            raise ValueError(f"unknown input format {fmt!r}")
-    return spss_from_strings(strings, k)
+    """Load an SPSS from a FASTA file (or one sequence per line, fmt='lines')."""
+    return SpssInput(k=k, codes=read_records(path, fmt))
 
 
-def write_fasta(spss, path, width=80):
-    """Write the SPSS records as FASTA (deterministic headers)."""
-    with open(path, "w", encoding="ascii") as fh:
+def write_fasta(spss, path):
+    """Write the SPSS records as FASTA: header `>record_{i}`, then the bases
+    80 to a line."""
+    text, end = decode_bases(spss.joined_codes).encode("ascii"), 0
+    with open(path, "wb") as fh:
         for i, c in enumerate(spss.codes):
-            fh.write(f">record_{i}\n")
-            s = decode_bases(c)
-            for j in range(0, len(s), width):
-                fh.write(s[j:j + width])
-                fh.write("\n")
+            start, end = end, end + len(c)
+            s = text[start:end]
+            fh.write(b">record_%d\n" % i)
+            fh.write(b"\n".join([s[j:j + 80] for j in range(0, len(s), 80)]))
+            fh.write(b"\n")
 
 
 # --- test-data generation ------------------------------------------------------

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InputMismatch
+from .errors import InputMismatch, LengthOutOfRange
+from .kmers import int_in
 from .minimizers import scan_spss
 
 __all__ = ["density", "type_probabilities", "space_bound_basic",
@@ -25,9 +26,7 @@ _PARTITIONED_LOG_FACTOR = 16 * 2 ** 0.25 / 3
 
 def density(w):
     """Expected fraction of k-mer positions starting a new minimizer: 2/(w+1)."""
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    return 2.0 / (w + 1)
+    return 2.0 / (int_in("w", w, 1) + 1)
 
 
 def type_probabilities(w):
@@ -36,8 +35,7 @@ def type_probabilities(w):
     With W = (1 - 1/w)/2: P_lr = W^2 + 1/w, P_l = P_r = W(1 - W), P_n = W^2.
     The four values sum to 1 exactly.
     """
-    if w < 1:
-        raise ValueError("w must be >= 1")
+    w = int_in("w", w, 1)
     W = 0.5 * (1.0 - 1.0 / w)
     side = W * (1.0 - W)
     return (W * W + 1.0 / w, side, side, W * W)
@@ -57,33 +55,34 @@ class TheoryParams:
     little_oh: float = 0.5
 
     def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("w = k - m + 1 must be >= 1")
-        if self.b <= LOG2_E:
-            raise ValueError(f"b must exceed log2(e) = {LOG2_E:.4f}")
+        int_in("k", self.k, 1)
+        int_in("m", self.m, 1)
+        int_in("w = k - m + 1", self.w, 1)
+        if not self.b > LOG2_E:
+            raise LengthOutOfRange(
+                f"b={self.b} does not exceed log2(e) = {LOG2_E:.4f}")
 
     @property
     def w(self):
         return self.k - self.m + 1
 
 
-def space_bound_basic(n, params, xi=0.0):
-    """Total bits of the un-partitioned structure:
-    n * 2/(w+1) * (log2(4(w+1)^2) + b + little_oh), plus the xi*b*n
-    fallback add-on when xi is supplied."""
-    w = params.w
-    per = density(w) * (math.log2(4.0 * (w + 1) ** 2) + params.b + params.little_oh)
+def _space_bound(n, params, xi, log_term):
+    """n * 2/(w+1) * (log2(log_term) + b + little_oh) + xi*b*n."""
+    per = density(params.w) * (math.log2(log_term) + params.b + params.little_oh)
     return n * (per + xi * params.b)
+
+
+def space_bound_basic(n, params, xi=0.0):
+    """Total bits of the un-partitioned structure: the log term is
+    4(w+1)^2, plus the xi*b*n fallback add-on when xi is supplied."""
+    return _space_bound(n, params, xi, 4.0 * (params.w + 1) ** 2)
 
 
 def space_bound_partitioned(n, params, xi=0.0):
-    """Total bits of the partitioned structure:
-    n * 2/(w+1) * (log2(16*2^(1/4)/3 * (w+1)) + b + little_oh), plus the
-    fallback add-on."""
-    w = params.w
-    per = density(w) * (math.log2(_PARTITIONED_LOG_FACTOR * (w + 1))
-                        + params.b + params.little_oh)
-    return n * (per + xi * params.b)
+    """Total bits of the partitioned structure: the log term is
+    16*2^(1/4)/3 * (w+1), plus the fallback add-on."""
+    return _space_bound(n, params, xi, _PARTITIONED_LOG_FACTOR * (params.w + 1))
 
 
 @dataclass

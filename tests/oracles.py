@@ -9,7 +9,23 @@ import struct
 
 import numpy as np
 
-from lpmphf.kmers import BASES, mix64, seed_key
+BASES = "ACGT"   # 2-bit codes 0..3, most significant base first
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15   # splitmix64's increment, also the seed salt
+
+
+def mix64(x):
+    """splitmix64's output finalizer (Steele, Lea and Flood, OOPSLA 2014),
+    written out here so that the oracles do not share the production hash."""
+    x &= MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def seed_key(seed):
+    """An m-mer x hashes under `seed` to mix64(x ^ seed_key(seed))."""
+    return mix64(seed ^ GAMMA)
 
 
 def random_dna(rng, length):
@@ -116,7 +132,7 @@ def naive_symbol_rank(symbols, t, i):
     return int(np.sum(np.asarray(symbols[:i]) == t))
 
 
-MPHF_LEVEL_SALT = 0x9E3779B97F4A7C15   # level l hashes under mix64(seed + (l+1) * salt)
+MPHF_LEVEL_SALT = GAMMA   # level l hashes under mix64(seed + (l+1) * salt)
 
 
 def mphf_levels_from_bytes(blob):

@@ -86,6 +86,39 @@ def test_query_empty_file(workdir, tmp_path, capsys):
     assert "kmers=0" in err
 
 
+def test_query_blank_only_file_is_zero_queries(workdir, tmp_path, capsys):
+    blank = tmp_path / "blank.fa"
+    blank.write_bytes(b"\n\r\n\n")
+    for mode in ([], ["--random"]):
+        code, out, err = run(capsys, "query", "-i", str(workdir / "f.lph"),
+                             "-q", str(blank), *mode)
+        assert code == 0 and out == "" and "kmers=0" in err
+
+
+@pytest.mark.parametrize("command", ["build", "query"])
+def test_non_ascii_sequence_byte_is_an_invalid_base(command, workdir, tmp_path,
+                                                     capsys):
+    bad = tmp_path / "bad.fa"
+    bad.write_bytes(b">\xc3\xa9\n" + b"ACGT" * 10 + b"\n>b\nACGT\xc3\xa9"
+                    + b"ACGT" * 10 + b"\n")
+    args = (["build", "-i", str(bad), "-o", str(tmp_path / "x.lph"), "-k", "31"]
+            if command == "build" else
+            ["query", "-i", str(workdir / "f.lph"), "-q", str(bad)])
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid base '\\xc3' at position 4 of record 1")
+    assert not (tmp_path / "x.lph").exists()
+
+
+def test_build_empty_input_is_malformed(tmp_path, capsys):
+    empty = tmp_path / "empty.fa"
+    empty.write_bytes(b"\n\n")
+    code, out, err = run(capsys, "build", "-i", str(empty), "-o",
+                         str(tmp_path / "x.lph"), "-k", "31")
+    assert code == 2 and out == ""
+    assert err == "error: an SPSS needs at least one string\n"
+
+
 def test_query_output_file(workdir, tmp_path, capsys):
     out_path = tmp_path / "vals.txt"
     code, _, _ = run(capsys, "query", "-i", str(workdir / "f.lph"),

@@ -12,6 +12,7 @@ from lpmphf.kmers import (_PACK_ROWS, decode_bases, encode_bases,
                           kmer_words, kmer_words_at, packed_windows, repeats,
                           seed_key)
 
+import oracles
 from oracles import all_kmers, pack_mmer, random_dna
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=63)
@@ -53,13 +54,26 @@ def test_length_limits():
     assert Kmer.from_string("A" * 63).k == 63
 
 
-@pytest.mark.parametrize("value", [64, -1])
+@pytest.mark.parametrize("value", [64, -1, 1.5, 3.0, np.float64(3), "3", None])
 def test_kmer_value_out_of_range_is_typed(value):
     # the error resolve_kmer_input raises for the same condition
     with pytest.raises(KMismatch) as err:
         Kmer(3, value)
     assert isinstance(err.value, LpmphfError)
     assert Kmer(3, 63).value == 63
+
+
+@pytest.mark.parametrize("k", [3.0, 0, 64, np.float32(3), "3"])
+def test_kmer_length_must_be_an_integer_in_range(k):
+    with pytest.raises(LengthOutOfRange):
+        Kmer(k, 1)
+
+
+def test_kmer_takes_numpy_integers_as_ints():
+    km = Kmer(np.int64(3), np.uint64(27))
+    assert type(km.k) is int and type(km.value) is int
+    assert km == Kmer(3, 27) and hash(km) == hash(Kmer(3, 27))
+    assert str(km) == "CGT"
 
 
 def test_lowercase_accepted():
@@ -69,6 +83,8 @@ def test_lowercase_accepted():
 def test_decode_encode_bases():
     s = "ACGTTGCA"
     assert decode_bases(encode_bases(s)) == s
+    with pytest.raises(ValueError):   # a code above 3 is no base
+        decode_bases([0, 4])
 
 
 def test_kmer_hi_lo_split():
@@ -82,6 +98,21 @@ def test_kmer_hi_lo_split():
 
 def test_hash_deterministic():
     assert mix64(12345 ^ seed_key(7)) == mix64(12345 ^ seed_key(7))
+
+
+def test_oracle_hash_is_published_splitmix64():
+    # splitmix64 from seed 0 outputs mix(gamma), then mix(2 gamma)
+    assert oracles.mix64(oracles.GAMMA) == 0xE220A8397B1DCDAF
+    assert oracles.mix64(2 * oracles.GAMMA) == 0x6E789E6AA1B965F4
+    assert oracles.seed_key(0) == 0xE220A8397B1DCDAF
+
+
+def test_production_hash_matches_the_oracle():
+    xs = np.random.default_rng(5).integers(0, 2 ** 64, size=200, dtype=np.uint64)
+    for x in xs.tolist():
+        assert mix64(x) == oracles.mix64(x)
+    for seed in (0, 1, 7, 2 ** 64 - 1):
+        assert seed_key(seed) == oracles.seed_key(seed)
 
 
 def test_mix64_bijective_sample():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpmphf import GeneralMphf, mphf
-from lpmphf.errors import CorruptFile, DuplicateKey, EmptyFunction, LpmphfError
+from lpmphf.errors import (CorruptFile, DuplicateKey, EmptyFunction,
+                           LengthOutOfRange, LpmphfError)
 
 from conftest import mphf_header_patches
 from oracles import brute_mphf_value, mphf_levels_from_bytes
@@ -110,6 +111,15 @@ def test_two_word_keys_bijective(rng):
     assert np.array_equal(np.sort(vals), np.arange(hi.size))
     key0 = (int(hi[0]) << 64) | int(lo[0])
     assert f.evaluate(key0) == int(vals[0])
+
+
+def test_hi_and_lo_of_unequal_length_are_typed():
+    lo = np.arange(5, dtype=np.uint64)
+    with pytest.raises(LengthOutOfRange):
+        GeneralMphf.build(lo, hi=np.zeros(4, dtype=np.uint64))
+    f = GeneralMphf.build(lo)
+    with pytest.raises(LengthOutOfRange):
+        f.evaluate_many(lo, hi=np.zeros(6, dtype=np.uint64))
 
 
 def test_duplicate_keys_rejected():

@@ -26,7 +26,7 @@ def differing_rows(out):
 def test_one_tree_agrees_and_a_changed_value_is_reported(tmp_path, capsys):
     sv = load_script()
     rows = sv.digests(ROOT)
-    assert len(rows) == len(WORKLOADS) * 2 * 6
+    assert len(rows) == len(WORKLOADS) * (2 * 6 + 2)
     assert sv.digests(ROOT) == rows
     assert sv.compare(rows, rows) == 0
     row = "unitigs-k31 partitioned random-checked"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lpmphf import (Kmer, MinimizerScheme, SpssInput, generate_spss,
                     load_spss, spss_from_strings, write_fasta)
+from lpmphf.spss import read_records
 from lpmphf.errors import (DuplicateKmer, GenerationFailure, InvalidBase,
                            LengthOutOfRange, MalformedFasta, StringShorterThanK)
 from lpmphf.kmers import decode_bases
@@ -56,6 +57,107 @@ def test_malformed_fasta(tmp_path):
         load_spss(write(tmp_path, ">a\n>b\nACGT\n"), k=2)
     with pytest.raises(MalformedFasta):
         load_spss(write(tmp_path, ""), k=2)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("\n\nACGT\n>a\nACGT\n", "sequence before first '>' at line 3"),
+    ("  \n>a\nACGT\n", "sequence before first '>' at line 1"),
+    (">a\nAC\n\n>b\n\n>c\nAC\n", "record 1 (header at line 4) has no sequence"),
+    (">a\r\nAC\r\n\r\n>b\r\n>c\r\nAC\r\n", "record 1 (header at line 4)"),
+    (">a\nAC\n>b\n", "record 1 (header at line 3) has no sequence"),
+    (">a\nAC\n>b", "record 1 (header at line 3) has no sequence")])
+def test_malformed_fasta_says_where(tmp_path, text, where):
+    with pytest.raises(MalformedFasta, match=re.escape(where)):
+        load_spss(write(tmp_path, text), k=2)
+
+
+@pytest.mark.parametrize("data", [b"", b"\n\r\n\n"])
+@pytest.mark.parametrize("fmt", ["fasta", "lines"])
+def test_a_file_of_no_record_reads_as_none(tmp_path, data, fmt):
+    p = tmp_path / "empty.fa"
+    p.write_bytes(data)
+    assert read_records(p, fmt) == []
+    with pytest.raises(MalformedFasta, match="an SPSS needs at least one string"):
+        load_spss(p, k=2, fmt=fmt)
+
+
+@pytest.mark.parametrize("data, where", [
+    (b">a\nACGT\n>b\nAC\xc3\xa9GT\n", r"'\\xc3' at position 2 of record 1"),
+    (b">a\nACGT\n>b\nACGT\nAN\n", "'N' at position 5 of record 1"),
+    (b">a\nAC GT\n", "' ' at position 2 of record 0"),
+    (b">a\nACGT\n   \nAC\n", "' ' at position 4 of record 0")])
+def test_invalid_base_names_its_record(tmp_path, data, where):
+    p = tmp_path / "bad.fa"
+    p.write_bytes(data)
+    with pytest.raises(InvalidBase, match=where):
+        load_spss(p, k=2)
+
+
+def test_strings_are_encoded_in_one_call_naming_the_record():
+    assert spss_from_strings([b"ACGT", "tt"], k=2).strings == ["ACGT", "TT"]
+    assert spss_from_strings((s for s in ["ACG", "TT"]), k=2).strings == [
+        "ACG", "TT"]   # any iterable, read once
+    with pytest.raises(InvalidBase, match="'\\?' at position 1 of record 2"):
+        spss_from_strings(["ACGT", "GG", "A\u00e9C"], k=2)
+
+
+def test_headers_are_not_decoded(tmp_path):
+    p = tmp_path / "h.fa"
+    p.write_bytes(b">\xc3\xa9 \xff\nACGT\n")
+    assert load_spss(p, k=2).strings == ["ACGT"]
+
+
+def test_lines_format_blank_lines_and_line_ends(tmp_path):
+    p = tmp_path / "in.txt"
+    p.write_bytes(b"\nACGT\r\n\nttgg\rGGCA\n")
+    assert load_spss(p, k=2, fmt="lines").strings == ["ACGT", "TTGG", "GGCA"]
+    p.write_bytes(b"ACGT\n  \nTTGG\n")   # a line of spaces is not blank
+    with pytest.raises(InvalidBase, match="position 0 of record 1"):
+        load_spss(p, k=2, fmt="lines")
+
+
+def test_unknown_format_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown input format"):
+        read_records(write(tmp_path, ">a\nACGT\n"), fmt="fastq")
+
+
+record_strategy = st.lists(st.text(alphabet="ACGTacgt", min_size=1, max_size=200),
+                           min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=record_strategy, width=st.integers(1, 90), crlf=st.booleans(),
+       blank=st.booleans())
+def test_fasta_round_trip_property(tmp_path_factory, records, width, crlf, blank):
+    """Hand-written FASTA (any line width, CRLF, lowercase, blank lines),
+    `write_fasta` of it and the strings themselves give the same codes."""
+    end = "\r\n" if crlf else "\n"
+    lines = []
+    for i, r in enumerate(records):
+        lines.append(f">r{i} some header")
+        lines += [r[j:j + width] for j in range(0, len(r), width)]
+        if blank:
+            lines.append("")
+    d = tmp_path_factory.mktemp("rt")
+    (d / "in.fa").write_bytes((end.join(lines) + end).encode())
+    (d / "in.txt").write_bytes((end + end.join(records)).encode())
+    want = spss_from_strings(records, k=1)
+    loaded = load_spss(d / "in.fa", k=1)
+    write_fasta(loaded, d / "out.fa")
+    again = load_spss(d / "out.fa", k=1)
+    for got in (loaded, again, load_spss(d / "in.txt", k=1, fmt="lines")):
+        assert [c.tolist() for c in got.codes] == [c.tolist() for c in want.codes]
+    assert want.strings == [r.upper() for r in records]
+    out = (d / "out.fa").read_bytes().split(b"\n")
+    assert max(map(len, out)) <= 80 and out[-1] == b""
+
+
+def test_write_fasta_writes_80_columns(tmp_path):
+    spss = spss_from_strings(["A" * 170, "C" * 80], k=1)
+    write_fasta(spss, tmp_path / "o.fa")
+    assert (tmp_path / "o.fa").read_bytes() == (
+        b">record_0\n" + b"A" * 80 + b"\n" + b"A" * 80 + b"\nAAAAAAAAAA\n"
+        b">record_1\n" + b"C" * 80 + b"\n")
 
 
 def test_string_shorter_than_k(tmp_path):

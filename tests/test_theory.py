@@ -1,13 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lpmphf import (MinimizerScheme, TheoryParams, build_basic,
                     build_partitioned, density, generate_spss, space_bound_basic,
                     space_bound_partitioned, spss_from_strings, stats,
                     type_probabilities)
-from lpmphf.errors import InputMismatch
+from lpmphf.errors import InputMismatch, LengthOutOfRange
 
 from conftest import find_single_superkmer
 
@@ -20,8 +21,17 @@ def test_density_values():
 
 
 def test_density_rejects_bad_w():
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthOutOfRange):
         density(0)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 3.0, "3", None])
+def test_window_calculators_take_integers_from_1_only(bad):
+    for calc in (density, type_probabilities):
+        with pytest.raises(LengthOutOfRange):
+            calc(bad)
+    assert density(np.int64(11)) == density(11)
+    assert type_probabilities(np.uint8(11)) == type_probabilities(11)
 
 
 def test_type_probabilities_table_values():
@@ -97,10 +107,24 @@ def test_fallback_addon():
 
 
 def test_theory_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthOutOfRange):
         TheoryParams(k=31, m=21, b=1.4)   # below log2(e)
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthOutOfRange):
         TheoryParams(k=10, m=12)
+
+
+@pytest.mark.parametrize("kw", [dict(k=31.5, m=15), dict(k=31, m=15.0),
+                                dict(k=0, m=0), dict(k=31, m=15, b=float("nan"))])
+def test_theory_params_out_of_range_are_typed(kw):
+    with pytest.raises(LengthOutOfRange):
+        TheoryParams(**kw)
+
+
+def test_theory_params_take_numpy_integers():
+    params = TheoryParams(k=np.int64(31), m=np.uint8(15))
+    assert params.w == 17
+    assert space_bound_basic(10, params) == space_bound_basic(
+        10, TheoryParams(k=31, m=15))
 
 
 # --- stats -----------------------------------------------------------------------

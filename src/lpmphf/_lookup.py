@@ -10,8 +10,8 @@ import numpy as np
 
 from ._build import expand_ranges
 from .errors import InvalidBase, KMismatch, QueryShorterThanK
-from .kmers import (Kmer, bounded_ints, encode_bases, int_in, kmer_words_at,
-                    mix64_inplace, seed_key)
+from .kmers import (Kmer, bounded_ints, encode_bases, hash_mmer_array, int_in,
+                    kmer_words_at)
 from .minimizers import SuperKmerScan, scan_string
 
 _U64 = np.uint64
@@ -23,7 +23,7 @@ def kmer_minimizers(hi, lo, scheme):
     """Minimizer value and 1-based position for each packed k-mer.
 
     Works in blocks of _BLOCK_ROWS k-mers, small enough to stay in cache:
-    the w m-mers of a block form one (rows x w) matrix, hashed in place, and
+    the w m-mers of a block form one (rows x w) matrix, hashed at once, and
     each row's argmin is its first minimum, the leftmost on ties, matching
     the build-time scan.
     """
@@ -31,7 +31,7 @@ def kmer_minimizers(hi, lo, scheme):
     shifts = (2 * (k - m - np.arange(w))).astype(_U64)  # of m-mer j, from bit 0
     n_hi = max(0, k - m - 31)  # leading columns that lie wholly in hi
     hi_shifts, lo_shifts = shifts[:n_hi] - _U64(64), shifts[n_hi:]
-    mask, key = _U64((1 << (2 * m)) - 1), _U64(seed_key(scheme.seed))
+    mask = _U64((1 << (2 * m)) - 1)
     vals, pos = np.empty(hi.size, dtype=_U64), np.empty(hi.size, dtype=np.int64)
     for a in range(0, hi.size, _BLOCK_ROWS):
         rows = slice(a, a + _BLOCK_ROWS)
@@ -42,7 +42,7 @@ def kmer_minimizers(hi, lo, scheme):
             # (hi << 1) << (63 - s) is hi << (64 - s) for s > 0, and 0 for s = 0
             v[:, n_hi:] |= (hi[rows, None] << _U64(1)) << (_U64(63) - lo_shifts)
         v &= mask
-        arg = mix64_inplace(v ^ key).argmin(axis=1)
+        arg = hash_mmer_array(v, scheme.seed).argmin(axis=1)
         vals[rows] = np.take_along_axis(v, arg[:, None], 1)[:, 0]
         pos[rows] = arg + 1
     return vals, pos

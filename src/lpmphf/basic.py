@@ -158,7 +158,8 @@ class LpMphfBasic(LpMphf):
     def __init__(self, *args, **sections):
         super().__init__(*args, **sections)
         m = self.num_minimizers
-        if (len(self.L), len(self.P)) != (m + 1, m) or \
+        if (len(self.L), len(self.P), self.P.width) != (
+                m + 1, m, self.scheme.w.bit_length()) or \
                 self.L.last() != self.n_unambiguous:
             raise CorruptFile("slot arrays disagree with the minimizer and "
                               "k-mer counts")

@@ -13,10 +13,10 @@ import numpy as np
 
 from .basic import LpMphfBasic, epsilon_of_values
 from .errors import KMismatch, LpmphfError, QueryShorterThanK
-from .kmers import MAX_K, MAX_M, kmer_words
+from .kmers import MAX_K, MAX_M
 from .minimizers import MinimizerScheme, default_minimizer_length, scan_spss
 from .partitioned import LpMphfPartitioned
-from .spss import generate_spss, load_spss, read_records, write_fasta
+from .spss import SpssInput, generate_spss, load_spss, read_records, write_fasta
 from .storage import load_structure, save_structure
 from .theory import (LOG2_E, TheoryParams, density, space_bound_basic,
                      space_bound_partitioned, stats, type_probabilities)
@@ -114,23 +114,8 @@ def _cmd_build(args):
     f = cls.build(spss, scheme, scan=scan)
     save_structure(f, args.output)
     elapsed = time.perf_counter() - t0
-
-    rep = stats(spss, f, scan=scan)
-    predicted = (rep.predicted_bits_basic if args.variant == "basic"
-                 else rep.predicted_bits_partitioned)
-    print(f"variant            {f.variant}")
-    print(f"k / m / w          {args.k} / {m} / {scheme.w}")
-    print(f"n (k-mers)         {f.n}")
-    print(f"minimizers         {f.num_minimizers}")
-    print(f"xi (ambiguous)     {rep.xi:.6f}")
-    print(f"type counts        lr={f.type_counts[0]} l={f.type_counts[1]} "
-          f"r={f.type_counts[2]} n={f.type_counts[3]}"
-          if f.variant == "partitioned" else
-          "type counts        (basic layout, untyped)")
-    print(f"bits/k-mer         {rep.bits_per_kmer:.4f}")
-    print(f"predicted bits     {predicted:.4f}")
-    print(f"epsilon            {rep.epsilon:.6f}")
-    print(f"build seconds      {elapsed:.2f}")
+    sys.stdout.write(stats(spss, f, scan=scan).to_tsv()
+                     + f"build_seconds\t{elapsed:.6g}\n")
     return 0
 
 
@@ -148,9 +133,8 @@ def _cmd_query(args):
     try:
         t0 = time.perf_counter()
         if args.random:
-            words = [kmer_words(c, f.scheme.k) for c in records]
-            hi = np.concatenate([w[0] for w in words]) if words else np.empty(0, np.uint64)
-            lo = np.concatenate([w[1] for w in words]) if words else np.empty(0, np.uint64)
+            hi, lo = (SpssInput(f.scheme.k, records).kmer_word_arrays() if records
+                      else (np.empty(0, np.uint64),) * 2)
             rng = np.random.default_rng(args.seed)
             perm = rng.permutation(hi.size)
             results = [f.lookup_words(hi[perm], lo[perm], checked=args.checked)]

@@ -12,6 +12,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import InvalidBase, KMismatch, LengthOutOfRange
 
 __all__ = [
     "MAX_K", "MAX_M", "BASES",
-    "encode_bases", "decode_bases", "Kmer",
+    "encode_records", "encode_bases", "decode_bases", "Kmer",
     "mix64", "mix64_inplace", "seed_key", "hash_mmer_array", "hash_words_array",
     "packed_windows", "kmer_words", "kmer_words_at", "repeats",
 ]
@@ -44,20 +45,30 @@ for _i, _b in enumerate(BASES):
 _BASE_TABLE = BASES.encode().ljust(256, b"\xff")
 
 
-def encode_bases(s, ends=None):
-    """Encode a DNA string (str or bytes) into a uint8 code array. With
-    `ends`, the ascending end offsets of the records joined in s, an
-    invalid base is named by its record and its offset in that record."""
-    if isinstance(s, str):
-        s = s.encode("ascii", errors="replace")
-    codes = bytearray(s).translate(_CODE_TABLE)   # a writable copy
-    i = where = codes.find(255)
+def encode_records(seqs):
+    """Code arrays of DNA strings (str or bytes): views cut from one
+    translate of their join. A str's non-ASCII character joins as the
+    invalid byte '?'; an invalid base is named as its record holds it, with
+    the record and its offset there."""
+    seqs = list(seqs)
+    ends = list(accumulate(map(len, seqs)))
+    raw = b"".join([s.encode("ascii", errors="replace") if isinstance(s, str)
+                    else s for s in seqs])
+    codes = bytearray(raw).translate(_CODE_TABLE)   # a writable copy
+    i = codes.find(255)
     if i >= 0:
-        if ends is not None:
-            r = bisect_right(ends, i)
-            where = f"{i - (ends[r - 1] if r else 0)} of record {r}"
-        raise InvalidBase(f"invalid base {ascii(chr(s[i]))} at position {where}")
-    return np.frombuffer(codes, dtype=np.uint8)
+        r = bisect_right(ends, i)
+        j = i - (ends[r - 1] if r else 0)
+        c = seqs[r][j]   # a str's character, or a byte
+        c = c if isinstance(c, str) else chr(c)
+        raise InvalidBase(f"invalid base {ascii(c)} at position {j} of record {r}")
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    return [codes[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def encode_bases(s):
+    """Encode one DNA string (str or bytes) into a uint8 code array."""
+    return encode_records([s])[0]
 
 
 def decode_bases(codes):
@@ -128,20 +139,22 @@ def seed_key(seed):
 
 
 def hash_mmer_array(mmers, seed):
-    """Hash of packed m-mers (m <= 32): mix64(x ^ seed_key(seed)) elementwise."""
-    x = np.array(mmers, dtype=_U64)   # a new array, widened in the same pass
-    x ^= _U64(seed_key(seed))
-    return mix64_inplace(x)
+    """Hash of packed m-mers (m <= 32): mix64(x ^ seed_key(seed)) elementwise,
+    into a new uint64 array (the xor widens uint32 m-mers)."""
+    return mix64_inplace(mmers ^ _U64(seed_key(seed)))
 
 
-def hash_words_array(hi, lo, seed):
-    """64-bit hash of two-word packed keys (used for k-mers, k > 32 allowed)."""
-    x = mix64_inplace(np.asarray(lo, dtype=_U64) ^ _U64(seed_key(seed)))
+def hash_words(hi, lo, key):
+    """64-bit hash of a two-word packed key (k-mers, k > 32 allowed) under
+    the pre-mixed `key`, a `seed_key` value."""
+    return mix64(mix64(lo ^ key) ^ hi)
+
+
+def hash_words_array(hi, lo, key):
+    """`hash_words` over key word arrays; a (levels, 1) column of `key`s
+    gives one row of hashes per key."""
+    x = mix64_inplace(np.asarray(lo, dtype=_U64) ^ key)
     return mix64_inplace(np.bitwise_xor(x, hi, out=x))
-
-
-def hash_words(hi, lo, seed):
-    return mix64(mix64(lo ^ seed_key(seed)) ^ hi)
 
 
 # --- bulk packing over code arrays -------------------------------------------

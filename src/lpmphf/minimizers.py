@@ -96,11 +96,8 @@ class MinimizerScheme:
 def default_minimizer_length(k, total_length):
     """Default m: max of ceil(log4(N)) and the density-condition threshold."""
     m_n = max(1, math.ceil(math.log(max(total_length, 4), 4)))
-    m_d = 1
-    for m in range(1, k + 1):
-        if m > 3 * math.log(k - m + 2, 4):
-            m_d = m
-            break
+    m_d = next((m for m in range(1, min(k, MAX_M) + 1)
+                if MinimizerScheme(k, m).density_condition_ok()), 1)
     return min(max(m_n, m_d), k, MAX_M)
 
 

@@ -33,8 +33,7 @@ import numpy as np
 from ._binio import Writer
 from .errors import (CorruptFile, DuplicateKey, EmptyFunction, LengthOutOfRange,
                      LpmphfError)
-from .kmers import (hash_words, hash_words_array, mix64, mix64_inplace,
-                    repeats, seed_key)
+from .kmers import hash_words, hash_words_array, mix64, repeats, seed_key
 from .succinct import RankBitvector, _Serialized
 
 __all__ = ["GeneralMphf", "DEFAULT_GAMMA", "MAX_LEVELS"]
@@ -48,7 +47,8 @@ _CHUNK = 1 << 15   # keys hashed at a time in a build level
 
 
 def _level_seed(seed, level):
-    return mix64(seed + (level + 1) * _LEVEL_SALT)
+    """The pre-mixed key (a `seed_key`) that level `level` hashes under."""
+    return seed_key(mix64(seed + (level + 1) * _LEVEL_SALT))
 
 
 def _as_key_arrays(lo, hi):
@@ -80,7 +80,7 @@ class GeneralMphf(_Serialized):
         array and as Python rows; built on the first evaluation so that
         loading mixes no seeds."""
         sizes = self._sizes
-        keys = [seed_key(_level_seed(self.seed, i)) for i in range(len(sizes))]
+        keys = [_level_seed(self.seed, i) for i in range(len(sizes))]
         levels = np.array([keys, sizes, np.cumsum([0] + sizes[:-1])], dtype=_U64)
         return levels, levels.T.tolist()
 
@@ -134,11 +134,10 @@ class GeneralMphf(_Serialized):
         hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
         bits, (_, rows) = self._bits, self._view
         for level_key, size, start in rows:
-            pos = start + mix64(mix64(lo ^ level_key) ^ hi) % size
-            hit, rank = bits.probe(pos)
+            hit, rank = bits.probe(start + hash_words(hi, lo, level_key) % size)
             if hit:
                 return rank
-        return hash_words(hi, lo, self.seed) % self.n_keys
+        return hash_words(hi, lo, seed_key(self.seed)) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):
         """Vector evaluate over uint64 key arrays, in grouped level passes."""
@@ -152,7 +151,7 @@ class GeneralMphf(_Serialized):
         while pending.size and levels.size:   # levels: those not probed yet
             level_key, size, start = levels[:, :max(1, _GROUP // pending.size), None]
             levels = levels[:, size.size:]
-            h = mix64_inplace(mix64_inplace(cur_lo ^ level_key) ^ cur_hi)
+            h = hash_words_array(cur_hi, cur_lo, level_key)
             hit, rank = bits.probe_many((h % size + start).view(np.int64))
             if size.size == 1:
                 hit, rank = hit[0], rank[0]
@@ -163,7 +162,7 @@ class GeneralMphf(_Serialized):
             pending = pending[~hit]
             cur_hi, cur_lo = hi[pending], lo[pending]
         if pending.size:
-            out[pending] = (hash_words_array(cur_hi, cur_lo, self.seed)
+            out[pending] = (hash_words_array(cur_hi, cur_lo, seed_key(self.seed))
                             % _U64(self.n_keys)).astype(np.int64)
         return out
 

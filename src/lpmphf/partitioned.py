@@ -26,14 +26,14 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._binio import Reader, Writer
+from ._binio import Writer
 # The six F401 names are unused here; bench/tracing.py wraps them here too.
 from ._build import assemble_slots, build_fallback  # noqa: F401
 from ._lookup import finish_lookup, kmer_minimizers, stream_plan  # noqa: F401
 from .basic import LpMphf
 from .errors import CorruptFile
 from .minimizers import scan_spss  # noqa: F401
-from .succinct import EliasFanoSeq, IntVector, TypeSequence
+from .succinct import EliasFanoSeq, IntVector, TypeSequence, _Serialized
 
 __all__ = ["FlType", "LpMphfPartitioned", "build_partitioned"]
 
@@ -51,7 +51,7 @@ def _classify_arrays(sizes, p1, w):
     return (((last > 1).astype(np.int64) << 1) | (p1 < w)).astype(np.uint8)
 
 
-class TypeCounts(tuple):
+class TypeCounts(_Serialized, tuple):
     """(n_lr, n_l, n_r, n_n) unambiguous super-k-mers per type, serialized
     as four u64."""
 
@@ -62,11 +62,8 @@ class TypeCounts(tuple):
         return w.getvalue()
 
     @classmethod
-    def from_bytes(cls, buf):
-        r = Reader(buf)
-        out = cls(r.u64() for _ in range(4))
-        r.done()
-        return out
+    def read_from(cls, r):
+        return cls(r.u64() for _ in range(4))
 
 
 class LpMphfPartitioned(LpMphf):
@@ -83,6 +80,7 @@ class LpMphfPartitioned(LpMphf):
         per_type = [n_lr] + [ef.length - 1 for ef in efs]
         if (R.length != self.num_minimizers or (n_l, n_n, n_n) != (
                 per_type[1], per_type[3], len(self.P_n)) or
+                self.P_n.width != self.scheme.w.bit_length() or
                 R.counts != per_type):
             raise CorruptFile("type counts disagree with the slot layout")
         self.K_lr, self.K_l, self.K_r, self.K_n = K = [n_lr * self.scheme.w] + [

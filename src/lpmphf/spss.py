@@ -7,14 +7,13 @@ structure over the set raises DuplicateKmer on a repeated k-mer.
 """
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import (GenerationFailure, InvalidBase, MalformedFasta,
                      StringShorterThanK)
-from .kmers import (MAX_K, bounded_ints, decode_bases, encode_bases, int_in,
-                    kmer_words, repeats)
+from .kmers import (_BASE_TABLE, MAX_K, bounded_ints, decode_bases,
+                    encode_records, int_in, kmer_words, repeats)
 
 __all__ = ["SpssInput", "load_spss", "read_records", "spss_from_strings",
            "generate_spss", "write_fasta"]
@@ -94,17 +93,7 @@ class SpssInput:
 
 def spss_from_strings(strings, k):
     """Build an SpssInput from in-memory DNA strings (str or bytes)."""
-    return SpssInput(k=k, codes=_encode_records(strings))
-
-
-def _encode_records(seqs):
-    """Code arrays of DNA strings: views cut from one encode_bases call over
-    their join, which names the record of an invalid base."""
-    seqs = [s.encode("ascii", errors="replace") if isinstance(s, str) else s
-            for s in seqs]
-    ends = list(accumulate(map(len, seqs)))
-    codes = encode_bases(b"".join(seqs), ends)
-    return [codes[a:b] for a, b in zip([0] + ends, ends)]
+    return SpssInput(k=k, codes=encode_records(strings))
 
 
 def read_records(path, fmt="fasta"):
@@ -122,7 +111,7 @@ def read_records(path, fmt="fasta"):
     if b"\r" in text:   # \r\n or a lone \r ends a line, as in text mode
         text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if fmt == "lines":
-        return _encode_records([line for line in text.split(b"\n") if line])
+        return encode_records([line for line in text.split(b"\n") if line])
     if fmt != "fasta":
         raise ValueError(f"unknown input format {fmt!r}")
     before, *records = (b"\n" + text).split(b"\n>")
@@ -134,7 +123,7 @@ def read_records(path, fmt="fasta"):
         i = seqs.index(b"")
         line = b"\n>".join([before, *records[:i]]).count(b"\n") + 1
         raise MalformedFasta(f"record {i} (header at line {line}) has no sequence")
-    return _encode_records(seqs)
+    return encode_records(seqs)
 
 
 def load_spss(path, k, fmt="fasta"):
@@ -144,8 +133,9 @@ def load_spss(path, k, fmt="fasta"):
 
 def write_fasta(spss, path):
     """Write the SPSS records as FASTA: header `>record_{i}`, then the bases
-    80 to a line."""
-    text, end = decode_bases(spss.joined_codes).encode("ascii"), 0
+    80 to a line, translated straight from the codes (in [0, 3] by
+    SpssInput's check)."""
+    text, end = spss.joined_codes.tobytes().translate(_BASE_TABLE), 0
     with open(path, "wb") as fh:
         for i, c in enumerate(spss.codes):
             start, end = end, end + len(c)

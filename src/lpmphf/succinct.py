@@ -239,8 +239,6 @@ class IntVector(_Serialized):
     def get(self, i):
         if not 0 <= i < self.length:
             raise IndexOutOfRange(f"index {i} outside [0, {self.length})")
-        if self.width == 0:
-            return 0
         off = i * self.width
         sh = off & 63
         val = self._words.item(off >> 6) >> sh
@@ -270,6 +268,8 @@ class IntVector(_Serialized):
     def read_from(cls, r):
         length = r.u64()
         width = r.u64()
+        if width > 64:
+            raise CorruptFile(f"integer vector width {width} above 64")
         ndata = (length * width + 63) // 64
         return cls(length, width, words=r.array(_U64, ndata))
 

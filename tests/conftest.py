@@ -11,6 +11,7 @@ from lpmphf import (EliasFanoSeq, MinimizerScheme, SpssInput, build_basic,
                     build_partitioned, generate_spss)
 from lpmphf.kmers import encode_bases
 from lpmphf.minimizers import scan_string
+from lpmphf.succinct import IntVector
 
 from oracles import random_dna
 
@@ -166,7 +167,8 @@ def layout_patches(blob, f):
     each as nbits and words; b2 holds the low symbol bits of R's symbols 0
     and 1 (its first count0 bits), then of 2 and 3. type_counts is four
     u64; P_n is length, width and words. The header holds n at 24 and
-    n_unambiguous at 40.
+    n_unambiguous at 40. One copy replaces the P_n section by P_n's values
+    one bit wider, which changes the section's length.
     """
     r = blob.find(f.R.to_bytes())
     counts = blob.find(f.type_counts.to_bytes())
@@ -195,24 +197,39 @@ def layout_patches(blob, f):
     yield "type_counts.n_lr + 2^60", _add(blob, [(counts, 1 << 60)])
     yield "P_n.length", _add(blob, [(p_n, p_delta)])
     yield "n and n_unambiguous", _add(blob, [(24, 1), (40, 1)])
+    yield "P_n.width", _replace_section(blob, f.P_n, _wider(f.P_n))
+
+
+def _wider(iv):
+    """The values of the IntVector `iv`, stored one bit wider."""
+    return IntVector.from_values(iv.get_many(np.arange(len(iv))), iv.width + 1)
+
+
+def _replace_section(blob, old, new):
+    """`blob` with the section whose payload is `old.to_bytes()` replaced by
+    `new.to_bytes()`, reframed, checksums recomputed."""
+    old, new = old.to_bytes(), new.to_bytes()
+    at = blob.find(old)
+    assert at >= 0 and blob[at - FRAME_BYTES:at - 4] == len(old).to_bytes(8, "little")
+    frame = len(new).to_bytes(8, "little") + bytes(4)
+    return reseal(blob[:at - FRAME_BYTES] + frame + new + blob[at + len(old):])
 
 
 def basic_layout_patches(blob, f):
     """Copies of `blob`, the file of the basic structure `f`, whose L or P
-    disagrees with |M| or n_unambiguous, as (name, bytes) pairs, checksums
+    disagrees with |M|, n_unambiguous or w, as (name, bytes) pairs, checksums
     recomputed: P one element shorter or longer with the same word count,
-    and L's section replaced by a well-formed Elias-Fano sequence that is
-    one element short, or whose last prefix sum is one less."""
+    L's section replaced by a well-formed Elias-Fano sequence that is one
+    element short, or whose last prefix sum is one less, and P's section by
+    P's values one bit wider."""
     p = blob.find(f.P.to_bytes())
-    old = f.L.to_bytes()
-    at = blob.find(old)
-    assert min(p, at) >= 0
+    assert p >= 0
     words = (len(f.P) * f.P.width + 63) // 64
     p_delta = -1 if ((len(f.P) - 1) * f.P.width + 63) // 64 == words else 1
     yield "P.length", _add(blob, [(p, p_delta)])
     prefix = f.L.access_many(np.arange(len(f.L)))
     for name, values in (("L.length", prefix[:-1]),
                          ("L last value", np.minimum(prefix, prefix[-1] - 1))):
-        new = EliasFanoSeq.from_values(values, universe=f.L.universe).to_bytes()
-        frame = len(new).to_bytes(8, "little") + bytes(4)
-        yield name, reseal(blob[:at - FRAME_BYTES] + frame + new + blob[at + len(old):])
+        new = EliasFanoSeq.from_values(values, universe=f.L.universe)
+        yield name, _replace_section(blob, f.L, new)
+    yield "P.width", _replace_section(blob, f.P, _wider(f.P))

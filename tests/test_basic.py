@@ -13,7 +13,7 @@ import pytest
 import lpmphf
 from lpmphf import (Kmer, MinimizerScheme, SpssInput, build_basic,
                     generate_spss, measure_epsilon, mphf, spss_from_strings)
-from lpmphf.errors import DefiniteMiss, KMismatch
+from lpmphf.errors import DefiniteMiss, InvalidBase, KMismatch
 from lpmphf.kmers import kmer_words
 from lpmphf.minimizers import MinimizerDensityWarning, scan_spss
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
@@ -36,6 +36,14 @@ def built(small_spss, scheme):
 
 def stream_all(f, spss):
     return np.concatenate([f.stream_lookup(c) for c in spss.codes])
+
+
+def test_non_ascii_character_of_a_str_query_is_named(built, small_spss):
+    q = small_spss.strings[0]
+    for call, query, at in ((built.lookup, q[:30] + "\u00e9", 30),
+                            (built.stream_lookup, q[:33] + "\u00e9" + q[34:40], 33)):
+        with pytest.raises(InvalidBase, match=rf"base '\\xe9' at position {at} "):
+            call(query)
 
 
 @pytest.mark.parametrize("module", ["lpmphf"] + [

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from lpmphf import load_structure
+from lpmphf import load_spss, load_structure
 from lpmphf.cli import main
+from lpmphf.minimizers import default_minimizer_length
 
 from conftest import (basic_layout_patches, ef_header_patches, layout_patches,
                       mphf_header_patches)
@@ -36,18 +37,28 @@ def test_gen_spss_deterministic(tmp_path, capsys):
 
 
 def test_build_prints_report(workdir, capsys, tmp_path):
-    code, out, _ = run(capsys, "build", "-i", str(workdir / "in.fa"),
-                       "-o", str(tmp_path / "g.lph"), "-k", "31", "-m", "15",
-                       "--variant", "basic")
-    assert code == 0
-    assert "bits/k-mer" in out and "epsilon" in out and "n (k-mers)" in out
+    """build prints the stats TSV of what it built, then build_seconds."""
+    lph, spss = str(tmp_path / "g.lph"), str(workdir / "in.fa")
+    for variant in ("basic", "partitioned"):
+        code, out, _ = run(capsys, "build", "-i", spss, "-o", lph, "-k", "31",
+                           "-m", "15", "--variant", variant)
+        assert code == 0
+        code, tsv, _ = run(capsys, "stats", "-i", lph, "-s", spss)
+        assert code == 0 and f"variant\t{variant}\n" in tsv
+        report, last = out.rsplit("\n", 2)[:2]
+        assert report + "\n" == tsv
+        name, seconds = last.split("\t")
+        assert name == "build_seconds" and seconds == f"{float(seconds):.6g}"
 
 
 def test_build_default_m(workdir, capsys, tmp_path):
     code, out, _ = run(capsys, "build", "-i", str(workdir / "in.fa"),
                        "-o", str(tmp_path / "h.lph"), "-k", "31")
     assert code == 0
-    assert "k / m / w" in out
+    rows = dict(line.split("\t") for line in out.splitlines())
+    total = load_spss(workdir / "in.fa", 31).total_length
+    assert int(rows["m"]) == default_minimizer_length(31, total)
+    assert int(rows["w"]) == 32 - int(rows["m"])
 
 
 def test_build_deterministic_output_files(workdir, tmp_path, capsys):
@@ -74,6 +85,22 @@ def test_query_random_is_permutation(workdir, capsys):
     vals = np.array([int(v) for v in out.split()])
     assert np.array_equal(np.sort(vals), np.arange(vals.size))
     assert "mode=random" in err
+
+
+def test_query_random_values_on_a_multi_record_file(workdir, tmp_path, capsys):
+    """--random looks up the k-mers of every record, in input order,
+    shuffled by --seed."""
+    s = load_spss(workdir / "in.fa", 31).strings[0]
+    records = [s[:500], s[300:2000], s[1990:2021], s[5000:5100]]
+    q = tmp_path / "multi.fa"
+    q.write_text("".join(f">r{i}\n{r}\n" for i, r in enumerate(records)))
+    f = load_structure(workdir / "f.lph")
+    want = np.concatenate([f.stream_lookup(r) for r in records])
+    want = want[np.random.default_rng(4).permutation(want.size)]
+    code, out, _ = run(capsys, "query", "-i", str(workdir / "f.lph"),
+                       "-q", str(q), "--random", "--seed", "4")
+    assert code == 0
+    assert np.array_equal(np.array(out.split(), dtype=np.int64), want)
 
 
 def test_query_empty_file(workdir, tmp_path, capsys):

@@ -145,11 +145,19 @@ def test_vector_hash_matches_scalar():
     hv = hash_mmer_array(xs, seed=9)
     for i in range(0, 500, 37):
         assert int(hv[i]) == mix64(int(xs[i]) ^ seed_key(9))
-    his = rng.integers(0, 2 ** 63, size=100, dtype=np.uint64)
-    los = rng.integers(0, 2 ** 63, size=100, dtype=np.uint64)
-    hw = hash_words_array(his, los, seed=4)
-    for i in range(0, 100, 11):
-        assert int(hw[i]) == hash_words(int(his[i]), int(los[i]), 4)
+    his = rng.integers(0, 2 ** 64, size=100, dtype=np.uint64)
+    los = rng.integers(0, 2 ** 64, size=100, dtype=np.uint64)
+    key = seed_key(4)
+    hw = hash_words_array(his, los, key)
+    assert [int(h) for h in hw] == [
+        hash_words(hi, lo, key) for hi, lo in zip(his.tolist(), los.tolist())]
+    # a (levels, 1) column of keys, as the MPHF probes its levels: one row each
+    keys = np.array([seed_key(s) for s in range(5)], dtype=np.uint64)[:, None]
+    grid = hash_words_array(his, los, keys)
+    assert grid.shape == (5, 100)
+    for row, key in zip(grid, keys[:, 0].tolist()):
+        assert row.tolist() == [hash_words(hi, lo, key)
+                                for hi, lo in zip(his.tolist(), los.tolist())]
 
 
 # --- bulk packing ----------------------------------------------------------------

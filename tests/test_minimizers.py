@@ -375,6 +375,15 @@ def test_default_minimizer_length():
     assert 1 <= default_minimizer_length(5, 100) <= 5
 
 
+def test_default_m_is_the_first_m_meeting_the_density_condition():
+    # a total length of 1 asks for m >= 1 only: the density threshold decides
+    for k in range(1, 64):
+        m = default_minimizer_length(k, 1)
+        ok = [MinimizerScheme(k, j).density_condition_ok()
+              for j in range(1, min(k, 32) + 1)]
+        assert m == (ok.index(True) + 1 if True in ok else 1), k
+
+
 def _kmer_minimizer_cases():
     for k in (1, 2, 16, 31, 32, 33, 47, 48, 63):
         for m in sorted({min(k, m) for m in (1, 2, max(1, k // 3), 17, 32)}):

@@ -97,8 +97,10 @@ def test_strings_are_encoded_in_one_call_naming_the_record():
     assert spss_from_strings([b"ACGT", "tt"], k=2).strings == ["ACGT", "TT"]
     assert spss_from_strings((s for s in ["ACG", "TT"]), k=2).strings == [
         "ACG", "TT"]   # any iterable, read once
-    with pytest.raises(InvalidBase, match="'\\?' at position 1 of record 2"):
+    with pytest.raises(InvalidBase, match=r"'\\xe9' at position 1 of record 2"):
         spss_from_strings(["ACGT", "GG", "A\u00e9C"], k=2)
+    with pytest.raises(InvalidBase, match=r"'\\xc3' at position 2 of record 1"):
+        spss_from_strings(["ACGT", b"AC\xc3\xa9", "GG"], k=2)   # str and bytes
 
 
 def test_headers_are_not_decoded(tmp_path):

@@ -173,7 +173,7 @@ def test_partitioned_layout_checked_on_load(small_spss, tmp_path):
         path.write_bytes(patched)
         with pytest.raises(CorruptFile, match="type .* disagree"):
             load_structure(path)
-    assert len(names) == 12
+    assert len(names) == 13
 
 
 def test_basic_layout_checked_on_load(small_spss, tmp_path):
@@ -186,7 +186,7 @@ def test_basic_layout_checked_on_load(small_spss, tmp_path):
         path.write_bytes(patched)
         with pytest.raises(CorruptFile, match="slot arrays disagree"):
             load_structure(path)
-    assert names == ["P.length", "L.length", "L last value"]
+    assert names == ["P.length", "L.length", "L last value", "P.width"]
 
 
 @pytest.mark.parametrize("part", ["L_l", "L_r"])

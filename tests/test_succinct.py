@@ -367,6 +367,13 @@ def test_intvector_round_trip(width, rng):
                           iv.get_many(np.arange(1000)))
 
 
+def test_intvector_width_above_64_rejected_on_load():
+    blob = IntVector.from_values(np.arange(3), 5).to_bytes()
+    wide = blob[:8] + (65).to_bytes(8, "little") + bytes(8 * 4)   # 195 bits
+    with pytest.raises(CorruptFile, match="width 65 above 64"):
+        IntVector.from_bytes(wide)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 1000])
 def test_intvector_words_match_python_packer(n, rng):
     for width in range(65):

@@ -5,9 +5,11 @@ Extracts the parent commit and copies this checkout's tracked files, as they
 are in the working tree, into two temporary directories, as
 `scripts/bench_pairs.py` does. In each, one child process imports lpmphf
 from that tree's `src/` and builds both layouts on the two benchmark
-workloads (`bench/run.py`'s WORKLOADS and `cut_strings`, seed 7) and on two
+workloads (`bench/run.py`'s WORKLOADS and `cut_strings`, seed 7), on two
 k = 63 shapes: m = 12 cut into short strings, and m = 21 in one string of
-more than 2^15 windows, whose scan spans several blocks. Per shape and
+more than 2^15 windows, whose scan spans several blocks, and on two k = 33
+shapes cut into short strings, whose m-mers cross the boundary of the two
+64-bit words: m = 1 (one m-mer wholly in the high word) and m = 8. Per shape and
 layout it prints the SHA-256 of `to_bytes()`, of unchecked and checked
 stream values (every string, then a copy of it with about one base in 40
 substituted), of unchecked and checked values of a random batch (10^4
@@ -63,7 +65,11 @@ def tree_rows(tree):
     k63 = run.Workload("k63-m12", k=63, m=12, n=20_000, mean_string_kmers=70)
     k63_long = run.Workload("k63-m21-long", k=63, m=21, n=40_000,
                             mean_string_kmers=0)   # more than 2^15 windows
-    for wl in (*run.WORKLOADS.values(), k63, k63_long):
+    # k = 33, short strings: m = 1 puts the first m-mer wholly in the high
+    # word (shift 64) and the last at shift 0; from m = 2 the first straddles
+    k33 = [run.Workload(f"k33-m{m}", k=33, m=m, n=20_000, mean_string_kmers=70)
+           for m in (1, 8)]
+    for wl in (*run.WORKLOADS.values(), k63, k63_long, *k33):
         base = lp.generate_spss(wl.n + wl.k - 1, wl.k, seed=SEED)
         spss = lp.SpssInput(k=wl.k, codes=run.cut_strings(base.codes, wl, SEED))
         with tempfile.TemporaryDirectory() as tmp:

@@ -19,32 +19,45 @@ _BLOCK_ROWS = 1 << 10
 _SCALAR_RUNS = 13   # runs up to which one-at-a-time slot decode beats one vector pass
 
 
+def _bits_from(hi, lo, s):
+    """Bits s and up of the two words (hi, lo), 0 <= s < 64, as arrays that
+    broadcast: (hi << 1) << (63 - s) is hi << (64 - s) for s > 0, 0 at s = 0."""
+    return lo >> s | (hi << _U64(1)) << (_U64(63) - s)
+
+
 def kmer_minimizers(hi, lo, scheme):
     """Minimizer value and 1-based position for each packed k-mer.
 
     Works in blocks of _BLOCK_ROWS k-mers, small enough to stay in cache:
-    the w m-mers of a block form one (rows x w) matrix, hashed at once, and
-    each row's argmin is its first minimum, the leftmost on ties, matching
-    the build-time scan.
+    the w m-mers of a block form one (w x rows) matrix, hashed in place. A
+    column's first minimum, the leftmost on ties as in the build-time scan,
+    comes from reductions over whole rows (not one short argmin per k-mer),
+    and the minimizer is read back from the k-mer at that position.
     """
     k, m, w = scheme.k, scheme.m, scheme.w
     shifts = (2 * (k - m - np.arange(w))).astype(_U64)  # of m-mer j, from bit 0
-    n_hi = max(0, k - m - 31)  # leading columns that lie wholly in hi
-    hi_shifts, lo_shifts = shifts[:n_hi] - _U64(64), shifts[n_hi:]
+    col = shifts[:, None]
+    n_x, n_hi = max(0, k - 32), max(0, k - m - 31)  # m-mers that start in hi, end in hi
+    weights = np.arange(w, 0, -1, dtype=np.uint8)[:, None]   # w - j for m-mer j
     mask = _U64((1 << (2 * m)) - 1)
     vals, pos = np.empty(hi.size, dtype=_U64), np.empty(hi.size, dtype=np.int64)
     for a in range(0, hi.size, _BLOCK_ROWS):
         rows = slice(a, a + _BLOCK_ROWS)
-        v = np.empty((lo[rows].size, w), dtype=_U64)
-        v[:, n_hi:] = lo[rows, None] >> lo_shifts
-        if k > 32:
-            v[:, :n_hi] = hi[rows, None] >> hi_shifts
-            # (hi << 1) << (63 - s) is hi << (64 - s) for s > 0, and 0 for s = 0
-            v[:, n_hi:] |= (hi[rows, None] << _U64(1)) << (_U64(63) - lo_shifts)
+        h, l = hi[rows], lo[rows]
+        v = l >> col
+        if k > 32:   # the first n_x rows reach into hi
+            v[:n_hi] = h >> (col[:n_hi] - _U64(64))
+            v[n_hi:n_x] = _bits_from(h, l, col[n_hi:n_x])
         v &= mask
-        arg = hash_mmer_array(v, scheme.seed).argmin(axis=1)
-        vals[rows] = np.take_along_axis(v, arg[:, None], 1)[:, 0]
+        hash_mmer_array(v, scheme.seed, out=v)
+        first = (v == v.min(axis=0)).view(np.uint8)
+        first *= weights
+        arg = w - first.max(axis=0).astype(np.int64)   # the leftmost minimum
+        s = shifts[arg]   # an m-mer wholly in hi starts at bit s - 64 of it
+        vals[rows] = (np.where(arg < n_hi, h >> (s - _U64(64)), _bits_from(h, l, s))
+                      if k > 32 else l >> s)
         pos[rows] = arg + 1
+    vals &= mask
     return vals, pos
 
 

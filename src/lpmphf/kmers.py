@@ -138,10 +138,10 @@ def seed_key(seed):
     return mix64(seed ^ _SEED_SALT)
 
 
-def hash_mmer_array(mmers, seed):
+def hash_mmer_array(mmers, seed, out=None):
     """Hash of packed m-mers (m <= 32): mix64(x ^ seed_key(seed)) elementwise,
-    into a new uint64 array (the xor widens uint32 m-mers)."""
-    return mix64_inplace(mmers ^ _U64(seed_key(seed)))
+    into `out` (which may be `mmers`) or a new uint64 array (uint32 m-mers widen)."""
+    return mix64_inplace(np.bitwise_xor(mmers, _U64(seed_key(seed)), out=out))
 
 
 def hash_words(hi, lo, key):
@@ -151,10 +151,11 @@ def hash_words(hi, lo, key):
 
 
 def hash_words_array(hi, lo, key):
-    """`hash_words` over key word arrays; a (levels, 1) column of `key`s
-    gives one row of hashes per key."""
+    """`hash_words` over key word arrays, hi None for one-word keys (the
+    hash of hi = 0, with no xor); a (levels, 1) column of `key`s gives one
+    row of hashes per key."""
     x = mix64_inplace(np.asarray(lo, dtype=_U64) ^ key)
-    return mix64_inplace(np.bitwise_xor(x, hi, out=x))
+    return mix64_inplace(x if hi is None else np.bitwise_xor(x, hi, out=x))
 
 
 # --- bulk packing over code arrays -------------------------------------------

@@ -16,9 +16,11 @@ Evaluation reads the levels, one after another, as one rank bitvector. A
 key's value is the rank of the first set bit it hits, which makes the
 function minimal; a key that hits none gets `hash_words % n_keys`. The
 vector path probes its pending keys against max(1, _GROUP // pending)
-levels per 2-D pass, so a short batch crosses every level at once.
+levels per 2-D pass, so a short batch crosses every level at once; the
+first pass's ranks are the output, and later passes scatter their hits.
 
-Keys are (hi, lo) uint64 pairs; plain 64-bit keys pass hi=0.
+Keys are (hi, lo) uint64 pairs. Plain 64-bit keys pass no hi, and the
+vector evaluation hashes them as one word, with the values of hi = 0.
 
 Serialized as n_keys, seed, gamma, the level count (a u32), then each
 level's bit count and words. Loading reads the levels into one bitvector,
@@ -51,14 +53,12 @@ def _level_seed(seed, level):
     return seed_key(mix64(seed + (level + 1) * _LEVEL_SALT))
 
 
-def _as_key_arrays(lo, hi):
+def _as_key_arrays(lo, hi):   # hi stays None for one-word keys
     lo = np.ascontiguousarray(lo, dtype=_U64)
-    if hi is None:
-        hi = np.zeros(lo.size, dtype=_U64)
-    else:
+    if hi is not None:
         hi = np.ascontiguousarray(hi, dtype=_U64)
-    if hi.size != lo.size:
-        raise LengthOutOfRange(f"hi has {hi.size} keys, lo {lo.size}: not equal")
+        if hi.size != lo.size:
+            raise LengthOutOfRange(f"hi has {hi.size} keys, lo {lo.size}: not equal")
     return hi, lo
 
 
@@ -90,6 +90,7 @@ class GeneralMphf(_Serialized):
     def build(cls, lo, hi=None, seed=0, gamma=DEFAULT_GAMMA, out=None):
         """Build over distinct uint64 keys (hi optional); `out` gets their values."""
         hi, lo = _as_key_arrays(lo, hi)
+        hi = np.zeros(lo.size, dtype=_U64) if hi is None else hi   # two words (ROADMAP L)
         sizes, levels, order, placed = [], [], [], []   # per level (last two: `out`)
         idx = np.arange(lo.size)   # the keys no level has placed yet
         while idx.size:
@@ -145,7 +146,7 @@ class GeneralMphf(_Serialized):
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = _as_key_arrays(lo, hi)
         bits, (levels, _) = self._bits, self._view
-        out = np.empty(lo.size, dtype=np.int64)
+        out = np.empty(0, dtype=np.int64)   # the first pass's ranks replace it
         pending = np.arange(lo.size)   # the keys no level has placed yet
         cur_hi, cur_lo = hi, lo        # their words
         while pending.size and levels.size:   # levels: those not probed yet
@@ -158,9 +159,12 @@ class GeneralMphf(_Serialized):
             else:   # (levels, keys): a key's first set bit ranks lowest
                 rank = np.where(hit, rank, self.n_keys).min(axis=0)
                 hit = rank < self.n_keys
-            out[pending[hit]] = rank[hit]
+            if out.size:   # later passes scatter their hits
+                out[pending[hit]] = rank[hit]
+            else:
+                out = rank
             pending = pending[~hit]
-            cur_hi, cur_lo = hi[pending], lo[pending]
+            cur_hi, cur_lo = hi if hi is None else hi[pending], lo[pending]
         if pending.size:
             out[pending] = (hash_words_array(cur_hi, cur_lo, seed_key(self.seed))
                             % _U64(self.n_keys)).astype(np.int64)

@@ -134,10 +134,10 @@ class RankBitvector(_Serialized):
             wi += 1
         if cum(wi + 1) <= j:
             wi = int(np.searchsorted(self._cum, j, side="right")) - 1
-        word = self._words.item(wi)
-        for _ in range(j - cum(wi)):
-            word &= word - 1
-        return (wi << 6) + (word & -word).bit_length() - 1
+        pos, word, rem = wi << 6, self._words.item(wi), j - cum(wi)
+        while (c := (word & 0xFF).bit_count()) <= rem:   # the bit is past this byte
+            pos, word, rem = pos + 8, word >> 8, rem - c
+        return pos + _SELECT_IN_BYTE.item((word & 0xFF) << 3 | rem)
 
     def select1_many(self, js):
         """Vector `select1` (see the module docstring)."""
@@ -326,8 +326,10 @@ class EliasFanoSeq(_Serialized):
         return (top - self.length + 1) << self.low_width | self._low.get(self.length - 1)
 
     def bounds(self, i):
-        """(L[i], L[i+1]) from one select and a next-one scan."""
-        lo = self.access(i)
+        """(L[i], L[i+1]) from one select and a next-one scan; 0 <= i < length - 1."""
+        if not 0 <= i < self.length - 1:
+            raise IndexOutOfRange(f"index {i} outside [0, {self.length - 1})")
+        lo = (self._high.select1(i) - i) << self.low_width | self._low.get(i)
         pos = self._high.next1((lo >> self.low_width) + i, i)
         return lo, ((pos - i - 1) << self.low_width) | self._low.get(i + 1)
 

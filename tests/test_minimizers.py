@@ -409,3 +409,27 @@ def test_kmer_minimizers_match_brute_oracle(k, m):
     empty = np.empty(0, dtype=np.uint64)
     vals, pos = kmer_minimizers(empty, empty, scheme)
     assert vals.size == pos.size == 0
+
+
+@pytest.mark.parametrize("k", [32, 33, 63])
+def test_kmer_minimizers_read_back_ties_and_keep_the_words(k):
+    # homopolymers and short tandem repeats, whole and with one base changed:
+    # k-mers with many equal m-mer hashes, whose leftmost minimum must be
+    # read back from the k-mer at its position, not from the matrix hashed
+    # in place; at k = 33, m = 1 puts the first m-mer wholly in the high word
+    rng = np.random.default_rng(k)
+    kmers = []
+    for unit in ("A", "C", "G", "T", "AC", "TG", "ACG", "GGT", "ACGT", "TTCA", "AACAG"):
+        for offset in range(len(unit)):
+            s = (unit * (k + 5))[offset:offset + k]
+            at = int(rng.integers(k))
+            kmers += [s, s[:at] + BASES[(BASES.index(s[at]) + 1) % 4] + s[at + 1:]]
+    words = [kmer_words(encode_bases(s), k) for s in kmers]
+    hi, lo = (np.concatenate(col) for col in zip(*words))
+    hi0, lo0 = hi.copy(), lo.copy()
+    for m in sorted({1, 2, 3, 5, k // 3, 17, 32}):
+        scheme = MinimizerScheme(k=k, m=m, seed=k * m)
+        vals, pos = kmer_minimizers(hi, lo, scheme)
+        assert [(int(v), int(p)) for v, p in zip(vals, pos)] == [
+            brute_minimizer(s, m, scheme.seed) for s in kmers], m
+        assert np.array_equal(hi, hi0) and np.array_equal(lo, lo0)

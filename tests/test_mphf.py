@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpmphf import GeneralMphf, mphf
+from lpmphf.kmers import hash_words
 from lpmphf.errors import (CorruptFile, DuplicateKey, EmptyFunction,
                            LengthOutOfRange, LpmphfError)
 
@@ -120,6 +121,29 @@ def test_hi_and_lo_of_unequal_length_are_typed():
     f = GeneralMphf.build(lo)
     with pytest.raises(LengthOutOfRange):
         f.evaluate_many(lo, hi=np.zeros(6, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("size", [0, 1, "one grouped pass", 10_000])
+def test_one_word_keys_agree_with_a_zero_high_word(size, rng):
+    # 64-bit keys hash as one word, with no hi array: the values of hi = 0
+    # and of the scalar path, for members and for non-members, down to the
+    # seeded default of a key that hits no level; the inputs stay unchanged
+    keys = distinct_keys(rng, 5_000)
+    f = GeneralMphf.build(keys, seed=11)
+    if size == "one grouped pass":   # every level probed in one 2-D pass
+        size = mphf._GROUP // f.num_levels
+    others = rng.integers(0, 2 ** 64, size=10_000, dtype=np.uint64)
+    pool = rng.permutation(np.concatenate([keys, others]))[:size]
+    lo, zeros = pool.copy(), np.zeros(size, dtype=np.uint64)
+    one, two = f.evaluate_many(lo), f.evaluate_many(lo, zeros)
+    assert np.array_equal(lo, pool) and not zeros.any()
+    assert one.dtype == two.dtype == np.int64 and one.shape == (size,)
+    assert one.tolist() == two.tolist() == [f.evaluate(x) for x in pool.tolist()]
+    if size > 1:   # members, and non-members of which some hit no level
+        bits, (_, rows) = f._bits, f._view
+        default = [x for x in pool.tolist() if not any(bits.probe(
+            start + hash_words(0, x, key) % nbits)[0] for key, nbits, start in rows)]
+        assert 0 < np.isin(pool, keys).sum() < size and default
 
 
 def test_duplicate_keys_rejected():

@@ -1,13 +1,14 @@
 """`scripts/same_values.py`: two runs on one tree print the same rows, a
 changed digest is reported by its row alone, and a tree whose scalar
-`lookup` is off by one differs in exactly its scalar rows."""
+`lookup` is off by one differs in exactly the scalar rows of the shapes
+with unambiguous minimizers."""
 
 import importlib.util
 import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("long-k31", "unitigs-k31", "k63-m12", "k63-m21-long")
+WORKLOADS = ("long-k31", "unitigs-k31", "k63-m12", "k63-m21-long", "k33-m1", "k33-m8")
 
 
 def load_script():
@@ -41,6 +42,8 @@ def test_one_tree_agrees_and_a_changed_value_is_reported(tmp_path, capsys):
     assert basic.read_text().count(hit) == 1
     basic.write_text(basic.read_text().replace(hit, "return base + p1 - pos + 1\n"))
     assert sv.compare(rows, sv.digests(tmp_path)) == 1
+    # at k33-m1 every minimizer is ambiguous: its values all come from the
+    # fallback MPHF, which that line does not reach
     assert differing_rows(capsys.readouterr().out) == [
-        [wl, variant, "scalar"] for wl in WORKLOADS
+        [wl, variant, "scalar"] for wl in WORKLOADS if wl != "k33-m1"
         for variant in ("basic", "partitioned")]

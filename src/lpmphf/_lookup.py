@@ -1,7 +1,15 @@
 """The batch lookup pipeline, shared by both layouts: a batch is a plan of
 runs of k-mers sharing a minimizer occurrence (a query string's from its
 minimizer scan, a random batch's of one k-mer each), `finish_lookup`
-resolves one slot per run and `StreamPlan.expand` derives values per run."""
+resolves one slot per run and `StreamPlan.expand` derives values per run.
+
+A plan of at most _SCALAR_RUNS runs (most query strings, small random
+batches) resolves its slots one at a time on Python ints, as `lookup`
+does, and derives each run's first value, fallback k-mers and miss flag
+in that same Python pass; more runs take one vector pass, whose fixed cost
+(about 150 us for basic and 320 us for partitioned, against 7.5 and 8.7 us
+per run one at a time) pays off past about 16 and 38 runs. A plan of
+one-k-mer runs takes those first values as its values, with no expansion."""
 
 from dataclasses import dataclass
 from functools import partial
@@ -16,7 +24,11 @@ from .minimizers import SuperKmerScan, scan_string
 
 _U64 = np.uint64
 _BLOCK_ROWS = 1 << 10
-_SCALAR_RUNS = 13   # runs up to which one-at-a-time slot decode beats one vector pass
+# runs up to which one-at-a-time slot decode beats one vector pass: 16-17
+# for basic; partitioned's own break-even is 38 runs, but the tracing test
+# of bench/test_bench.py needs its vector decode on strings of 10-17 runs
+# (ROADMAP.md, item R)
+_SCALAR_RUNS = 16
 
 
 def _bits_from(hi, lo, s):
@@ -49,7 +61,7 @@ def kmer_minimizers(hi, lo, scheme):
             v[:n_hi] = h >> (col[:n_hi] - _U64(64))
             v[n_hi:n_x] = _bits_from(h, l, col[n_hi:n_x])
         v &= mask
-        hash_mmer_array(v, scheme.seed, out=v)
+        hash_mmer_array(v, scheme._mmer_key, out=v)
         first = (v == v.min(axis=0)).view(np.uint8)
         first *= weights
         arg = w - first.max(axis=0).astype(np.int64)   # the leftmost minimum
@@ -86,28 +98,40 @@ class StreamPlan:
     scan: SuperKmerScan
     words: object
 
-    def expand(self, base, p1s, sizes, struct, checked):
-        """Values from per-run slot data: k-mer t of run j gets
-        base_j + p1s_j - p1_j - kmer_base_j + t, or n_unambiguous + fallback(x)
-        when its slot has size 0 (an ambiguous minimizer's). Misses are found
-        per run; in checked mode, only runs that miss get a per-k-mer mask."""
+    def kmers_of(self, runs):
+        """Ascending indices of the k-mers of the runs where the bool array
+        `runs` holds: O(runs) work plus their k-mers, never a pass per k-mer."""
+        scan, j = self.scan, runs.nonzero()[0]
+        if scan.n == scan.sizes.size:   # runs of one k-mer
+            return j
+        return expand_ranges(scan.kmer_base[j], scan.sizes[j])
+
+    def expand(self, head, fb, bad, slots, struct, checked):
+        """Values from per-run data: k-mer t of run j gets head_j + t, where
+        head_j = base_j + p1s_j - p1_j is its first k-mer's value, or
+        n_unambiguous + fallback(x) for the k-mers `fb` (indices, those of
+        runs whose slot has size 0, an ambiguous minimizer's). Where bad_j,
+        the run leaves its slot's values [base_j, base_j + size_j), slots
+        being (base, size) per run: checked, its k-mers outside them get -1;
+        unchecked, every value is clipped into [0, n). fb and bad are None
+        where there is no such k-mer or run."""
         runs = self.scan
-        fb = sizes == 0
-        rl, first = runs.sizes, runs.kmer_base
-        out = np.repeat(base + p1s - runs.p1 - first, rl)
-        out += np.arange(runs.n)
-        if np.any(fb):
-            idx = expand_ranges(first[fb], rl[fb])
-            hi, lo = self.words(idx)
-            out[idx] = struct.n_unambiguous + struct.fallback.evaluate_many(lo, hi)
-        bad = ~fb & run_misses(p1s, sizes, runs.p1, rl)
-        if not np.any(bad):
+        if runs.n == runs.sizes.size:   # runs of one k-mer: values are heads
+            out = head
+        else:
+            out = (head - runs.kmer_base).repeat(runs.sizes)
+            out += np.arange(runs.n)
+        if fb is not None:
+            hi, lo = self.words(fb)   # hi is all zero for k <= 32: not hashed
+            out[fb] = struct.n_unambiguous + struct.fallback.evaluate_many(
+                lo, hi if struct.scheme.k > 32 else None)
+        if bad is None:
             return out
         if not checked:
             return np.clip(out, 0, struct.n - 1, out=out)
-        j = np.repeat(np.flatnonzero(bad), rl[bad])   # run of each k-mer
-        idx = expand_ranges(first[bad], rl[bad])
-        out[idx[run_misses(p1s[j], sizes[j], runs.p1[j] + first[j] - idx)]] = -1
+        at, n = self.kmers_of(bad), runs.sizes[bad]
+        base, size = (np.asarray(a)[bad].repeat(n) for a in slots)
+        out[at[(out[at] - base).view(_U64) >= size]] = -1
         return out
 
 
@@ -132,12 +156,31 @@ def kmer_plan(hi, lo, mvals, p):
 
 def finish_lookup(plan, struct, checked):
     """Values of a plan's k-mers. Up to _SCALAR_RUNS runs resolve their slots
-    one at a time on Python ints (as `lookup` does), more in one vector pass;
-    fallback k-mers are always evaluated in one vector pass."""
-    mvals = plan.scan.minvals
-    if mvals.size <= _SCALAR_RUNS:
-        rows = [struct._slot_param(struct.fm.evaluate(v)) for v in mvals.tolist()]
-        base, p1s, sizes = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    one at a time on Python ints (as `lookup` does), deriving each run's
+    head, its fallback k-mers and its miss flag in the same pass; more runs
+    in one vector pass. Fallback k-mers are always evaluated in one vector
+    pass."""
+    runs = plan.scan
+    if runs.sizes.size <= _SCALAR_RUNS:
+        head, fb, bad, base, size = [], [], [], [], []
+        param, evaluate = struct._slot_param, struct.fm.evaluate
+        for v, a, p, n in zip(runs.minvals.tolist(), runs.kmer_base.tolist(),
+                              runs.p1.tolist(), runs.sizes.tolist()):
+            b, p1s, z = param(evaluate(v))
+            head.append(b + p1s - p)
+            if not z:
+                fb.extend(range(a, a + n))
+            bad.append(z > 0 and run_misses(p1s, z, p, n))
+            base.append(b)
+            size.append(z)
+        head = np.array(head, dtype=np.int64)
+        fb = np.array(fb, dtype=np.int64) if fb else None
+        bad = np.array(bad) if any(bad) else None
     else:
-        base, p1s, sizes = struct._slot_params(struct.fm.evaluate_many(mvals))
-    return plan.expand(base, p1s, sizes, struct, checked)
+        base, p1s, size = struct._slot_params(struct.fm.evaluate_many(runs.minvals))
+        head = base + p1s - runs.p1
+        fb = size == 0
+        bad = ~fb & run_misses(p1s, size, runs.p1, runs.sizes)
+        fb = plan.kmers_of(fb) if fb.any() else None
+        bad = bad if bad.any() else None
+    return plan.expand(head, fb, bad, (base, size), struct, checked)

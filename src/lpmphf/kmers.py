@@ -34,6 +34,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SEED_SALT = 0x9E3779B97F4A7C15
 # splitmix64's shifts and multipliers, for each form of it (scalar, array, lanes)
 MIX_S1, MIX_S2, MIX_S3, MIX_M1, MIX_M2 = 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MIX_U64 = tuple(map(_U64, (MIX_S1, MIX_S2, MIX_S3, MIX_M1, MIX_M2)))
 _PACK_ROWS = 1 << 12   # k-mers per block of kmer_words_at
 
 # tables for bytes.translate. Byte -> code: upper and lower case accepted,
@@ -125,11 +126,12 @@ def mix64(x):
 
 def mix64_inplace(x):
     """splitmix64 finalizer over a uint64 array, in place (numpy wraps)."""
-    x ^= x >> _U64(MIX_S1)
-    x *= _U64(MIX_M1)
-    x ^= x >> _U64(MIX_S2)
-    x *= _U64(MIX_M2)
-    x ^= x >> _U64(MIX_S3)
+    s1, s2, s3, m1, m2 = _MIX_U64
+    x ^= x >> s1
+    x *= m1
+    x ^= x >> s2
+    x *= m2
+    x ^= x >> s3
     return x
 
 
@@ -138,10 +140,11 @@ def seed_key(seed):
     return mix64(seed ^ _SEED_SALT)
 
 
-def hash_mmer_array(mmers, seed, out=None):
-    """Hash of packed m-mers (m <= 32): mix64(x ^ seed_key(seed)) elementwise,
-    into `out` (which may be `mmers`) or a new uint64 array (uint32 m-mers widen)."""
-    return mix64_inplace(np.bitwise_xor(mmers, _U64(seed_key(seed)), out=out))
+def hash_mmer_array(mmers, key, out=None):
+    """Hash of packed m-mers (m <= 32) under the pre-mixed `key` (a uint64
+    `seed_key` value): mix64(x ^ key) elementwise, into `out` (which may be
+    `mmers`) or a new uint64 array (uint32 m-mers widen)."""
+    return mix64_inplace(np.bitwise_xor(mmers, key, out=out))
 
 
 def hash_words(hi, lo, key):

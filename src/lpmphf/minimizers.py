@@ -84,6 +84,11 @@ class MinimizerScheme:
         return self.m > 3 * math.log(self.w + 1, 4)
 
     @cached_property
+    def _mmer_key(self):
+        """The pre-mixed seed that `hash_mmer_array` takes, as a uint64."""
+        return np.uint64(seed_key(self.seed))
+
+    @cached_property
     def _lanes(self):
         """The constants of `kmer_minimizer`, in lanes of L = 128 bits."""
         L, w, mask = 128, self.w, (1 << (2 * self.m)) - 1
@@ -118,7 +123,7 @@ def kmer_minimizer(value, scheme):
 # --- vectorized scan ------------------------------------------------------------
 
 _SCAN_BLOCK = 1 << 15   # windows per block of the hash and the window argmin
-_DIRECT_ARGMIN = 512    # windows up to which one strided argmin beats the events
+_DIRECT_ARGMIN = 224    # windows up to which one strided argmin beats the events
 
 
 @dataclass
@@ -169,13 +174,13 @@ def _window_runs(h, w):
     if nwin <= _DIRECT_ARGMIN or w == 1:
         offset = rows.argmin(axis=1)   # p(j) = j + offset[j]
         np.not_equal(offset[1:] + 1, offset[:-1], out=st[1:nwin])
-        bounds = np.flatnonzero(st)
+        bounds = st.nonzero()[0]
         return bounds, bounds[:-1] + offset[bounds[:-1]]
     m = _window_min(h, r)
     a = h[:nwin] <= m[1:]
     b = h[r:] < m[:-1]
     np.logical_or(b[1:], a[:-1], out=st[1:nwin])
-    bounds = np.flatnonzero(st)
+    bounds = st.nonzero()[0]
     starts = bounds[:-1]
     bs = b[starts]
     occ = starts + r * bs
@@ -189,13 +194,13 @@ def _runs(codes, scheme):
     block, and the m-mers. A block's window 0 starts no run if it continues
     the last one (`last`, kept apart: a block can lie inside one run)."""
     mvals = packed_windows(codes, scheme.m)   # uint32 for m <= 16
-    n, w, seed = codes.size - scheme.k + 1, scheme.w, scheme.seed
+    n, w, key = codes.size - scheme.k + 1, scheme.w, scheme._mmer_key
     if n <= _SCAN_BLOCK:
-        return (*_window_runs(hash_mmer_array(mvals, seed), w), mvals)
+        return (*_window_runs(hash_mmer_array(mvals, key), w), mvals)
     starts, occs, last = [], [], -1
     for s in range(0, n, _SCAN_BLOCK):   # windows s .. s + block - 1
         bounds, occ = _window_runs(
-            hash_mmer_array(mvals[s:s + _SCAN_BLOCK + w - 1], seed), w)
+            hash_mmer_array(mvals[s:s + _SCAN_BLOCK + w - 1], key), w)
         occ += s
         cut, last = int(occ[0] == last), occ[-1]
         starts.append(bounds[cut:-1] + s)

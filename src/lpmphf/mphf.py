@@ -16,8 +16,13 @@ Evaluation reads the levels, one after another, as one rank bitvector. A
 key's value is the rank of the first set bit it hits, which makes the
 function minimal; a key that hits none gets `hash_words % n_keys`. The
 vector path probes its pending keys against max(1, _GROUP // pending)
-levels per 2-D pass, so a short batch crosses every level at once; the
-first pass's ranks are the output, and later passes scatter their hits.
+levels per 2-D pass, so a short batch crosses every level at once. Each
+probe gathers its word once, shifted so that the probed bit is its sign
+bit and one popcount plus one rank sample give the rank; levels lie in
+order, so a key's first hit is its lowest-ranked set bit (a minimum over
+the pass's levels, which a one-level pass skips). The first pass's ranks
+are the output, and later passes scatter their hits. The level columns,
+the default hash's key and n_keys are built once, on the first evaluation.
 
 Keys are (hi, lo) uint64 pairs. Plain 64-bit keys pass no hi, and the
 vector evaluation hashes them as one word, with the values of hi = 0.
@@ -76,13 +81,15 @@ class GeneralMphf(_Serialized):
 
     @cached_property
     def _view(self):
-        """The levels' pre-mixed keys, sizes and first bits as a (3, levels)
-        array and as Python rows; built on the first evaluation so that
-        loading mixes no seeds."""
+        """The levels' pre-mixed keys, sizes and first bits as (levels, 1)
+        columns of one uint64 array and as Python rows, then the default
+        hash's key and n_keys as uint64 scalars; built on the first
+        evaluation so that loading mixes no seeds."""
         sizes = self._sizes
         keys = [_level_seed(self.seed, i) for i in range(len(sizes))]
         levels = np.array([keys, sizes, np.cumsum([0] + sizes[:-1])], dtype=_U64)
-        return levels, levels.T.tolist()
+        return (levels[:, :, None], levels.T.tolist(), _U64(seed_key(self.seed)),
+                _U64(self.n_keys))
 
     # --- construction ---
 
@@ -133,30 +140,34 @@ class GeneralMphf(_Serialized):
         if self.n_keys == 0:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = key >> 64, key & 0xFFFFFFFFFFFFFFFF
-        bits, (_, rows) = self._bits, self._view
+        bits, (_, rows, default_key, _) = self._bits, self._view
         for level_key, size, start in rows:
             hit, rank = bits.probe(start + hash_words(hi, lo, level_key) % size)
             if hit:
                 return rank
-        return hash_words(hi, lo, seed_key(self.seed)) % self.n_keys
+        return hash_words(hi, lo, int(default_key)) % self.n_keys
 
     def evaluate_many(self, lo, hi=None):
         """Vector evaluate over uint64 key arrays, in grouped level passes."""
         if self.n_keys == 0:
             raise EmptyFunction("evaluate on an MPHF with no keys")
         hi, lo = _as_key_arrays(lo, hi)
-        bits, (levels, _) = self._bits, self._view
+        bits, (levels, _, default_key, n_keys) = self._bits, self._view
         out = np.empty(0, dtype=np.int64)   # the first pass's ranks replace it
         pending = np.arange(lo.size)   # the keys no level has placed yet
         cur_hi, cur_lo = hi, lo        # their words
-        while pending.size and levels.size:   # levels: those not probed yet
-            level_key, size, start = levels[:, :max(1, _GROUP // pending.size), None]
-            levels = levels[:, size.size:]
-            h = hash_words_array(cur_hi, cur_lo, level_key)
-            hit, rank = bits.probe_many((h % size + start).view(np.int64))
-            if size.size == 1:
+        done = 0                       # levels probed
+        while pending.size and done < levels.shape[1]:
+            group = max(1, _GROUP // pending.size)
+            level_key, size, start = levels[:, done:done + group]
+            done += size.shape[0]
+            pos = hash_words_array(cur_hi, cur_lo, level_key)   # (levels, keys)
+            pos %= size
+            pos += start
+            hit, rank = bits.probe_many(pos.view(np.int64))
+            if size.shape[0] == 1:
                 hit, rank = hit[0], rank[0]
-            else:   # (levels, keys): a key's first set bit ranks lowest
+            else:   # a key's first set bit ranks lowest
                 rank = np.where(hit, rank, self.n_keys).min(axis=0)
                 hit = rank < self.n_keys
             if out.size:   # later passes scatter their hits
@@ -166,8 +177,8 @@ class GeneralMphf(_Serialized):
             pending = pending[~hit]
             cur_hi, cur_lo = hi if hi is None else hi[pending], lo[pending]
         if pending.size:
-            out[pending] = (hash_words_array(cur_hi, cur_lo, seed_key(self.seed))
-                            % _U64(self.n_keys)).astype(np.int64)
+            out[pending] = (hash_words_array(cur_hi, cur_lo, default_key)
+                            % n_keys).view(np.int64)
         return out
 
     # --- introspection / persistence ---

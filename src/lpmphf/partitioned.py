@@ -116,7 +116,7 @@ class LpMphfPartitioned(LpMphf):
         t, j = self.R.access_many(slot)
         base, sizes = j * w, np.full(t.size, w)   # left-right-max: both w
         for ty, (ef, offset) in enumerate(self._blocks, 1):
-            of = np.flatnonzero(t == ty)   # indexes three times: cheaper than a mask
+            of = (t == ty).nonzero()[0]   # indexes three times: cheaper than a mask
             lo, hi = ef.bounds_many(j[of])
             base[of], sizes[of] = offset + lo, hi - lo
         p1s = np.where(t == FlType.LEFT_MAX.value, sizes, w)

@@ -35,6 +35,7 @@ __all__ = ["RankBitvector", "IntVector", "EliasFanoSeq", "TypeSequence"]
 
 _U64 = np.uint64
 _FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_U63 = np.uint64(63)
 
 popcount = np.bitwise_count
 
@@ -110,13 +111,14 @@ class RankBitvector(_Serialized):
         return self.probe_many(idx)[1]
 
     def probe_many(self, idx):
-        """(bit as bool, rank1) at each position, from one gather of its word."""
+        """(bit as bool, rank1) at each position, from one gather of its word:
+        shifted left by 63 - offset, the word holds the bit as its sign bit
+        and the set bits up to and including it as its popcount."""
         idx = np.asarray(idx, dtype=np.int64)
         wi = idx >> 6
-        word = self._words[wi]
-        off = (idx & 63).astype(_U64)
-        r = self._cum[wi] + popcount(word & ((_U64(1) << off) - _U64(1)))
-        return ((word >> off) & _U64(1)).astype(bool), r
+        top = self._words[wi] << (_U63 - (idx.view(_U64) & _U63))
+        bit = top.view(np.int64) < 0
+        return bit, self._cum[wi] + popcount(top) - bit
 
     @cached_property
     def _select_sample(self):
@@ -147,7 +149,7 @@ class RankBitvector(_Serialized):
         cum, wi = self._cum, self._select_sample[js >> 6]
         for _ in range(_SELECT_STEPS):
             wi += cum[wi + 1] <= js
-        far = np.flatnonzero(cum[wi + 1] <= js)
+        far = (cum[wi + 1] <= js).nonzero()[0]
         if far.size:
             wi[far] = np.searchsorted(cum, js[far], side="right") - 1
         rem = js - cum[wi]
@@ -182,7 +184,7 @@ class RankBitvector(_Serialized):
         wi = ps >> 6
         rest = self._words[wi] >> (ps & 63).astype(_U64) >> _U64(1)
         out = ps + popcount(rest ^ (rest - _U64(1))).astype(np.int64)
-        miss = np.flatnonzero(rest == 0)
+        miss = (rest == 0).nonzero()[0]
         if miss.size:
             nxt = wi[miss] + 1
             word = self._words[nxt]
@@ -334,11 +336,14 @@ class EliasFanoSeq(_Serialized):
         return lo, ((pos - i - 1) << self.low_width) | self._low.get(i + 1)
 
     def bounds_many(self, idx):
-        """Vector `bounds`: (L[idx], L[idx + 1]), 0 <= idx < length - 1."""
+        """Vector `bounds`: (L[idx], L[idx + 1]), 0 <= idx < length - 1, from
+        one select and a next-one scan from its position."""
         idx = np.asarray(idx, dtype=np.int64)
-        lo = self.access_many(idx)
-        pos = self._high.next1_many((lo >> self.low_width) + idx, idx)
-        return lo, ((pos - idx - 1) << self.low_width) | self._low.get_many(idx + 1)
+        pos = self._high.select1_many(idx)
+        nxt = self._high.next1_many(pos, idx)
+        lw, low = self.low_width, self._low
+        return ((pos - idx) << lw | low.get_many(idx),
+                (nxt - idx - 1) << lw | low.get_many(idx + 1))
 
     def __len__(self):
         return self.length

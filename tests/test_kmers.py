@@ -132,7 +132,7 @@ def test_hash_uniformity_chi_square():
     from scipy.stats import chi2
     rng = np.random.default_rng(13)
     xs = rng.integers(0, 2 ** 60, size=100_000, dtype=np.uint64)
-    h = hash_mmer_array(xs, seed=5)
+    h = hash_mmer_array(xs, np.uint64(seed_key(5)))
     counts = np.bincount((h & np.uint64(0xFF)).astype(np.int64), minlength=256)
     expected = xs.size / 256
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -142,7 +142,7 @@ def test_hash_uniformity_chi_square():
 def test_vector_hash_matches_scalar():
     rng = np.random.default_rng(3)
     xs = rng.integers(0, 2 ** 63, size=500, dtype=np.uint64)
-    hv = hash_mmer_array(xs, seed=9)
+    hv = hash_mmer_array(xs, np.uint64(seed_key(9)))
     for i in range(0, 500, 37):
         assert int(hv[i]) == mix64(int(xs[i]) ^ seed_key(9))
     his = rng.integers(0, 2 ** 64, size=100, dtype=np.uint64)

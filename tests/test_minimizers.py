@@ -46,8 +46,10 @@ def test_window_argmin_tie_heavy(values, w):
                                  (9, 9), (33, 33), (1000, 33),  # w - 1 = 2^i
                                  (100, 3), (1000, 24), (1000, 63),
                                  # _DIRECT_ARGMIN windows take one direct
-                                 # argmin, one more window the run events
-                                 *[(_DIRECT_ARGMIN + extra + w - 1, w)
+                                 # argmin, one more window the run events,
+                                 # as do 512 and 513 windows
+                                 *[(windows + extra + w - 1, w)
+                                   for windows in (_DIRECT_ARGMIN, 512)
                                    for w in (1, 2, 17, 24, 49, 63)
                                    for extra in (0, 1)]])
 def test_window_argmin_matches_oracle(n, w, rng):
@@ -176,7 +178,8 @@ def test_split_matches_isolated_window_oracle_at_1e5(medium_spss):
     from lpmphf.kmers import hash_mmer_array, packed_windows
     for codes in medium_spss.codes:
         nk = codes.size - scheme.k + 1
-        h = hash_mmer_array(packed_windows(codes, scheme.m), scheme.seed)
+        h = hash_mmer_array(packed_windows(codes, scheme.m),
+                            np.uint64(seed_key(scheme.seed)))
         occ = np.array([i + int(np.argmin(h[i:i + scheme.w]))
                         for i in range(nk)], dtype=np.int64)
         starts = np.flatnonzero(np.concatenate([[True], occ[1:] != occ[:-1]]))

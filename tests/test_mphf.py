@@ -140,10 +140,46 @@ def test_one_word_keys_agree_with_a_zero_high_word(size, rng):
     assert one.dtype == two.dtype == np.int64 and one.shape == (size,)
     assert one.tolist() == two.tolist() == [f.evaluate(x) for x in pool.tolist()]
     if size > 1:   # members, and non-members of which some hit no level
-        bits, (_, rows) = f._bits, f._view
-        default = [x for x in pool.tolist() if not any(bits.probe(
-            start + hash_words(0, x, key) % nbits)[0] for key, nbits, start in rows)]
+        default = [x for x in pool.tolist() if hits_no_level(f, x)]
         assert 0 < np.isin(pool, keys).sum() < size and default
+
+
+def hits_no_level(f, key):
+    """Does `key` (an int) find no set bit in any level, so that it takes
+    the seeded default hash?"""
+    hi, lo = key >> 64, key & (2 ** 64 - 1)
+    return not any(f._bits.probe(start + hash_words(hi, lo, level_key) % nbits)[0]
+                   for level_key, nbits, start in f._view[1])
+
+
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("size", ["one key", "one grouped pass", "one more"])
+def test_evaluate_many_equals_evaluate(width, size, rng):
+    # batches of one key, of _GROUP // num_levels keys (every level in one
+    # pass) and of one more (a first pass over fewer levels, then more
+    # passes): members, non-members that hit a level, and non-members that
+    # hit none and take the seeded default, one- and two-word keys
+    lo = distinct_keys(rng, 3000)
+    hi = rng.integers(0, 2 ** 62, lo.size, dtype=np.uint64) if width == 128 else None
+    f = GeneralMphf.build(lo, hi, seed=12)
+    size = {"one key": 1, "one grouped pass": mphf._GROUP // f.num_levels,
+            "one more": mphf._GROUP // f.num_levels + 1}[size]
+    members = [int(x) for x in lo] if hi is None else [
+        int(h) << 64 | int(x) for h, x in zip(hi, lo)]
+    pool = members + [int.from_bytes(rng.bytes(width // 8), "little")
+                      for _ in range(3000)]
+    pool = [pool[i] for i in rng.permutation(len(pool))]
+    members, seen = set(members), set()
+    for a in range(0, min(len(pool), 300 * size), size):
+        batch = pool[a:a + size]
+        qlo = np.array([x & (2 ** 64 - 1) for x in batch], dtype=np.uint64)
+        qhi = np.array([x >> 64 for x in batch], dtype=np.uint64)
+        got = f.evaluate_many(qlo, None if hi is None else qhi)
+        assert got.dtype == np.int64
+        assert got.tolist() == [f.evaluate(x) for x in batch]
+        seen.update("member" if x in members else "default" if hits_no_level(f, x)
+                    else "level" for x in batch)
+    assert seen == {"member", "level", "default"}
 
 
 def test_duplicate_keys_rejected():

@@ -8,7 +8,8 @@ import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("long-k31", "unitigs-k31", "k63-m12", "k63-m21-long", "k33-m1", "k33-m8")
+WORKLOADS = ("long-k31", "unitigs-k31", "unitigs-k31-long", "k63-m12",
+             "k63-m21-long", "k33-m1", "k33-m8")
 
 
 def load_script():

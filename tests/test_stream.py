@@ -6,9 +6,11 @@ codes; `lookup_words` does each per k-mer. The two must agree elementwise,
 checked and unchecked, on query shapes that put run boundaries, partial
 misses, fallback runs and two-word k-mers in play, each with queries on
 both sides of the run count at which `stream_lookup` switches from scalar
-to vector slot decoding. A random batch is runs of one k-mer each, so it
-switches at the same count of k-mers; on both sides of it, `lookup_words`
-must equal the scalar `lookup`.
+to vector slot decoding, and on queries of exactly that many runs and one
+more, and of exactly `_DIRECT_ARGMIN` windows and one more, where the
+minimizer scan switches kernels. A random batch is runs of one k-mer each,
+so it switches at the same count of k-mers; on both sides of it,
+`lookup_words` must equal the scalar `lookup`.
 """
 
 import functools
@@ -21,7 +23,7 @@ from lpmphf._lookup import _SCALAR_RUNS
 from lpmphf.errors import (DefiniteMiss, InvalidBase, KMismatch,
                            QueryShorterThanK)
 from lpmphf.kmers import decode_bases, kmer_words
-from lpmphf.minimizers import scan_string
+from lpmphf.minimizers import _DIRECT_ARGMIN, scan_string
 from lpmphf.storage import structure_from_bytes, structure_to_bytes
 
 from conftest import BUILDERS, SCALAR_SHAPES
@@ -87,13 +89,15 @@ def unitigs_m8():
 
 def two_words_k63():
     """k = 63 (two-word k-mers) at a small m, so that fallback runs pack
-    two-word k-mers; queries are pieces of the string, some mutated."""
+    two-word k-mers; queries are pieces of the string, some mutated, and
+    two pieces of 1500 bases."""
     spss = generate_spss(2000 + 62, 63, seed=84)
     rng = np.random.default_rng(84)
     codes = spss.codes[0]
     queries = [codes[a:a + rng.integers(63, 500)]
                for a in rng.integers(0, codes.size - 63, 20)]
     queries += [mutate(q, rng) for q in queries[:10]]
+    queries += [codes[:1500], mutate(codes[400:1900], rng)]
     return spss, MinimizerScheme(k=63, m=6, seed=5), queries
 
 
@@ -151,6 +155,69 @@ def test_shapes_reach_what_they_are_for(build):
     for shape, share in ((unitigs_m8, 0.5), (two_words_k63, 0)):
         for side in by_side(shape, fallback):
             assert np.mean(side) > share
+
+
+def with_runs(codes, scheme, runs):
+    """The shortest prefix of `codes` that has `runs` runs: a base more adds
+    one k-mer, which starts one run or none, so it has exactly that many."""
+    lo, hi = scheme.k, codes.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if scan_string(codes[:mid], scheme).sizes.size >= runs:
+            hi = mid
+        else:
+            lo = mid + 1
+    return codes[:lo]
+
+
+@functools.cache
+def switch_case(k, build):
+    """(structure, its reloaded copy, queries) at m = 6, where many
+    minimizers are ambiguous: from the indexed string and from a copy with
+    about one base in 80 substituted, at three starts each, queries of
+    exactly _SCALAR_RUNS runs and one more, and of exactly _DIRECT_ARGMIN
+    windows (k-mers) and one more."""
+    spss = generate_spss(4000 + k - 1, k, seed=86 + k)
+    scheme = MinimizerScheme(k=k, m=6, seed=5)
+    rng = np.random.default_rng(k)
+    codes, queries = spss.codes[0], []
+    for src in (codes, mutate(codes, rng, every=80)):
+        for a in rng.integers(0, 1000, 3):
+            queries += [with_runs(src[a:], scheme, runs)
+                        for runs in (_SCALAR_RUNS, _SCALAR_RUNS + 1)]
+            queries += [src[a:a + windows + k - 1]
+                        for windows in (_DIRECT_ARGMIN, _DIRECT_ARGMIN + 1)]
+    f = build(spss, scheme)
+    return f, structure_from_bytes(structure_to_bytes(f)), queries
+
+
+@AMBIG
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("k", [31, 33, 63])
+@pytest.mark.parametrize("checked", [False, True])
+def test_stream_equals_lookup_words_at_the_switch_points(k, build, checked):
+    """At exactly the run count up to which slots decode run by run and
+    one more, and at exactly the window count up to which the scan takes
+    one direct argmin and one more, `stream_lookup` equals `lookup_words`;
+    fallback runs, and in checked mode runs that partly miss, are among
+    them."""
+    f, g, queries = switch_case(k, build)
+    runs = [scan_string(q, f.scheme).sizes.size for q in queries]
+    windows = [q.size - k + 1 for q in queries]
+    assert {_SCALAR_RUNS, _SCALAR_RUNS + 1} <= set(runs)
+    assert {_DIRECT_ARGMIN, _DIRECT_ARGMIN + 1} <= set(windows)
+    fallback = partial = 0
+    for h in (f, g):
+        for q in queries:
+            hi, lo = kmer_words(q, k)
+            want = h.lookup_words(hi, lo, checked=checked)
+            got = h.stream_lookup(q, checked=checked)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            fallback += np.any(got >= h.n_unambiguous)
+            scan = scan_string(q, h.scheme)
+            partial += any(np.any(got[a:a + n] < 0) and np.any(got[a:a + n] >= 0)
+                           for a, n in zip(scan.kmer_base, scan.sizes))
+    assert fallback and (partial or not checked)
 
 
 BATCH_SHAPES = SCALAR_SHAPES + [substituted, unitigs_m8, two_words_k63]
